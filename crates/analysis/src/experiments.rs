@@ -6,7 +6,7 @@ use crate::table::{Report, Table};
 use crate::Scale;
 use atum_baselines::{ArchExit, ArchSim, TbitTracer};
 use atum_cache::{
-    simulate, simulate_many, simulate_many_parallel, simulate_split, simulate_tlb,
+    simulate, simulate_many, simulate_many_stream, simulate_split, simulate_tlb,
     simulate_tlb_stream, sweep_block, Cache, CacheConfig, SwitchPolicy, TlbConfig, WritePolicy,
 };
 use atum_core::{PatchStyle, RecordKind, Trace};
@@ -295,14 +295,10 @@ pub fn f1_os_vs_user(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         .expect("config");
     let sizes = cache_sizes(scale);
     let cfgs: Vec<CacheConfig> = sizes.iter().map(|&s| base.with_size(s)).collect();
-    // One pass per trace evaluates the whole size sweep, with the
-    // sweep's engines sharded over worker threads (results are
-    // identical at any job count); the user-only pass streams through a
-    // filtered view instead of copying the trace.
-    let jobs = crate::parallel::jobs();
-    let full = simulate_many_parallel(&mut run.trace.source(), &cfgs, jobs)
-        .expect("in-memory source cannot fail");
-    let uo = simulate_many_parallel(&mut run.trace.user_source(), &cfgs, jobs)
+    // One pass per trace evaluates the whole size sweep; the user-only
+    // pass streams through a filtered view instead of copying the trace.
+    let full = simulate_many(&run.trace, &cfgs);
+    let uo = simulate_many_stream(&mut run.trace.user_source(), &cfgs)
         .expect("in-memory source cannot fail");
 
     let mut t = Table::new(["size", "complete miss%", "user-only miss%", "gap (pp)"]);
@@ -799,19 +795,11 @@ pub fn e4_working_set(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerE
         "complete max",
         "user-only mean pages",
     ]);
-    // Every window size is measured in a single pass per trace view,
-    // with the per-window states sharded over worker threads (identical
-    // results at any job count).
-    let jobs = crate::parallel::jobs();
-    let full =
-        crate::working_set::working_set_curve_parallel(&mut run.trace.source(), &windows, jobs)
-            .expect("in-memory source cannot fail");
-    let user = crate::working_set::working_set_curve_parallel(
-        &mut run.trace.user_source(),
-        &windows,
-        jobs,
-    )
-    .expect("in-memory source cannot fail");
+    // Every window size is measured in a single pass per trace view.
+    let full = crate::working_set::working_set_curve_stream(&mut run.trace.source(), &windows)
+        .expect("in-memory source cannot fail");
+    let user = crate::working_set::working_set_curve_stream(&mut run.trace.user_source(), &windows)
+        .expect("in-memory source cannot fail");
     for (i, &w) in windows.iter().enumerate() {
         t.row([
             w.to_string(),

@@ -27,8 +27,7 @@ pub use parallel::{parallel_map, set_jobs};
 pub use runner::{capture_mix, run_untraced, CapturedRun, RunnerError};
 pub use table::{Report, Table};
 pub use working_set::{
-    working_set, working_set_curve, working_set_curve_parallel, working_set_curve_stream,
-    working_set_stream, WorkingSet,
+    working_set, working_set_curve, working_set_curve_stream, working_set_stream, WorkingSet,
 };
 
 /// Experiment scale: `Quick` for tests/smoke, `Full` for the recorded

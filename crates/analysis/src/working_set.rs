@@ -135,29 +135,6 @@ pub fn working_set_curve_stream<S: TraceSource>(
     Ok(states.iter().map(WsState::finish).collect())
 }
 
-/// The engine-parallel form of [`working_set_curve_stream`]: the
-/// per-window states are independent sequential consumers, so record
-/// batches are broadcast to them sharded over up to `jobs` worker
-/// threads. Every state still sees every reference in trace order, so
-/// the curve is identical to the serial pass at any `jobs`.
-///
-/// # Errors
-///
-/// Any [`TraceStreamError`] from the source.
-pub fn working_set_curve_parallel<S: TraceSource + ?Sized>(
-    source: &mut S,
-    windows: &[usize],
-    jobs: usize,
-) -> Result<Vec<WorkingSet>, TraceStreamError> {
-    let mut states: Vec<WsState> = windows.iter().map(|&w| WsState::new(w)).collect();
-    atum_core::broadcast_batches(source, &mut states, jobs, |state, batch| {
-        for r in batch.iter() {
-            state.step(&r);
-        }
-    })?;
-    Ok(states.iter().map(WsState::finish).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,20 +209,5 @@ mod tests {
             working_set_curve_stream(&mut t.source(), &windows).unwrap(),
             working_set_curve(&t, &windows)
         );
-    }
-
-    #[test]
-    fn parallel_curve_matches_serial_at_any_jobs() {
-        let pages: Vec<(u8, u32)> = (0..8192u32).map(|i| ((1 + i % 3) as u8, i % 61)).collect();
-        let t = trace_of(&pages);
-        let windows = [8usize, 64, 512, 4096];
-        let want = working_set_curve(&t, &windows);
-        for jobs in [1, 2, 4] {
-            assert_eq!(
-                working_set_curve_parallel(&mut t.source(), &windows, jobs).unwrap(),
-                want,
-                "jobs={jobs}"
-            );
-        }
     }
 }

@@ -1,22 +1,21 @@
-//! Analysis-rate benchmark: the Fenwick recency-index sweep engine and
-//! the engine-parallel broadcast against the legacy linked-list walk.
+//! Analysis-rate benchmark: the Fenwick recency-index sweep engine
+//! against the legacy linked-list walk.
 //!
 //! Captures the standard mix, replicates it to a few million records,
 //! then runs three sweep families — the F1-style direct-mapped size
-//! sweep, an associativity mix, and a purge-on-switch family — three
-//! ways each: the legacy walk (`oracle` feature), the Fenwick engine
-//! serially, and the Fenwick engine with batches broadcast to engine
-//! shards. All three result sets must be identical per family, and the
-//! best new-engine rate on the F1 family must be at least [`MIN_GAIN`]×
-//! the old walk (the CI floor gate). Rates are recorded machine-readably
-//! in `BENCH_analysis.json` at the workspace root.
+//! sweep, an associativity mix, and a purge-on-switch family — two ways
+//! each: the legacy walk (`oracle` feature) and the Fenwick engine. Both
+//! result sets must be identical per family, and the new engine's rate
+//! on the F1 family must be at least [`MIN_GAIN`]× the old walk (the CI
+//! floor gate). Rates are recorded machine-readably in
+//! `BENCH_analysis.json` at the workspace root.
 //!
 //! ```text
 //! cargo bench -p atum-bench --bench analysis -- analysis
 //! ```
 
 use atum_analysis::{experiments, Scale};
-use atum_cache::{simulate_many, simulate_many_oracle, CacheConfig, MultiSim, SwitchPolicy};
+use atum_cache::{simulate_many, simulate_many_oracle, CacheConfig, SwitchPolicy};
 use atum_core::{RecordKind, Trace};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -29,7 +28,7 @@ const RECORD_BUDGET: u64 = 4 << 20;
 /// in the ratios).
 const ROUNDS: usize = 3;
 
-/// CI floor: best new-engine rate over the F1 family must beat the old
+/// CI floor: the new engine's rate over the F1 family must beat the old
 /// walk by at least this factor.
 const MIN_GAIN: f64 = 2.0;
 
@@ -137,17 +136,10 @@ fn analysis(_c: &mut Criterion) {
     }
     let refs = big.ref_count() as f64;
 
-    // At least 2 so the broadcast ring is always exercised, even on a
-    // single-CPU host.
-    let jobs = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 8);
-
     let mut rows = String::new();
     let mut f1_gain = 0.0f64;
     for fam in families() {
-        // Correctness first: all three paths must agree exactly.
+        // Correctness first: both engines must agree exactly.
         let want = simulate_many(&big, &fam.cfgs);
         assert_eq!(
             want,
@@ -155,42 +147,25 @@ fn analysis(_c: &mut Criterion) {
             "{}: Fenwick engine diverged from the legacy walk",
             fam.name
         );
-        assert_eq!(
-            want,
-            MultiSim::new(&fam.cfgs)
-                .run_parallel(&mut big.source(), jobs)
-                .expect("in-memory source cannot fail"),
-            "{}: parallel sweep diverged from serial",
-            fam.name
-        );
 
         // Timing: interleave the variants inside each round.
         let mut t_old = f64::MAX;
         let mut t_fen = f64::MAX;
-        let mut t_par = f64::MAX;
         for _ in 0..ROUNDS {
             let (t, _) = best_of(1, || simulate_many_oracle(&big, &fam.cfgs));
             t_old = t_old.min(t);
             let (t, _) = best_of(1, || simulate_many(&big, &fam.cfgs));
             t_fen = t_fen.min(t);
-            let (t, _) = best_of(1, || {
-                MultiSim::new(&fam.cfgs)
-                    .run_parallel(&mut big.source(), jobs)
-                    .expect("in-memory source cannot fail")
-            });
-            t_par = t_par.min(t);
         }
         let old_rate = refs / t_old;
         let fen_rate = refs / t_fen;
-        let par_rate = refs / t_par;
-        let gain = t_old / t_fen.min(t_par);
+        let gain = t_old / t_fen;
         if fam.name == "f1_size_sweep" {
             f1_gain = gain;
         }
         println!(
             "bench analysis[{}]: {} configs  old-walk {old_rate:.3e} refs/s  \
-             fenwick {fen_rate:.3e} refs/s  parallel(x{jobs}) {par_rate:.3e} refs/s  \
-             ({gain:.2}x over old walk)",
+             fenwick {fen_rate:.3e} refs/s  ({gain:.2}x over old walk)",
             fam.name,
             fam.cfgs.len(),
         );
@@ -201,7 +176,6 @@ fn analysis(_c: &mut Criterion) {
             "    {{\n      \"family\": \"{}\",\n      \"configs\": {},\n      \
              \"old_walk_refs_per_sec\": {old_rate:.1},\n      \
              \"fenwick_refs_per_sec\": {fen_rate:.1},\n      \
-             \"parallel_refs_per_sec\": {par_rate:.1},\n      \
              \"gain_over_old_walk\": {gain:.3},\n      \
              \"results_identical\": true\n    }}",
             fam.name,
@@ -217,7 +191,7 @@ fn analysis(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"workload\": \"standard mix (Quick) x{replicas} replicas\",\n  \
          \"unit\": \"memory references per second\",\n  \
-         \"records\": {},\n  \"refs\": {},\n  \"jobs\": {jobs},\n  \
+         \"records\": {},\n  \"refs\": {},\n  \
          \"min_gain_floor\": {MIN_GAIN},\n  \
          \"f1_gain_over_old_walk\": {f1_gain:.3},\n  \
          \"families\": [\n{rows}\n  ]\n}}\n",

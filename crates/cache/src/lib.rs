@@ -47,7 +47,7 @@ pub use config::{
 };
 #[cfg(feature = "oracle")]
 pub use multi::simulate_many_oracle;
-pub use multi::{simulate_many, simulate_many_parallel, simulate_many_stream, stackable, MultiSim};
+pub use multi::{simulate_many, simulate_many_stream, stackable, MultiSim};
 pub use set_assoc::{AccessKind, Cache};
 pub use sim::{
     simulate, simulate_stream, simulate_tlb, simulate_tlb_stream, sweep_assoc, sweep_block,

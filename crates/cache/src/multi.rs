@@ -74,14 +74,6 @@
 //! independent [`Cache`] models fed from the same single trace
 //! traversal.
 //!
-//! Every engine — each stack group, each direct-replay cache — is an
-//! independent sequential consumer of the same record stream, which is
-//! what [`MultiSim::run_parallel`] exploits: batches from a
-//! [`TraceSource`] are broadcast to the engines sharded over worker
-//! threads, and because each engine still sees every record in order,
-//! the assembled statistics are identical to the serial pass at any job
-//! count.
-//!
 //! The produced [`CacheStats`] are field-for-field identical to running
 //! [`crate::sim::simulate`] per configuration (the property suite in
 //! `tests/multi_equiv.rs` pins this down).
@@ -89,7 +81,7 @@
 use crate::config::{CacheConfig, Replacement, SwitchPolicy, WritePolicy};
 use crate::set_assoc::{AccessKind, Cache};
 use crate::stats::CacheStats;
-use atum_core::{RecordBatch, RecordKind, Trace, TraceRecord, TraceSource, TraceStreamError};
+use atum_core::{RecordKind, Trace, TraceRecord, TraceSource, TraceStreamError};
 use std::collections::HashMap;
 
 /// Whether a configuration can join a shared-stack group (LRU +
@@ -1063,8 +1055,7 @@ fn decode_op(r: &TraceRecord) -> Option<Op> {
 }
 
 /// One independent sequential consumer of the record stream: a shared
-/// stack group, or a direct per-configuration [`Cache`] replay. The
-/// engine is the unit [`MultiSim::run_parallel`] shards over workers.
+/// stack group, or a direct per-configuration [`Cache`] replay.
 #[derive(Debug)]
 enum Engine {
     Group(StackGroup),
@@ -1096,23 +1087,12 @@ impl Engine {
             },
         }
     }
-
-    /// Feeds a whole batch: the kind dispatch happens once per batch
-    /// element, and the SoA columns stream linearly through the engine.
-    fn step_batch(&mut self, batch: &RecordBatch) {
-        for r in batch.iter() {
-            if let Some(op) = decode_op(&r) {
-                self.apply(op);
-            }
-        }
-    }
 }
 
 /// The incremental form of [`simulate_many`]: sweep state that consumes
-/// records one at a time (or batch-wise), so callers can drive it from
-/// an in-memory trace or any [`TraceSource`] without materialising the
-/// records — serially via [`MultiSim::step`]/[`MultiSim::step_batch`],
-/// or engine-parallel via [`MultiSim::run_parallel`].
+/// records one at a time ([`MultiSim::step`]), so callers can drive it
+/// from an in-memory trace or any [`TraceSource`] without materialising
+/// the records.
 #[derive(Debug)]
 pub struct MultiSim {
     n: usize,
@@ -1183,32 +1163,6 @@ impl MultiSim {
                 e.apply(op);
             }
         }
-    }
-
-    /// Feeds one record batch to every engine, serially.
-    pub fn step_batch(&mut self, batch: &RecordBatch) {
-        for e in &mut self.engines {
-            e.step_batch(batch);
-        }
-    }
-
-    /// Drives the whole of `source` through the engines with up to
-    /// `jobs` worker threads, then settles and assembles the
-    /// statistics. Each engine is an independent sequential consumer
-    /// observing every batch in trace order, so the result is identical
-    /// to the serial pass ([`simulate_many_stream`]) at any `jobs` —
-    /// parallelism only moves wall clock.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TraceStreamError`] from the source.
-    pub fn run_parallel<S: TraceSource + ?Sized>(
-        mut self,
-        source: &mut S,
-        jobs: usize,
-    ) -> Result<Vec<CacheStats>, TraceStreamError> {
-        atum_core::broadcast_batches(source, &mut self.engines, jobs, |e, b| e.step_batch(b))?;
-        Ok(self.finish())
     }
 
     /// Settles the lazy write-back accounting and assembles the final
@@ -1285,21 +1239,6 @@ pub fn simulate_many_stream<S: TraceSource>(
         }
     })?;
     Ok(sim.finish())
-}
-
-/// The engine-parallel form of [`simulate_many_stream`]: batches are
-/// broadcast to the sweep's engines sharded over up to `jobs` worker
-/// threads. Identical results at any `jobs`.
-///
-/// # Errors
-///
-/// Any [`TraceStreamError`] from the source.
-pub fn simulate_many_parallel<S: TraceSource + ?Sized>(
-    source: &mut S,
-    cfgs: &[CacheConfig],
-    jobs: usize,
-) -> Result<Vec<CacheStats>, TraceStreamError> {
-    MultiSim::new(cfgs).run_parallel(source, jobs)
 }
 
 #[cfg(test)]
@@ -1473,26 +1412,6 @@ mod tests {
             let cfgs = sweep_configs(switch);
             let want = simulate_many(&t, &cfgs);
             assert_eq!(simulate_many_stream(&mut t.source(), &cfgs).unwrap(), want);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_at_any_jobs() {
-        let t = trace_with_switches();
-        for switch in [
-            SwitchPolicy::Ignore,
-            SwitchPolicy::Flush,
-            SwitchPolicy::PidTag,
-        ] {
-            let cfgs = sweep_configs(switch);
-            let want = simulate_many(&t, &cfgs);
-            for jobs in [1, 2, 4] {
-                assert_eq!(
-                    simulate_many_parallel(&mut t.source(), &cfgs, jobs).unwrap(),
-                    want,
-                    "jobs={jobs} under {switch:?}"
-                );
-            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! `atum-conc`: a deterministic concurrency model checker for the ATUM
 //! analysis pipelines.
 //!
-//! The trace pipelines (`broadcast_batches`, `stream_parallel`,
-//! `parallel_map`) are hand-rolled Mutex/Condvar/atomic protocols —
-//! exactly the kind of code where a lost notify or a missing
-//! happens-before edge hides for years because the OS scheduler never
-//! produces the bad interleaving. This crate makes the scheduler
+//! The experiment pool (`parallel_map` in `atum-analysis`) is a
+//! hand-rolled Mutex/atomic protocol — exactly the kind of code where a
+//! missing happens-before edge hides for years because the OS scheduler
+//! never produces the bad interleaving. This crate makes the scheduler
 //! adversarial and exhaustive instead:
 //!
 //! - [`sync`] and [`thread`] export drop-in replacements for the `std`

@@ -86,6 +86,7 @@ fn condvar_handoff_with_spurious_wakeups() {
 #[cfg(atum_model)]
 mod negative {
     use super::*;
+    use std::collections::{BTreeMap, VecDeque};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Runs `f` under `b` expecting a failure whose report contains
@@ -276,6 +277,166 @@ mod negative {
             || {
                 thread::scope(|s| {
                     s.spawn(|| panic!("boom"));
+                });
+            },
+        );
+    }
+
+    // Seeded bugs: the classic ways a ring, a work-claim counter and an
+    // ordered merge go wrong, each re-introduced in miniature. The model
+    // must catch every one and name the access points in its report.
+
+    /// Seeded bug 1: the ring consumer pops a slot but the notify on
+    /// slot release is dropped — the producer blocked on ring capacity
+    /// never wakes. Caught as a deadlock naming both parked threads.
+    #[test]
+    fn dropped_notify_on_ring_slot_release_deadlocks() {
+        check_fails(
+            Builder::new()
+                .name("seeded:ring-lost-notify")
+                .spurious_wakeups(0),
+            &["deadlock", "parked on condvar", "model_self.rs"],
+            || {
+                let state = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
+                thread::scope(|s| {
+                    let st = Arc::clone(&state);
+                    s.spawn(move || {
+                        // Consumer: drain 3 items from the depth-1 ring.
+                        for _ in 0..3 {
+                            let mut g =
+                                st.1.wait_while(st.0.lock().unwrap(), |q: &mut VecDeque<u32>| {
+                                    q.is_empty()
+                                })
+                                .unwrap();
+                            g.pop_front();
+                            // BUG: no notify_all() here — the producer
+                            // waiting out the full ring never learns the
+                            // slot freed up.
+                        }
+                    });
+                    for i in 0..3u32 {
+                        let mut g = state
+                            .1
+                            .wait_while(state.0.lock().unwrap(), |q: &mut VecDeque<u32>| {
+                                !q.is_empty()
+                            })
+                            .unwrap();
+                        g.push_back(i);
+                        state.1.notify_all();
+                    }
+                });
+            },
+        );
+    }
+
+    /// Seeded bug 2: the work-claim `fetch_add` weakened to an
+    /// unsynchronized load/store pair — two workers can claim the same
+    /// segment. Caught as a data race on the claim counter naming both
+    /// access points.
+    #[test]
+    fn weakened_work_claim_counter_races() {
+        check_fails(
+            Builder::new().name("seeded:claim-race"),
+            &["data race", "unsync-", "model_self.rs"],
+            || {
+                let next = Arc::new(AtomicUsize::new(0));
+                thread::scope(|s| {
+                    for _ in 0..2 {
+                        let next = Arc::clone(&next);
+                        s.spawn(move || {
+                            // BUG: should be next.fetch_add(1, _) — the
+                            // read-modify-write is no longer atomic and
+                            // carries no happens-before edge.
+                            let i = next.unsync_load();
+                            next.unsync_store(i + 1);
+                        });
+                    }
+                });
+            },
+        );
+    }
+
+    /// Seeded bug 3: the ordered merge without the wanted-segment
+    /// bypass. With the in-flight window full of later segments, the
+    /// worker holding the segment the consumer needs can never deposit
+    /// it: everyone parks. Caught as a deadlock.
+    #[test]
+    fn merge_without_wanted_segment_bypass_deadlocks() {
+        check_fails(
+            Builder::new()
+                .name("seeded:merge-no-bypass")
+                .spurious_wakeups(0),
+            &["deadlock", "parked on condvar", "model_self.rs"],
+            || {
+                const SEGMENTS: usize = 3;
+                const CAP: usize = 1;
+                struct Merge {
+                    ready: BTreeMap<usize, usize>,
+                    want: usize,
+                }
+                let next = Arc::new(AtomicUsize::new(0));
+                let state = Arc::new((
+                    Mutex::new(Merge {
+                        ready: BTreeMap::new(),
+                        want: 0,
+                    }),
+                    Condvar::new(),
+                ));
+                thread::scope(|s| {
+                    for _ in 0..2 {
+                        let next = Arc::clone(&next);
+                        let st = Arc::clone(&state);
+                        s.spawn(move || loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= SEGMENTS {
+                                return;
+                            }
+                            let mut g =
+                                st.1.wait_while(st.0.lock().unwrap(), |g: &mut Merge| {
+                                    // BUG: the real protocol also lets
+                                    // `i == g.want` through the cap.
+                                    g.ready.len() >= CAP
+                                })
+                                .unwrap();
+                            g.ready.insert(i, i * 10);
+                            st.1.notify_all();
+                        });
+                    }
+                    for want in 0..SEGMENTS {
+                        let mut g = state.0.lock().unwrap();
+                        g.want = want;
+                        state.1.notify_all();
+                        let mut g = state
+                            .1
+                            .wait_while(g, |g: &mut Merge| !g.ready.contains_key(&want))
+                            .unwrap();
+                        assert_eq!(g.ready.remove(&want), Some(want * 10));
+                        state.1.notify_all();
+                    }
+                });
+            },
+        );
+    }
+
+    /// Seeded bug 4: a shared records-seen counter bumped by two
+    /// consumers without a lock. Caught as a data race on the cell,
+    /// naming both write sites.
+    #[test]
+    fn unlocked_shared_counter_races() {
+        check_fails(
+            Builder::new().name("seeded:counter-race"),
+            &["data race", "model_self.rs"],
+            || {
+                let seen = Arc::new(ModelCell::new(0usize));
+                thread::scope(|s| {
+                    for _ in 0..2 {
+                        let seen = Arc::clone(&seen);
+                        s.spawn(move || {
+                            // BUG: read-modify-write with no ordering.
+                            let v = seen.get();
+                            seen.set(v + 1);
+                        });
+                    }
                 });
             },
         );

@@ -1,5 +1,4 @@
-//! Decode-once record batches and the bounded broadcast ring that fans
-//! them out to independent analysis engines.
+//! Decode-once record batches.
 //!
 //! The analysis hot path consumes traces as [`RecordBatch`]es: SoA
 //! blocks (`addrs`, packed `metas`) of a few thousand records, decoded
@@ -8,35 +7,14 @@
 //! push-only path paid. [`TraceSource`](crate::TraceSource) yields them
 //! via `next_batch`; the per-record `stream` API is reimplemented on
 //! top, so existing consumers are unchanged.
-//!
-//! [`broadcast_batches`] is the engine-parallel driver: each consumer
-//! is an *independent sequential* state machine (a stack group, a cache
-//! replay, a working-set window), so a batch can be broadcast to every
-//! consumer and the consumers sharded over worker threads. Every
-//! consumer observes every batch in trace order, which makes the
-//! results **identical at any job count** — parallelism moves wall
-//! clock, never statistics. The ring is bounded (a slow shard applies
-//! backpressure to the producer) and the producing thread is the only
-//! one that touches the source.
 
 use crate::record::TraceRecord;
-use crate::stream::{TraceSource, TraceStreamError};
-use atum_conc::sync::{Arc, Condvar, Mutex};
-use atum_conc::thread;
-use std::collections::VecDeque;
 
-/// Target records per batch: large enough to amortise dispatch and ring
-/// hand-off, small enough that a batch stays cache-resident while every
-/// engine walks it. Segment-file sources use their natural segment size
-/// instead (a segment is already the decode unit).
-#[cfg(not(atum_model))]
+/// Target records per batch: large enough to amortise dispatch, small
+/// enough that a batch stays cache-resident while every engine walks
+/// it. Segment-file sources use their natural segment size instead (a
+/// segment is already the decode unit).
 pub const BATCH_TARGET: usize = 8192;
-
-/// Model-checking builds shrink the batch so a handful of records spans
-/// several batches and the ring protocol's full state space stays
-/// explorable.
-#[cfg(atum_model)]
-pub const BATCH_TARGET: usize = 4;
 
 /// A decode-once, structure-of-arrays block of trace records: addresses
 /// in one contiguous array, the packed kind/pid/size/mode metadata word
@@ -139,132 +117,6 @@ impl RecordBatch {
     }
 }
 
-/// Per-shard bounded queue depth of the broadcast ring: enough to keep
-/// a shard busy while the producer decodes the next batch, small enough
-/// that memory stays O(jobs × batch), not O(trace).
-#[cfg(not(atum_model))]
-const RING_CAP: usize = 4;
-
-/// Depth 1 under the model: backpressure engages on every batch, so the
-/// producer-blocked states are part of every explored schedule.
-#[cfg(atum_model)]
-const RING_CAP: usize = 1;
-
-struct RingState {
-    queues: Vec<VecDeque<Arc<RecordBatch>>>,
-    done: bool,
-}
-
-/// Streams every batch of `source` to every consumer, in trace order,
-/// sharding the consumers over up to `jobs` worker threads.
-///
-/// Each consumer is an independent sequential state machine; the ring
-/// broadcasts each batch to every shard and each shard applies it to
-/// its consumers in order, so the final consumer states are **identical
-/// to a serial pass at any `jobs`** (with `jobs <= 1`, or a single
-/// consumer, the pass *is* serial — no threads, no copies). The source
-/// is rewound first and only ever touched by the calling thread.
-///
-/// # Errors
-///
-/// Any [`TraceStreamError`] from the source. Consumers may have
-/// observed a prefix of the records when an error is returned.
-pub fn broadcast_batches<S, C, F>(
-    source: &mut S,
-    consumers: &mut [C],
-    jobs: usize,
-    apply: F,
-) -> Result<(), TraceStreamError>
-where
-    S: TraceSource + ?Sized,
-    C: Send,
-    F: Fn(&mut C, &RecordBatch) + Sync,
-{
-    source.rewind()?;
-    let shards = jobs.max(1).min(consumers.len());
-    if shards <= 1 {
-        while let Some(batch) = source.next_batch()? {
-            for c in consumers.iter_mut() {
-                apply(c, batch);
-            }
-        }
-        return Ok(());
-    }
-
-    let chunk = consumers.len().div_ceil(shards);
-    let shard_slices: Vec<&mut [C]> = consumers.chunks_mut(chunk).collect();
-    let state = Mutex::new(RingState {
-        queues: shard_slices.iter().map(|_| VecDeque::new()).collect(),
-        done: false,
-    });
-    let cv = Condvar::new();
-    let mut outcome: Result<(), TraceStreamError> = Ok(());
-
-    thread::scope(|s| {
-        for (w, shard) in shard_slices.into_iter().enumerate() {
-            let state = &state;
-            let cv = &cv;
-            let apply = &apply;
-            s.spawn(move || loop {
-                let batch = {
-                    // Wake on work or shutdown; the predicate form is
-                    // spurious-wakeup-safe by construction.
-                    let mut g = cv
-                        .wait_while(state.lock().unwrap(), |g: &mut RingState| {
-                            g.queues[w].is_empty() && !g.done
-                        })
-                        .unwrap();
-                    let b = g.queues[w].pop_front();
-                    if b.is_some() {
-                        // The producer may be blocked on this queue's
-                        // capacity.
-                        cv.notify_all();
-                    }
-                    b
-                };
-                match batch {
-                    Some(b) => {
-                        for c in shard.iter_mut() {
-                            apply(c, &b);
-                        }
-                    }
-                    // Queue drained and the producer is done.
-                    None => return,
-                }
-            });
-        }
-
-        // Producer on the calling thread — the only place the (possibly
-        // non-Send) source is touched.
-        loop {
-            match source.next_batch() {
-                Ok(Some(batch)) => {
-                    let b = Arc::new(batch.clone());
-                    let mut g = cv
-                        .wait_while(state.lock().unwrap(), |g: &mut RingState| {
-                            g.queues.iter().any(|q| q.len() >= RING_CAP)
-                        })
-                        .unwrap();
-                    for q in g.queues.iter_mut() {
-                        q.push_back(b.clone());
-                        debug_assert!(q.len() <= RING_CAP, "broadcast ring depth exceeded");
-                    }
-                    cv.notify_all();
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        let mut g = state.lock().unwrap();
-        g.done = true;
-        cv.notify_all();
-    });
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,33 +146,5 @@ mod tests {
         assert_eq!(b.addrs().len(), b.metas().len());
         b.clear();
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn broadcast_matches_serial_at_any_jobs() {
-        let t = trace(20_000);
-        // Consumers fold the stream into a checksum; every job count
-        // must produce the same per-consumer state.
-        let fold = |acc: &mut u64, b: &RecordBatch| {
-            for r in b.iter() {
-                *acc = acc
-                    .wrapping_mul(31)
-                    .wrapping_add(r.addr as u64 + r.meta as u64);
-            }
-        };
-        let mut want = vec![0u64; 5];
-        broadcast_batches(&mut t.source(), &mut want, 1, fold).unwrap();
-        for jobs in [2, 3, 4, 8] {
-            let mut got = vec![0u64; 5];
-            broadcast_batches(&mut t.source(), &mut got, jobs, fold).unwrap();
-            assert_eq!(got, want, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn broadcast_with_no_consumers_drains_source() {
-        let t = trace(10);
-        let mut none: Vec<u64> = Vec::new();
-        broadcast_batches(&mut t.source(), &mut none, 4, |_, _| {}).unwrap();
     }
 }

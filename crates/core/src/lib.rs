@@ -62,7 +62,7 @@ mod stream;
 mod trace;
 mod tracer;
 
-pub use batch::{broadcast_batches, RecordBatch, BATCH_TARGET};
+pub use batch::{RecordBatch, BATCH_TARGET};
 pub use encode::{decode_trace, encode_trace, DecodeTraceError, SegmentHeader};
 pub use patch::{PatchSet, PatchStyle};
 pub use record::{RecordKind, TraceRecord};

@@ -12,10 +12,8 @@
 //!   the whole trace;
 //! * [`SegmentReader`] walks a file one segment at a time with reusable
 //!   payload/record buffers — O(segment) memory however large the file;
-//! * [`SegmentFileSource`] streams a file into a sink, optionally with a
-//!   pool of reader threads that decode segments concurrently and merge
-//!   them **in order**, so the records a consumer observes are identical
-//!   at any job count.
+//! * [`SegmentFileSource`] is a restartable [`TraceSource`] over a
+//!   file, decoding one segment per batch.
 //!
 //! [`TraceSource`] is the seam between capture and analysis: an
 //! in-memory [`Trace`], an allocation-free filtered view of one, or an
@@ -25,11 +23,9 @@
 //!
 //! The trait is **pull-based**: `rewind` resets to the start and
 //! `next_batch` yields decode-once SoA [`RecordBatch`]es, which is what
-//! the engine-parallel broadcast driver
-//! ([`broadcast_batches`](crate::broadcast_batches)) and the batched
-//! simulators consume. The per-record `stream` API is a provided method
-//! reimplemented on top of the batches, so push-style consumers are
-//! unchanged.
+//! the batched simulators consume. The per-record `stream` API is a
+//! provided method reimplemented on top of the batches, so push-style
+//! consumers are unchanged.
 
 use crate::batch::{RecordBatch, BATCH_TARGET};
 use crate::encode::{
@@ -38,13 +34,9 @@ use crate::encode::{
 };
 use crate::record::TraceRecord;
 use crate::trace::Trace;
-use atum_conc::sync::atomic::{AtomicUsize, Ordering};
-use atum_conc::sync::{Condvar, Mutex};
-use atum_conc::thread;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Errors from streaming trace I/O.
@@ -250,8 +242,7 @@ fn read_segment_header_r<R: Read>(r: &mut R) -> Result<Option<SegmentHeader>, Tr
     let payload_len = read_varint_r(r)?;
     let cycle = read_varint_r(r)?;
     let mut tail = [0u8; 2];
-    r.read_exact(&mut tail)
-        .map_err(|_| TraceStreamError::Decode(DecodeTraceError::Truncated))?;
+    read_exact_or(r, &mut tail, DecodeTraceError::Truncated)?;
     Ok(Some(SegmentHeader {
         records,
         payload_len,
@@ -261,10 +252,23 @@ fn read_segment_header_r<R: Read>(r: &mut R) -> Result<Option<SegmentHeader>, Tr
     }))
 }
 
+/// `read_exact` that reports a short read as the format error `eof`
+/// and passes every other I/O failure through as
+/// [`TraceStreamError::Io`].
+fn read_exact_or<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    eof: DecodeTraceError,
+) -> Result<(), TraceStreamError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => TraceStreamError::Decode(eof),
+        _ => TraceStreamError::Io(e),
+    })
+}
+
 fn check_file_header<R: Read>(r: &mut R) -> Result<(), TraceStreamError> {
     let mut hdr = [0u8; 5];
-    r.read_exact(&mut hdr)
-        .map_err(|_| TraceStreamError::Decode(DecodeTraceError::BadHeader))?;
+    read_exact_or(r, &mut hdr, DecodeTraceError::BadHeader)?;
     if &hdr[0..4] != MAGIC || hdr[4] != VERSION {
         return Err(TraceStreamError::Decode(DecodeTraceError::BadHeader));
     }
@@ -376,11 +380,10 @@ impl<R: Read> SegmentReader<R> {
 ///
 /// The required API is pull-based: [`TraceSource::rewind`] resets to
 /// the beginning and [`TraceSource::next_batch`] yields the records, in
-/// trace order, as decode-once SoA [`RecordBatch`]es — what the
-/// broadcast fan-out and the batched simulators consume. The push-style
-/// [`TraceSource::stream`] is a provided method rebuilt on top of the
-/// batches; it may be called more than once, restarting each time (file
-/// sources reopen the file).
+/// trace order, as decode-once SoA [`RecordBatch`]es — what the batched
+/// simulators consume. The push-style [`TraceSource::stream`] is a
+/// provided method rebuilt on top of the batches; it may be called more
+/// than once, restarting each time (file sources reopen the file).
 pub trait TraceSource {
     /// Resets the source to the beginning of the record stream. File
     /// sources reopen the file.
@@ -471,12 +474,7 @@ enum Filter {
 
 /// Chunk size for filtered in-memory sources: large enough to amortise
 /// the per-batch dispatch, small enough to stay cache-resident.
-#[cfg(not(atum_model))]
 const FILTER_CHUNK: usize = 4096;
-
-/// Tiny chunks under the model so multi-batch behaviour is explorable.
-#[cfg(atum_model)]
-const FILTER_CHUNK: usize = 4;
 
 /// An allocation-light filtered view of an in-memory trace, yielding
 /// only the matching references (in fixed-size batches). Built by
@@ -536,185 +534,13 @@ impl TraceSource for FilteredTraceSource<'_> {
     }
 }
 
-/// One entry of a segment index: where a segment's payload starts.
-struct IndexEntry {
-    header: SegmentHeader,
-    payload_offset: u64,
-}
-
-/// Scans a file's segment headers without decoding payloads — the
-/// skip-seek pass that makes parallel reading possible.
-fn scan_index(path: &Path) -> Result<Vec<IndexEntry>, TraceStreamError> {
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    check_file_header(&mut r)?;
-    let mut pos: u64 = (MAGIC.len() + 1) as u64;
-    let mut index = Vec::new();
-    loop {
-        // Headers are tiny; re-serialising the parsed header is the
-        // cheapest way to know how many bytes it occupied.
-        let h = match read_segment_header_r(&mut r)? {
-            None => break,
-            Some(h) => h,
-        };
-        let mut sz = Vec::with_capacity(16);
-        push_segment_header(&mut sz, &h);
-        pos += sz.len() as u64;
-        if pos + h.payload_len > file_len {
-            return Err(TraceStreamError::Decode(DecodeTraceError::Truncated));
-        }
-        index.push(IndexEntry {
-            header: h,
-            payload_offset: pos,
-        });
-        r.seek_relative(h.payload_len as i64)?;
-        pos += h.payload_len;
-    }
-    Ok(index)
-}
-
-/// Decodes one indexed segment from an independent file handle.
-fn decode_segment_at(
-    r: &mut BufReader<File>,
-    entry: &IndexEntry,
-    payload: &mut Vec<u8>,
-) -> Result<Vec<TraceRecord>, TraceStreamError> {
-    r.seek(SeekFrom::Start(entry.payload_offset))?;
-    read_payload(r, entry.header.payload_len, payload)?;
-    let mut records = Vec::new();
-    decode_segment_payload(payload, &entry.header, &mut records)?;
-    Ok(records)
-}
-
-/// Shared state of the parallel reader: decoded segments waiting for the
-/// in-order consumer, the index the consumer wants next, and the abort
-/// flag that unwinds everything on error.
-struct MergeState {
-    ready: BTreeMap<usize, Result<Vec<TraceRecord>, TraceStreamError>>,
-    want: usize,
-    abort: bool,
-}
-
-/// Streams a segment file through a pool of `jobs` reader threads with
-/// an ordered merge: workers claim segment indices from a shared
-/// counter, decode with their own file handles, and deposit results
-/// keyed by index; the calling thread consumes them strictly in order,
-/// so the sink observes exactly the sequential byte order. A bounded
-/// in-flight window applies backpressure so memory stays O(jobs ×
-/// segment), not O(file).
-fn stream_parallel(
-    path: &Path,
-    jobs: usize,
-    sink: &mut dyn FnMut(&[TraceRecord]),
-) -> Result<(), TraceStreamError> {
-    let index = scan_index(path)?;
-    if index.is_empty() {
-        return Ok(());
-    }
-    let jobs = jobs.min(index.len());
-    let next = AtomicUsize::new(0);
-    let state = Mutex::new(MergeState {
-        ready: BTreeMap::new(),
-        want: 0,
-        abort: false,
-    });
-    let cv = Condvar::new();
-    // In-flight cap: enough to keep every worker busy while the
-    // consumer catches up, without buffering the whole file. The model
-    // build pins it to 1 so the backpressure states (and the wanted-
-    // segment bypass below) are load-bearing in every explored schedule.
-    #[cfg(not(atum_model))]
-    let cap = jobs * 2;
-    #[cfg(atum_model)]
-    let cap = 1;
-    let mut outcome: Result<(), TraceStreamError> = Ok(());
-
-    thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let mut file: Option<BufReader<File>> = None;
-                let mut payload = Vec::new();
-                loop {
-                    if state.lock().unwrap().abort {
-                        return;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= index.len() {
-                        return;
-                    }
-                    let res = match &mut file {
-                        Some(f) => decode_segment_at(f, &index[i], &mut payload),
-                        None => match File::open(path) {
-                            Ok(f) => {
-                                let f = file.insert(BufReader::new(f));
-                                decode_segment_at(f, &index[i], &mut payload)
-                            }
-                            Err(e) => Err(TraceStreamError::Io(e)),
-                        },
-                    };
-                    // The consumer's wanted segment must always get
-                    // through, or the merge would deadlock at the cap.
-                    let mut g = cv
-                        .wait_while(state.lock().unwrap(), |g: &mut MergeState| {
-                            g.ready.len() >= cap && i != g.want && !g.abort
-                        })
-                        .unwrap();
-                    if g.abort {
-                        return;
-                    }
-                    g.ready.insert(i, res);
-                    debug_assert!(
-                        g.ready.len() <= cap + 1,
-                        "merge window exceeded cap plus the wanted-segment bypass"
-                    );
-                    cv.notify_all();
-                }
-            });
-        }
-
-        // In-order consumer on the calling thread — the only place the
-        // (non-Send) sink is touched.
-        for want in 0..index.len() {
-            let res = {
-                let mut g = state.lock().unwrap();
-                g.want = want;
-                cv.notify_all();
-                let mut g = cv
-                    .wait_while(g, |g: &mut MergeState| !g.ready.contains_key(&want))
-                    .unwrap();
-                g.ready.remove(&want).unwrap()
-            };
-            match res {
-                Ok(records) => sink(&records),
-                Err(e) => {
-                    outcome = Err(e);
-                    let mut g = state.lock().unwrap();
-                    g.abort = true;
-                    cv.notify_all();
-                    break;
-                }
-            }
-        }
-        let mut g = state.lock().unwrap();
-        g.want = index.len();
-        cv.notify_all();
-    });
-    outcome
-}
-
 /// A [`TraceSource`] over an on-disk segment file. Restartable —
 /// [`TraceSource::rewind`] (and each [`TraceSource::stream`] call)
 /// reopens the file. [`TraceSource::next_batch`] decodes one segment
-/// per batch, straight into the SoA form (decode-once). With
-/// `jobs > 1`, the push-style `stream` decodes segments with a reader
-/// pool merged in order, so the record stream is identical at any job
-/// count; the pull path is always a single sequential reader (the
-/// broadcast fan-out parallelises the *consumers* instead).
+/// per batch, straight into the SoA form (decode-once).
 #[derive(Debug)]
 pub struct SegmentFileSource {
     path: PathBuf,
-    jobs: usize,
     /// Open reader of the in-progress pull pass (`None` before the
     /// first `next_batch` and after a rewind).
     reader: Option<SegmentReader<BufReader<File>>>,
@@ -727,7 +553,6 @@ impl Clone for SegmentFileSource {
     fn clone(&self) -> SegmentFileSource {
         SegmentFileSource {
             path: self.path.clone(),
-            jobs: self.jobs,
             reader: None,
             batch: RecordBatch::new(),
         }
@@ -735,22 +560,10 @@ impl Clone for SegmentFileSource {
 }
 
 impl SegmentFileSource {
-    /// A sequential (single-reader) source for `path`.
+    /// A source for `path`.
     pub fn new(path: impl Into<PathBuf>) -> SegmentFileSource {
         SegmentFileSource {
             path: path.into(),
-            jobs: 1,
-            reader: None,
-            batch: RecordBatch::new(),
-        }
-    }
-
-    /// A source decoding segments with `jobs` reader threads (clamped to
-    /// at least 1), merged in order.
-    pub fn with_jobs(path: impl Into<PathBuf>, jobs: usize) -> SegmentFileSource {
-        SegmentFileSource {
-            path: path.into(),
-            jobs: jobs.max(1),
             reader: None,
             batch: RecordBatch::new(),
         }
@@ -801,20 +614,6 @@ impl TraceSource for SegmentFileSource {
                 Some(_) if self.batch.is_empty() => continue,
                 Some(_) => return Ok(Some(&self.batch)),
             }
-        }
-    }
-
-    fn stream(&mut self, sink: &mut dyn FnMut(&[TraceRecord])) -> Result<(), TraceStreamError> {
-        if self.jobs <= 1 {
-            self.rewind()?;
-            let mut buf = Vec::new();
-            while let Some(batch) = self.next_batch()? {
-                batch.copy_to(&mut buf);
-                sink(&buf);
-            }
-            Ok(())
-        } else {
-            stream_parallel(&self.path, self.jobs, sink)
         }
     }
 }
@@ -939,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn file_source_sequential_and_parallel_agree() {
+    fn file_source_push_and_pull_agree() {
         let mut t = Trace::new();
         for chunk in 0..37 {
             let mut seg = Trace::new();
@@ -962,10 +761,6 @@ mod tests {
 
         let seq = collect(&mut SegmentFileSource::new(&path));
         assert_eq!(seq, t.records());
-        for jobs in [2, 4, 8] {
-            let par = collect(&mut SegmentFileSource::with_jobs(&path, jobs));
-            assert_eq!(par, seq, "jobs={jobs} must merge in order");
-        }
         // The pull path decodes the same records, one segment per batch,
         // and rewinds mid-pass cleanly.
         let mut src = SegmentFileSource::new(&path);
@@ -986,6 +781,66 @@ mod tests {
         let t = mixed_trace();
         let bytes = crate::encode::encode_trace(&t);
         let mut rd = SegmentReader::new(&bytes[..bytes.len() - 3]).unwrap();
+        assert!(matches!(
+            rd.next_segment(),
+            Err(TraceStreamError::Decode(DecodeTraceError::Truncated))
+        ));
+    }
+
+    /// Serves `data`, but fails with `ErrorKind::Other` once `fail_at`
+    /// bytes have been read.
+    struct FailingReader<'a> {
+        data: &'a [u8],
+        pos: usize,
+        fail_at: usize,
+    }
+
+    impl Read for FailingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos >= self.fail_at {
+                return Err(io::Error::other("disk on fire"));
+            }
+            let end = self.data.len().min(self.fail_at).min(self.pos + buf.len());
+            let n = end - self.pos;
+            buf[..n].copy_from_slice(&self.data[self.pos..end]);
+            self.pos = end;
+            Ok(n)
+        }
+    }
+
+    fn is_other_io(r: Result<(), TraceStreamError>) -> bool {
+        matches!(r, Err(TraceStreamError::Io(e)) if e.kind() == io::ErrorKind::Other)
+    }
+
+    #[test]
+    fn io_errors_are_not_reported_as_corruption() {
+        let bytes = crate::encode::encode_trace(&mixed_trace());
+        let reader = |fail_at| FailingReader {
+            data: &bytes,
+            pos: 0,
+            fail_at,
+        };
+
+        // Partway through the file header.
+        assert!(is_other_io(SegmentReader::new(reader(2)).map(drop)));
+
+        // Partway through the first segment header's two fixed bytes
+        // (read with `read_exact`, after the varints).
+        let mut first = Vec::new();
+        let h = read_segment_header_r(&mut &bytes[MAGIC.len() + 1..])
+            .unwrap()
+            .unwrap();
+        push_segment_header(&mut first, &h);
+        let cut = MAGIC.len() + 1 + first.len() - 1;
+        let mut rd = SegmentReader::new(reader(cut)).unwrap();
+        assert!(is_other_io(rd.next_segment().map(drop)));
+
+        // The same cuts as a short stream are still format errors.
+        assert!(matches!(
+            SegmentReader::new(&bytes[..2]),
+            Err(TraceStreamError::Decode(DecodeTraceError::BadHeader))
+        ));
+        let mut rd = SegmentReader::new(&bytes[..cut]).unwrap();
         assert!(matches!(
             rd.next_segment(),
             Err(TraceStreamError::Decode(DecodeTraceError::Truncated))

@@ -1,17 +1,23 @@
-//! Native regression test for the parallel reader's abort protocol: a
-//! decode error in one worker during `with_jobs` streaming must abort
-//! all workers, join them (the call returns rather than hanging), and
-//! surface the error to the caller, with the sink having observed only
-//! the in-order prefix that precedes the bad segment.
-//!
-//! The model-checked twin in `tests/model.rs` proves the same property
-//! over every small-schedule interleaving; this test exercises the real
-//! thing at production scale and thread counts.
+//! Decode errors on the segment-file reader: a corrupt segment must
+//! surface as `TraceStreamError::Decode` from both the push-style
+//! `stream` and the pull-style `rewind`/`next_batch` loop, after
+//! delivering exactly the records of the segments ahead of it — and a
+//! second pass over the same source must fail the same way.
 
 use atum_core::{
-    RecordKind, SegmentFileSource, SegmentWriter, Trace, TraceRecord, TraceSource, TraceStreamError,
+    RecordKind, SegmentFileSource, SegmentWriter, TraceRecord, TraceSource, TraceStreamError,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+fn record(s: u32, i: u32) -> TraceRecord {
+    TraceRecord::new(
+        RecordKind::Read,
+        0x4000 + s * 0x1000 + i * 4,
+        4,
+        (s % 3) as u8,
+        false,
+    )
+}
 
 fn segment_file(tag: &str, segs: u32, per: u32) -> PathBuf {
     let path = std::env::temp_dir().join(format!("atum-abort-{tag}-{}.atrace", std::process::id()));
@@ -19,15 +25,7 @@ fn segment_file(tag: &str, segs: u32, per: u32) -> PathBuf {
     let mut buf = Vec::new();
     for s in 0..segs {
         buf.clear();
-        for i in 0..per {
-            buf.push(TraceRecord::new(
-                RecordKind::Read,
-                0x4000 + s * 0x1000 + i * 4,
-                4,
-                (s % 3) as u8,
-                false,
-            ));
-        }
+        buf.extend((0..per).map(|i| record(s, i)));
         w.write_segment(&buf, u64::from(s)).unwrap();
     }
     w.finish().unwrap();
@@ -66,76 +64,82 @@ fn payload_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     spans
 }
 
-#[test]
-fn worker_decode_error_aborts_all_workers_and_returns_the_error() {
-    const SEGS: u32 = 24;
-    const PER: u32 = 50;
-    const BAD: usize = 7;
-    let path = segment_file("mid", SEGS, PER);
+/// Writes `segs` segments of `per` records with segment `bad`'s payload
+/// overwritten by garbage (the headers stay valid).
+fn corrupt_file(tag: &str, segs: u32, per: u32, bad: usize) -> PathBuf {
+    let path = segment_file(tag, segs, per);
     let mut bytes = std::fs::read(&path).unwrap();
     let spans = payload_spans(&bytes);
-    assert_eq!(spans.len(), SEGS as usize);
-    let (off, len) = spans[BAD];
-    for b in &mut bytes[off..off + len] {
-        *b = 0xFF;
-    }
+    assert_eq!(spans.len(), segs as usize);
+    let (off, len) = spans[bad];
+    bytes[off..off + len].fill(0xFF);
     std::fs::write(&path, bytes).unwrap();
+    path
+}
 
-    let expect_prefix: Vec<TraceRecord> = {
-        let mut t = Trace::new();
-        for s in 0..BAD as u32 {
-            for i in 0..PER {
-                t.push(TraceRecord::new(
-                    RecordKind::Read,
-                    0x4000 + s * 0x1000 + i * 4,
-                    4,
-                    (s % 3) as u8,
-                    false,
-                ));
-            }
+/// The records a pass delivered before it returned, and its result.
+type Outcome = (Vec<TraceRecord>, Result<(), TraceStreamError>);
+
+/// A whole pass through `stream`.
+fn push_pass(src: &mut SegmentFileSource) -> Outcome {
+    let mut seen = Vec::new();
+    let res = src.stream(&mut |records| seen.extend_from_slice(records));
+    (seen, res)
+}
+
+/// A whole pass through a `rewind`/`next_batch` loop.
+fn pull_pass(src: &mut SegmentFileSource) -> Outcome {
+    let mut seen = Vec::new();
+    let res = (|| {
+        src.rewind()?;
+        while let Some(b) = src.next_batch()? {
+            seen.extend(b.iter());
         }
-        t.records().to_vec()
-    };
+        Ok(())
+    })();
+    (seen, res)
+}
 
-    for jobs in [2, 4, 8] {
-        let mut seen = Vec::new();
-        let res = SegmentFileSource::with_jobs(&path, jobs)
-            .stream(&mut |records| seen.extend_from_slice(records));
+fn assert_fails_after(
+    path: &Path,
+    prefix: &[TraceRecord],
+    pass: fn(&mut SegmentFileSource) -> Outcome,
+    what: &str,
+) {
+    let mut src = SegmentFileSource::new(path);
+    // The second pass over the same source must behave like the first.
+    for round in 0..2 {
+        let (seen, res) = pass(&mut src);
         assert!(
             matches!(res, Err(TraceStreamError::Decode(_))),
-            "jobs={jobs}: expected a decode error, got {res:?}"
+            "{what} pass {round}: expected a decode error, got {res:?}"
         );
         assert_eq!(
-            seen, expect_prefix,
-            "jobs={jobs}: sink must observe exactly the in-order prefix"
+            seen, prefix,
+            "{what} pass {round}: must deliver exactly the segments ahead of the bad one"
         );
-        // The call returned with all workers joined (scoped threads
-        // cannot outlive the call); a fresh pass over the same source
-        // must behave identically — no leaked state.
-        let res2 = SegmentFileSource::with_jobs(&path, jobs).stream(&mut |_| {});
-        assert!(matches!(res2, Err(TraceStreamError::Decode(_))));
     }
+}
 
-    // The sequential path reports the same error class.
-    let res = SegmentFileSource::new(&path).stream(&mut |_| {});
-    assert!(matches!(res, Err(TraceStreamError::Decode(_))));
+#[test]
+fn corrupt_middle_segment_is_a_decode_error_after_the_good_prefix() {
+    const SEGS: u32 = 24;
+    const PER: u32 = 50;
+    const BAD: u32 = 7;
+    let path = corrupt_file("mid", SEGS, PER, BAD as usize);
+    let prefix: Vec<TraceRecord> = (0..BAD)
+        .flat_map(|s| (0..PER).map(move |i| record(s, i)))
+        .collect();
 
+    assert_fails_after(&path, &prefix, push_pass, "stream");
+    assert_fails_after(&path, &prefix, pull_pass, "next_batch");
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn error_in_first_segment_yields_empty_prefix() {
-    let path = segment_file("first", 6, 40);
-    let mut bytes = std::fs::read(&path).unwrap();
-    let (off, len) = payload_spans(&bytes)[0];
-    for b in &mut bytes[off..off + len] {
-        *b = 0xFF;
-    }
-    std::fs::write(&path, bytes).unwrap();
-
-    let mut seen = 0usize;
-    let res = SegmentFileSource::with_jobs(&path, 4).stream(&mut |records| seen += records.len());
-    assert!(res.is_err());
-    assert_eq!(seen, 0, "nothing precedes the corrupt segment");
+    let path = corrupt_file("first", 6, 40, 0);
+    assert_fails_after(&path, &[], push_pass, "stream");
+    assert_fails_after(&path, &[], pull_pass, "next_batch");
     std::fs::remove_file(&path).ok();
 }
