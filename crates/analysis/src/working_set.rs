@@ -7,7 +7,7 @@
 //! per-process footprints across context switches.
 
 use atum_core::{Trace, TraceRecord, TraceSource, TraceStreamError};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// The working-set measurement for one window size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,9 +30,16 @@ struct WsState {
     mean_acc: f64,
     max_pages: usize,
     windows: usize,
-    current: HashMap<(u8, u32), u32>,
+    /// The window's distinct pages, keyed `(pid << 32) | page`.
+    current: HashSet<u64>,
+    /// The window's previous reference (already in `current`), or
+    /// [`NO_PAGE`] at the start of a window.
+    last: u64,
     in_window: usize,
 }
+
+/// Never a page key: a pid has 8 bits, so real keys stay below 2^40.
+const NO_PAGE: u64 = u64::MAX;
 
 impl WsState {
     fn new(window: usize) -> WsState {
@@ -42,7 +49,8 @@ impl WsState {
             mean_acc: 0.0,
             max_pages: 0,
             windows: 0,
-            current: HashMap::new(),
+            current: HashSet::new(),
+            last: NO_PAGE,
             in_window: 0,
         }
     }
@@ -51,13 +59,19 @@ impl WsState {
         if !r.is_ref() {
             return;
         }
-        *self.current.entry((r.pid(), r.page())).or_insert(0) += 1;
+        // A repeat of the window's previous page is already counted.
+        let key = (r.pid() as u64) << 32 | r.page() as u64;
+        if key != self.last {
+            self.current.insert(key);
+            self.last = key;
+        }
         self.in_window += 1;
         if self.in_window == self.window {
             self.mean_acc += self.current.len() as f64;
             self.max_pages = self.max_pages.max(self.current.len());
             self.windows += 1;
             self.current.clear();
+            self.last = NO_PAGE;
             self.in_window = 0;
         }
     }
@@ -179,6 +193,40 @@ mod tests {
         assert!(curve[0].mean_pages <= curve[1].mean_pages);
         assert!(curve[1].mean_pages <= curve[2].mean_pages);
         assert!(curve[2].mean_pages <= 37.0);
+    }
+
+    #[test]
+    fn repeats_across_window_boundaries_match_brute_force() {
+        // Runs of one page whose lengths straddle every window edge, so
+        // windows open on the page the previous one closed with.
+        let lens = [1usize, 2, 3, 5, 1, 4, 2, 7];
+        let mut pages = Vec::new();
+        for (i, &len) in lens.iter().cycle().take(40).enumerate() {
+            let page = ((1 + i % 2) as u8, (i % 5) as u32);
+            pages.extend(std::iter::repeat_n(page, len));
+        }
+        let t = trace_of(&pages);
+        let windows = [1usize, 2, 3];
+        let want: Vec<WorkingSet> = windows
+            .iter()
+            .map(|&w| {
+                let counts: Vec<usize> = pages
+                    .chunks_exact(w)
+                    .map(|c| c.iter().collect::<std::collections::BTreeSet<_>>().len())
+                    .collect();
+                WorkingSet {
+                    window: w,
+                    mean_pages: counts.iter().sum::<usize>() as f64 / counts.len() as f64,
+                    max_pages: counts.iter().copied().max().unwrap(),
+                    windows: counts.len(),
+                }
+            })
+            .collect();
+        assert_eq!(working_set_curve(&t, &windows), want);
+        assert_eq!(
+            working_set_curve_stream(&mut t.source(), &windows).unwrap(),
+            want
+        );
     }
 
     #[test]

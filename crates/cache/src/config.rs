@@ -101,9 +101,13 @@ impl CacheConfig {
     }
 
     /// Returns a copy with a different size.
-    pub fn with_size(mut self, size: u32) -> CacheConfig {
-        self.size = size;
-        self
+    ///
+    /// # Panics
+    ///
+    /// When `size` breaks validation (not a power of two, or smaller
+    /// than `block * assoc`).
+    pub fn with_size(self, size: u32) -> CacheConfig {
+        self.to_builder().size(size).build().expect("with_size")
     }
 
     /// Returns a copy with a different switch policy.
@@ -119,15 +123,7 @@ impl CacheConfig {
     /// When `ways` breaks validation (not a power of two, or
     /// `block * ways` exceeding the size).
     pub fn with_assoc(self, ways: u32) -> CacheConfig {
-        CacheConfig::builder()
-            .size(self.size)
-            .block(self.block)
-            .assoc(ways)
-            .replacement(self.replacement)
-            .write_policy(self.write)
-            .switch_policy(self.switch)
-            .build()
-            .expect("with_assoc")
+        self.to_builder().assoc(ways).build().expect("with_assoc")
     }
 
     /// Returns a copy with a different block size.
@@ -137,15 +133,20 @@ impl CacheConfig {
     /// When `bytes` breaks validation (not a power of two, below 4, or
     /// `bytes * assoc` exceeding the size).
     pub fn with_block(self, bytes: u32) -> CacheConfig {
-        CacheConfig::builder()
-            .size(self.size)
-            .block(bytes)
-            .assoc(self.assoc)
-            .replacement(self.replacement)
-            .write_policy(self.write)
-            .switch_policy(self.switch)
-            .build()
-            .expect("with_block")
+        self.to_builder().block(bytes).build().expect("with_block")
+    }
+
+    /// A builder holding this configuration, so a changed field goes
+    /// through the builder's validation.
+    fn to_builder(self) -> CacheConfigBuilder {
+        CacheConfigBuilder {
+            size: self.size,
+            block: self.block,
+            assoc: self.assoc,
+            replacement: self.replacement,
+            write: self.write,
+            switch: self.switch,
+        }
     }
 }
 
@@ -305,5 +306,15 @@ mod tests {
             c.with_switch(SwitchPolicy::Flush).switch_policy(),
             SwitchPolicy::Flush
         );
+    }
+
+    #[test]
+    fn with_size_keeps_the_set_count_a_power_of_two() {
+        let base = CacheConfig::builder().block(16).assoc(2).build().unwrap();
+        assert_eq!(base.with_size(4096).sets(), 128);
+        for bad in [3072, 16] {
+            let r = std::panic::catch_unwind(|| base.with_size(bad));
+            assert!(r.is_err(), "with_size({bad}) must be rejected");
+        }
     }
 }

@@ -47,6 +47,24 @@
 //! `(pid_tag, blockno)` — one multiplicative-hash probe per access
 //! where the old engine paid two SipHash container lookups.
 //!
+//! Most references repeat the block just touched, and those skip the
+//! index entirely: a block in the MRU slot of its set at the coarsest
+//! level (fewest sets) is also the last touched in each finer set,
+//! which holds a subset of the coarse set's blocks, so its distance is
+//! 0 in every configuration. The **MRU short-circuit** counts that hit
+//! once, group-wide, and moves nothing — distances only ever read the
+//! order of marks within one set, which a re-touch of its newest block
+//! leaves as it was. A read hit leaves every dirty bit alone, so only a
+//! write probes the block table (to set them all). A group whose
+//! coarsest level is a Fenwick tree has no MRU slot and takes the full
+//! path.
+//!
+//! A purge (Flush policy) touches only **resident** blocks: the group
+//! keeps the table indices of its in-stack blocks and settles
+//! invalidations and write-backs from their sets alone, emptying each
+//! set as it is counted, instead of walking every set and the whole
+//! table.
+//!
 //! Write-back accounting is *lazy*, exactly as in DESIGN §11: a block
 //! whose stack distance reaches `A` was evicted at the moment its
 //! `A`-th same-set successor arrived, so a dirty bit surviving to the
@@ -342,7 +360,8 @@ impl BlockTable {
 /// (misses are derived as `accesses - hits` at collection time).
 #[derive(Debug)]
 struct StackGroup {
-    block_size: u32,
+    /// `log2` of the block size.
+    block_shift: u32,
     switch: SwitchPolicy,
     cfgs: Vec<GroupCfg>,
     all_mask: u64,
@@ -350,6 +369,10 @@ struct StackGroup {
     levels: Vec<Level>,
     table: BlockTable,
     time: u64,
+    /// Table indices of the in-stack blocks, kept by Flush-policy
+    /// groups only: a purge visits just these blocks' sets. Rebuilt
+    /// whenever the table grows (growth moves every slot).
+    resident: Vec<u32>,
 
     // Shared across every configuration in the group.
     accesses: u64,
@@ -358,6 +381,9 @@ struct StackGroup {
     writes: u64,
     ctx_switches: u64,
     cold: u64,
+    /// Hits in every configuration at once — references to the MRU
+    /// block of their coarsest-level set — indexed by [`AccessKind`].
+    mru_hits: [u64; 3],
 
     // Per configuration.
     hits: Vec<u64>,
@@ -438,13 +464,32 @@ impl Level {
         }
     }
 
-    fn clear(&mut self) {
+    /// Whether `key` is the most recently touched block of `set`;
+    /// always `false` on a Fenwick level, which has no MRU slot to read.
+    fn is_mru(&self, set: usize, key: u64) -> bool {
+        match &self.index {
+            LevelIndex::Sat { cap, slots } => slots[set * *cap as usize] == key,
+            LevelIndex::Fen { .. } => false,
+        }
+    }
+
+    /// Empties `set`, returning its occupancy (the live count, which a
+    /// saturated array caps at `cap` — enough, since every `assoc` at
+    /// the level is at most the cap).
+    fn take_set(&mut self, set: usize) -> u32 {
         match &mut self.index {
-            LevelIndex::Sat { slots, .. } => slots.fill(EMPTY),
+            LevelIndex::Sat { cap, slots } => {
+                let cap = *cap as usize;
+                let s = &mut slots[set * cap..(set + 1) * cap];
+                // MRU order keeps a non-empty prefix.
+                let live = s.iter().take_while(|&&k| k != EMPTY).count();
+                s[..live].fill(EMPTY);
+                live as u32
+            }
             LevelIndex::Fen { sets } => {
-                for s in sets {
-                    s.clear();
-                }
+                let live = sets[set].live;
+                sets[set].clear();
+                live
             }
         }
     }
@@ -503,7 +548,7 @@ impl StackGroup {
             .collect();
         let n = cfgs.len();
         StackGroup {
-            block_size,
+            block_shift: block_size.trailing_zeros(),
             switch,
             all_mask: if n == 64 { u64::MAX } else { (1u64 << n) - 1 },
             cfgs,
@@ -511,12 +556,14 @@ impl StackGroup {
             levels,
             table: BlockTable::new(),
             time: 0,
+            resident: Vec::new(),
             accesses: 0,
             ifetches: 0,
             reads: 0,
             writes: 0,
             ctx_switches: 0,
             cold: 0,
+            mru_hits: [0; 3],
             hits: vec![0; n],
             ifetch_hits: vec![0; n],
             read_hits: vec![0; n],
@@ -528,17 +575,19 @@ impl StackGroup {
 
     /// Assembles the full statistics for the group's `i`-th member.
     fn stats_for(&self, i: usize) -> CacheStats {
+        let [mru_ifetch, mru_read, mru_write] = self.mru_hits;
+        let hits = self.hits[i] + mru_ifetch + mru_read + mru_write;
         CacheStats {
             accesses: self.accesses,
-            hits: self.hits[i],
-            misses: self.accesses - self.hits[i],
+            hits,
+            misses: self.accesses - hits,
             cold_misses: self.cold,
             ifetch_accesses: self.ifetches,
-            ifetch_misses: self.ifetches - self.ifetch_hits[i],
+            ifetch_misses: self.ifetches - self.ifetch_hits[i] - mru_ifetch,
             read_accesses: self.reads,
-            read_misses: self.reads - self.read_hits[i],
+            read_misses: self.reads - self.read_hits[i] - mru_read,
             write_accesses: self.writes,
-            write_misses: self.writes - self.write_hits[i],
+            write_misses: self.writes - self.write_hits[i] - mru_write,
             writebacks: self.writebacks[i],
             write_throughs: 0,
             flush_invalidations: self.invalidations[i],
@@ -557,58 +606,51 @@ impl StackGroup {
     /// every surviving dirty bit counts a write-back (resident ⇒ the
     /// purge writes it back now, non-resident ⇒ its past eviction did) —
     /// then the index is emptied (first-touch history is kept, matching
-    /// `Cache`). The resident lines of a configuration with `A` ways
-    /// are the top `min(A, live)` of each set, read straight off the
-    /// per-set live counts — one flat walk per level, shared by every
-    /// configuration at that level, no per-call allocation.
+    /// `Cache`). Only the in-stack blocks' sets can be occupied, so the
+    /// walk visits those: each set settles `min(A, live)` invalidations
+    /// for every configuration at its level the first time one of its
+    /// blocks comes up, and is emptied as it is counted.
     fn flush(&mut self) {
-        for lvl in &self.levels {
-            match &lvl.index {
-                LevelIndex::Sat { cap, slots } => {
-                    let cap = *cap as usize;
-                    for set in slots.chunks_exact(cap) {
-                        // MRU order keeps a non-empty prefix, so the
-                        // occupancy (true live count saturated at the
-                        // cap) is the prefix length — enough, since
-                        // every `assoc` here is at most the cap.
-                        let live = set.iter().take_while(|&&k| k != EMPTY).count() as u32;
-                        if live == 0 {
-                            continue;
-                        }
-                        for &i in &lvl.cfg_ids {
-                            self.invalidations[i] += live.min(self.cfgs[i].assoc) as u64;
-                        }
-                    }
-                }
-                LevelIndex::Fen { sets } => {
-                    for set in sets {
-                        if set.live == 0 {
-                            continue;
-                        }
-                        for &i in &lvl.cfg_ids {
-                            self.invalidations[i] += set.live.min(self.cfgs[i].assoc) as u64;
-                        }
+        for &r in &self.resident {
+            let slot = &mut self.table.slots[r as usize];
+            let (blockno, dirty) = (slot.key as u32, slot.dirty);
+            slot.in_stack = false;
+            slot.dirty = 0;
+            if dirty != 0 {
+                for (i, c) in self.cfgs.iter().enumerate() {
+                    if dirty & c.bit != 0 {
+                        self.writebacks[i] += 1;
                     }
                 }
             }
-        }
-        for s in &self.table.slots {
-            if s.dirty == 0 {
-                continue;
-            }
-            for (i, c) in self.cfgs.iter().enumerate() {
-                if s.dirty & c.bit != 0 {
-                    self.writebacks[i] += 1;
+            for lvl in &mut self.levels {
+                let live = lvl.take_set((blockno & lvl.mask) as usize);
+                if live == 0 {
+                    continue;
+                }
+                for &i in &lvl.cfg_ids {
+                    self.invalidations[i] += live.min(self.cfgs[i].assoc) as u64;
                 }
             }
         }
-        for lvl in &mut self.levels {
-            lvl.clear();
+        self.resident.clear();
+    }
+
+    /// The block-table probe, keeping the purge list's indices valid
+    /// when the probe grows the table.
+    fn probe(&mut self, key: u64) -> (usize, bool) {
+        let capacity = self.table.slots.len();
+        let found = self.table.find_or_insert(key);
+        if self.switch == SwitchPolicy::Flush && self.table.slots.len() != capacity {
+            self.resident.clear();
+            self.resident.extend(
+                (0u32..)
+                    .zip(&self.table.slots)
+                    .filter(|(_, s)| s.in_stack)
+                    .map(|(i, _)| i),
+            );
         }
-        for s in &mut self.table.slots {
-            s.in_stack = false;
-            s.dirty = 0;
-        }
+        found
     }
 
     /// End-of-trace settlement for the lazy write-back accounting: a
@@ -647,11 +689,25 @@ impl StackGroup {
             SwitchPolicy::PidTag => pid,
             _ => 0,
         };
-        let blockno = addr / self.block_size;
+        let blockno = addr >> self.block_shift;
         let key = ((pid_tag as u64) << 32) | blockno as u64;
+
+        // MRU short-circuit (see the module docs): distance 0 at every
+        // level, a hit everywhere, nothing reorders, and only a write
+        // changes the dirty bits.
+        let coarse = &self.levels[0];
+        if coarse.is_mru((blockno & coarse.mask) as usize, key) {
+            self.mru_hits[kind as usize] += 1;
+            if is_write {
+                let (idx, _) = self.probe(key);
+                self.table.slots[idx].dirty = self.all_mask;
+            }
+            return;
+        }
+
         self.time += 1;
         let t_new = self.time;
-        let (idx, is_new) = self.table.find_or_insert(key);
+        let (idx, is_new) = self.probe(key);
         let slot = self.table.slots[idx];
 
         let mut hit_mask = 0u64;
@@ -692,6 +748,9 @@ impl StackGroup {
             // needed.
             if is_new {
                 self.cold += 1;
+            }
+            if self.switch == SwitchPolicy::Flush {
+                self.resident.push(idx as u32);
             }
             for lvl in &mut self.levels {
                 let set = (blockno & lvl.mask) as usize;
@@ -1412,6 +1471,65 @@ mod tests {
             let cfgs = sweep_configs(switch);
             let want = simulate_many(&t, &cfgs);
             assert_eq!(simulate_many_stream(&mut t.source(), &cfgs).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn block_table_growth_keeps_every_policy_exact() {
+        // 5,000 distinct blocks grow the 1,024-slot table at least three
+        // times, each growth landing between purges, so a Flush group's
+        // purge list must follow the slots to their new indices.
+        let mut t = Trace::new();
+        let mut pid = 1u8;
+        for i in 0..5000u32 {
+            let fresh = i * 16;
+            let old = (i.wrapping_mul(2_654_435_761) % (i + 1)) * 16;
+            let kind = if i % 3 == 0 {
+                RecordKind::Write
+            } else {
+                RecordKind::Read
+            };
+            t.push(TraceRecord::new(kind, fresh, 4, pid, false));
+            t.push(TraceRecord::new(
+                RecordKind::IFetch,
+                fresh + 4,
+                4,
+                pid,
+                false,
+            ));
+            t.push(TraceRecord::new(RecordKind::Write, old, 4, pid, false));
+            if i % 300 == 299 {
+                pid = pid % 3 + 1;
+                t.push(TraceRecord::new(RecordKind::CtxSwitch, 0, 0, pid, true));
+            }
+        }
+        for switch in [
+            SwitchPolicy::Ignore,
+            SwitchPolicy::Flush,
+            SwitchPolicy::PidTag,
+        ] {
+            let mut cfgs = sweep_configs(switch);
+            cfgs.push(
+                CacheConfig::builder()
+                    .size(16384)
+                    .block(16)
+                    .assoc(32)
+                    .switch_policy(switch)
+                    .build()
+                    .unwrap(),
+            );
+            let mut sim = MultiSim::new(&cfgs);
+            for r in t.iter() {
+                sim.step(r);
+            }
+            let grown = sim
+                .engines
+                .iter()
+                .any(|e| matches!(e, Engine::Group(g) if g.table.slots.len() >= 8192));
+            assert!(grown, "the block table must grow under {switch:?}");
+            for (cfg, got) in cfgs.iter().zip(sim.finish()) {
+                assert_eq!(got, simulate(&t, cfg), "mismatch under {cfg}");
+            }
         }
     }
 

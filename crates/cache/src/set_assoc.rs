@@ -4,7 +4,8 @@ use crate::config::{CacheConfig, Replacement, SwitchPolicy, WritePolicy};
 use crate::stats::CacheStats;
 use std::collections::HashSet;
 
-/// How an access touches the cache.
+/// How an access touches the cache. The discriminants (`IFetch` = 0,
+/// `Read` = 1, `Write` = 2) index per-kind counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// Instruction fetch.
@@ -42,6 +43,12 @@ pub struct Cache {
     fifo_ptr: Vec<u32>,
     seen_blocks: HashSet<u64>,
     current_pid: u8,
+    /// `log2(block)`, `sets - 1` and `log2(sets)`: every size in a
+    /// validated [`CacheConfig`] is a power of two, so indexing is a
+    /// shift and a mask.
+    block_shift: u32,
+    set_mask: u32,
+    set_shift: u32,
 }
 
 impl Cache {
@@ -57,6 +64,9 @@ impl Cache {
             rng: 0x2545_F491,
             seen_blocks: HashSet::new(),
             current_pid: 0,
+            block_shift: cfg.block().trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -105,10 +115,9 @@ impl Cache {
             SwitchPolicy::PidTag => pid,
             _ => 0,
         };
-        let block_addr = addr / self.cfg.block();
-        let sets = self.cfg.sets();
-        let set = (block_addr % sets) as usize;
-        let tag = block_addr / sets;
+        let block_addr = addr >> self.block_shift;
+        let set = (block_addr & self.set_mask) as usize;
+        let tag = block_addr >> self.set_shift;
         let ways = self.cfg.assoc() as usize;
         let base = set * ways;
 

@@ -25,10 +25,15 @@ impl TlbConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `entries`/`assoc` are not powers of two or inconsistent.
+    /// Panics if `entries`/`assoc` are not powers of two or inconsistent,
+    /// or if `entries` pages overflow the 32-bit address space.
     pub fn new(entries: u32, assoc: u32, switch: SwitchPolicy) -> TlbConfig {
         let pow2 = |v: u32| v != 0 && v & (v - 1) == 0;
         assert!(pow2(entries) && pow2(assoc) && assoc <= entries);
+        assert!(
+            entries <= u32::MAX / PAGE_SIZE,
+            "{entries} TLB entries of {PAGE_SIZE} B pages exceed the 32-bit address space"
+        );
         TlbConfig {
             entries,
             assoc,
@@ -139,5 +144,11 @@ mod tests {
     #[should_panic]
     fn rejects_bad_entry_count() {
         TlbConfig::new(48, 2, SwitchPolicy::Ignore);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 32-bit address space")]
+    fn rejects_entry_count_past_the_address_space() {
+        TlbConfig::new(1 << 23, 2, SwitchPolicy::Flush);
     }
 }

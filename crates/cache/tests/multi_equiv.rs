@@ -3,7 +3,9 @@
 //! identical for every configuration of a random sweep over a random
 //! access stream with context switches, under all switch policies and
 //! including the non-LRU / write-through configurations that take the
-//! grouped-replay fallback.
+//! grouped-replay fallback. Runs of repeated references put most
+//! accesses on the block last touched, which exercises the stack
+//! engine's MRU short-circuit.
 
 use atum_cache::{simulate, simulate_many, CacheConfig, Replacement, SwitchPolicy, WritePolicy};
 use atum_core::{RecordKind, Trace, TraceRecord};
@@ -19,6 +21,17 @@ enum Event {
     Switch {
         pid: u8,
     },
+    /// `len` accesses starting at `addr`, each to the same longword as
+    /// the one before or (bit set in `advance`) the next; bit `j` of
+    /// `writes` makes access `j` a write, the rest are `kind`.
+    Run {
+        addr: u32,
+        len: u32,
+        advance: u16,
+        writes: u16,
+        kind: RecordKind,
+        pid: u8,
+    },
 }
 
 fn event() -> impl Strategy<Value = Event> {
@@ -32,6 +45,16 @@ fn event() -> impl Strategy<Value = Event> {
             },
             pid,
         }),
+        5 => (0u32..8192, 1u32..17, any::<u16>(), any::<u16>(), any::<bool>(), 0u8..4).prop_map(
+            |(addr, len, advance, writes, fetch, pid)| Event::Run {
+                addr: addr & !3,
+                len,
+                advance,
+                writes,
+                kind: if fetch { RecordKind::IFetch } else { RecordKind::Read },
+                pid,
+            }
+        ),
         1 => (0u8..4).prop_map(|pid| Event::Switch { pid }),
     ]
 }
@@ -45,6 +68,26 @@ fn trace_of(events: &[Event]) -> Trace {
             }
             Event::Switch { pid } => {
                 t.push(TraceRecord::new(RecordKind::CtxSwitch, 0, 0, pid, true));
+            }
+            Event::Run {
+                mut addr,
+                len,
+                advance,
+                writes,
+                kind,
+                pid,
+            } => {
+                for j in 0..len {
+                    if advance >> j & 1 != 0 {
+                        addr += 4;
+                    }
+                    let kind = if writes >> j & 1 != 0 {
+                        RecordKind::Write
+                    } else {
+                        kind
+                    };
+                    t.push(TraceRecord::new(kind, addr, 4, pid, false));
+                }
             }
         }
     }
@@ -60,14 +103,20 @@ fn switch_policy() -> impl Strategy<Value = SwitchPolicy> {
 }
 
 /// A stack-engine-eligible configuration: LRU + write-back-allocate.
+/// A 32-way one has 1–8 sets, so a group holding one often has a
+/// Fenwick tree as its coarsest level (no MRU short-circuit).
 fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
-    (
+    let narrow = (
         prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048)],
-        prop_oneof![Just(8u32), Just(16), Just(32)],
         prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+    );
+    let wide = (prop_oneof![Just(1024u32), Just(2048)], Just(32u32));
+    (
+        prop_oneof![4 => narrow, 1 => wide],
+        prop_oneof![Just(8u32), Just(16), Just(32)],
         switch_policy(),
     )
-        .prop_filter_map("valid config", |(size, block, assoc, switch)| {
+        .prop_filter_map("valid config", |((size, assoc), block, switch)| {
             CacheConfig::builder()
                 .size(size)
                 .block(block)

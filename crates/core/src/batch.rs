@@ -1,12 +1,12 @@
 //! Decode-once record batches.
 //!
-//! The analysis hot path consumes traces as [`RecordBatch`]es: SoA
-//! blocks (`addrs`, packed `metas`) of a few thousand records, decoded
-//! once at the source and then walked linearly by every consumer —
-//! cache-friendly and free of the per-record virtual dispatch the old
-//! push-only path paid. [`TraceSource`](crate::TraceSource) yields them
-//! via `next_batch`; the per-record `stream` API is reimplemented on
-//! top, so existing consumers are unchanged.
+//! The analysis hot path consumes traces as [`RecordBatch`]es: blocks of
+//! a few thousand records, decoded once at the source and then walked
+//! linearly by every consumer — cache-friendly and free of the
+//! per-record virtual dispatch the old push-only path paid.
+//! [`TraceSource`](crate::TraceSource) yields them via `next_batch`, and
+//! its per-record `stream` API hands each batch's records to the sink
+//! as they are, with no copy.
 
 use crate::record::TraceRecord;
 
@@ -16,14 +16,12 @@ use crate::record::TraceRecord;
 /// segment is already the decode unit).
 pub const BATCH_TARGET: usize = 8192;
 
-/// A decode-once, structure-of-arrays block of trace records: addresses
-/// in one contiguous array, the packed kind/pid/size/mode metadata word
-/// in another. Index `i` of both arrays is record `i`; the two arrays
-/// always have equal length.
+/// A decode-once block of trace records, stored as the
+/// [`TraceRecord`]s themselves (address and packed metadata side by
+/// side), so a consumer reads each record from one place.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordBatch {
-    addrs: Vec<u32>,
-    metas: Vec<u32>,
+    pub(crate) records: Vec<TraceRecord>,
 }
 
 impl RecordBatch {
@@ -32,50 +30,29 @@ impl RecordBatch {
         RecordBatch::default()
     }
 
-    /// An empty batch with room for `n` records.
-    pub fn with_capacity(n: usize) -> RecordBatch {
-        RecordBatch {
-            addrs: Vec::with_capacity(n),
-            metas: Vec::with_capacity(n),
-        }
-    }
-
     /// Number of records in the batch.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.records.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.records.is_empty()
     }
 
-    /// Removes all records, keeping the allocations.
+    /// Removes all records, keeping the allocation.
     pub fn clear(&mut self) {
-        self.addrs.clear();
-        self.metas.clear();
+        self.records.clear();
     }
 
     /// Appends one record.
     pub fn push(&mut self, r: TraceRecord) {
-        self.addrs.push(r.addr);
-        self.metas.push(r.meta);
+        self.records.push(r);
     }
 
     /// Appends a slice of records.
     pub fn extend_from_records(&mut self, records: &[TraceRecord]) {
-        self.addrs.reserve(records.len());
-        self.metas.reserve(records.len());
-        for r in records {
-            self.addrs.push(r.addr);
-            self.metas.push(r.meta);
-        }
-    }
-
-    /// Reserves room for `n` more records.
-    pub fn reserve(&mut self, n: usize) {
-        self.addrs.reserve(n);
-        self.metas.reserve(n);
+        self.records.extend_from_slice(records);
     }
 
     /// The record at index `i`.
@@ -84,36 +61,17 @@ impl RecordBatch {
     ///
     /// Panics if `i` is out of bounds.
     pub fn get(&self, i: usize) -> TraceRecord {
-        TraceRecord {
-            addr: self.addrs[i],
-            meta: self.metas[i],
-        }
+        self.records[i]
     }
 
-    /// The address column.
-    pub fn addrs(&self) -> &[u32] {
-        &self.addrs
-    }
-
-    /// The packed-metadata column (see [`TraceRecord`] for the layout).
-    pub fn metas(&self) -> &[u32] {
-        &self.metas
+    /// The records, in order.
+    pub fn records(&self) -> &[TraceRecord] {
+        &self.records
     }
 
     /// Iterates the records by value, in order.
     pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
-        self.addrs
-            .iter()
-            .zip(&self.metas)
-            .map(|(&addr, &meta)| TraceRecord { addr, meta })
-    }
-
-    /// Rebuilds the array-of-structs form into `out` (cleared first) —
-    /// the compatibility shim under the per-record `stream` API.
-    pub fn copy_to(&self, out: &mut Vec<TraceRecord>) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(self.iter());
+        self.records.iter().copied()
     }
 }
 
@@ -140,10 +98,7 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.get(7), t.records()[7]);
         assert_eq!(b.iter().collect::<Vec<_>>(), t.records());
-        let mut back = Vec::new();
-        b.copy_to(&mut back);
-        assert_eq!(back, t.records());
-        assert_eq!(b.addrs().len(), b.metas().len());
+        assert_eq!(b.records(), t.records());
         b.clear();
         assert!(b.is_empty());
     }

@@ -37,40 +37,9 @@
 //! Typical compaction is 4–6× over the raw form (measured in experiment
 //! E2 and `BENCH_trace.json`).
 
-use crate::batch::RecordBatch;
-use crate::record::{RecordKind, TraceRecord};
+use crate::record::{meta, RecordKind, TraceRecord};
 use crate::trace::Trace;
 use std::fmt;
-
-/// A decode target: anything segment payloads can be decoded into
-/// without an intermediate copy. The archival decoder is generic over
-/// this, so the array-of-structs [`Trace`] path and the
-/// structure-of-arrays [`RecordBatch`] path share one decode loop —
-/// records are decoded exactly once, straight into their final layout.
-pub(crate) trait RecordSink {
-    fn reserve_records(&mut self, n: usize);
-    fn push_record(&mut self, r: TraceRecord);
-}
-
-impl RecordSink for Vec<TraceRecord> {
-    fn reserve_records(&mut self, n: usize) {
-        self.reserve(n);
-    }
-
-    fn push_record(&mut self, r: TraceRecord) {
-        self.push(r);
-    }
-}
-
-impl RecordSink for RecordBatch {
-    fn reserve_records(&mut self, n: usize) {
-        self.reserve(n);
-    }
-
-    fn push_record(&mut self, r: TraceRecord) {
-        self.push(r);
-    }
-}
 
 pub(crate) const MAGIC: &[u8; 4] = b"ATUM";
 pub(crate) const VERSION: u8 = 2;
@@ -80,6 +49,26 @@ pub(crate) const SEG_MARK: u8 = b'S';
 const TAG_KERNEL: u8 = 1 << 3;
 const TAG_PID_CHANGED: u8 = 1 << 6;
 const TAG_RUN: u8 = 1 << 7;
+
+/// The record metadata word each tag byte decodes to, pid field zero;
+/// 0 marks a tag whose kind is invalid (every valid kind is nonzero).
+const TAG_META: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut tag = 0;
+    while tag < 256 {
+        let kind = tag as u32 & 0x07;
+        // The kinds `RecordKind::from_bits` accepts.
+        if kind >= RecordKind::IFetch as u32 && kind <= RecordKind::SegmentMark as u32 {
+            let size = code_size(((tag >> 4) & 0x03) as u8);
+            table[tag] = kind << meta::KIND_SHIFT | size << meta::SIZE_SHIFT;
+            if tag as u8 & TAG_KERNEL != 0 {
+                table[tag] |= meta::KERNEL_BIT;
+            }
+        }
+        tag += 1;
+    }
+    table
+};
 
 /// Errors from decoding an encoded trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,7 +124,7 @@ fn size_code(size: u32) -> u8 {
     }
 }
 
-fn code_size(code: u8) -> u32 {
+const fn code_size(code: u8) -> u32 {
     match code {
         0 => 1,
         1 => 2,
@@ -164,6 +153,9 @@ pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Reads one varint at `*pos`, advancing it. Inlined into the decode
+/// loop, where most address deltas are one byte.
+#[inline(always)]
 pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeTraceError> {
     let mut v = 0u64;
     let mut shift = 0;
@@ -287,47 +279,56 @@ pub(crate) fn parse_segment_header(
 /// to `out`. The whole payload must be consumed — trailing bytes, or a
 /// payload that runs out early, are [`DecodeTraceError::BadSegment`] /
 /// [`DecodeTraceError::Truncated`].
-pub(crate) fn decode_segment_payload<S: RecordSink>(
+pub(crate) fn decode_segment_payload(
     payload: &[u8],
     h: &SegmentHeader,
-    out: &mut S,
+    out: &mut Vec<TraceRecord>,
 ) -> Result<(), DecodeTraceError> {
     // Each encoded unit is ≥ 2 bytes but can expand to many records (a
     // run), so reserve conservatively from the payload size, not the
     // advertised count — a corrupt count must not allocate unbounded.
-    out.reserve_records(payload.len().min(h.records as usize));
+    out.reserve(payload.len().min(h.records as usize));
     let mut pos = 0usize;
     let mut produced = 0u64;
-    let mut last_addr = [0u32; 7];
-    let mut last_pid = h.pid;
+    let mut last_addr = [0u32; 8];
+    let mut pid_meta = (h.pid as u32) << meta::PID_SHIFT;
     while produced < h.records {
         let tag = *payload.get(pos).ok_or(DecodeTraceError::Truncated)?;
         pos += 1;
-        let kind =
-            RecordKind::from_bits((tag & 0x07) as u32).ok_or(DecodeTraceError::BadTag(tag))?;
-        let kernel = tag & TAG_KERNEL != 0;
-        let size = code_size((tag >> 4) & 0x03);
+        let tag_meta = TAG_META[tag as usize];
+        if tag_meta == 0 {
+            return Err(DecodeTraceError::BadTag(tag));
+        }
         if tag & TAG_PID_CHANGED != 0 {
-            last_pid = *payload.get(pos).ok_or(DecodeTraceError::Truncated)?;
+            let pid = *payload.get(pos).ok_or(DecodeTraceError::Truncated)?;
+            pid_meta = (pid as u32) << meta::PID_SHIFT;
             pos += 1;
         }
-        let delta = unzigzag(read_varint(payload, &mut pos)?);
-        let count = if tag & TAG_RUN != 0 {
-            1 + read_varint(payload, &mut pos)?
-        } else {
-            1
-        };
+        let meta = tag_meta | pid_meta;
+        let kind = (tag & 0x07) as usize;
+        // Address arithmetic is modulo 2^32, so the i64 delta acts as
+        // its low 32 bits.
+        let delta = unzigzag(read_varint(payload, &mut pos)?) as u32;
+        let base = last_addr[kind];
+        if tag & TAG_RUN == 0 {
+            let addr = base.wrapping_add(delta);
+            out.push(TraceRecord { addr, meta });
+            last_addr[kind] = addr;
+            produced += 1;
+            continue;
+        }
+        let count = 1 + read_varint(payload, &mut pos)?;
         // A run longer than the records the header admits is corruption;
         // reject before materialising anything.
         if count > h.records - produced {
             return Err(DecodeTraceError::BadSegment);
         }
-        let mut addr = last_addr[kind as usize];
-        for _ in 0..count {
-            addr = (addr as i64 + delta) as u32;
-            out.push_record(TraceRecord::new(kind, addr, size, last_pid, kernel));
-        }
-        last_addr[kind as usize] = addr;
+        let step = |j: u64| base.wrapping_add(delta.wrapping_mul(j as u32));
+        out.extend((1..=count).map(|j| TraceRecord {
+            addr: step(j),
+            meta,
+        }));
+        last_addr[kind] = step(count);
         produced += count;
     }
     if pos != payload.len() {

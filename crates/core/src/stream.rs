@@ -22,10 +22,10 @@
 //! crates take any of them.
 //!
 //! The trait is **pull-based**: `rewind` resets to the start and
-//! `next_batch` yields decode-once SoA [`RecordBatch`]es, which is what
-//! the batched simulators consume. The per-record `stream` API is a
-//! provided method reimplemented on top of the batches, so push-style
-//! consumers are unchanged.
+//! `next_batch` yields decode-once [`RecordBatch`]es, which is what the
+//! batched simulators consume. The per-record `stream` API is a
+//! provided method that hands each batch's records to its sink in
+//! place, so push-style consumers pay no copy.
 
 use crate::batch::{RecordBatch, BATCH_TARGET};
 use crate::encode::{
@@ -351,7 +351,7 @@ impl<R: Read> SegmentReader<R> {
         Ok(Some((h, &self.records)))
     }
 
-    /// Decodes the next segment straight into a SoA batch (cleared
+    /// Decodes the next segment straight into a batch (cleared
     /// first) — the decode-once path under [`TraceSource::next_batch`].
     /// Returns the header, or `None` at clean end-of-stream.
     ///
@@ -368,7 +368,7 @@ impl<R: Read> SegmentReader<R> {
         };
         read_payload(&mut self.r, h.payload_len, &mut self.payload)?;
         out.clear();
-        decode_segment_payload(&self.payload, &h, out)?;
+        decode_segment_payload(&self.payload, &h, &mut out.records)?;
         Ok(Some(h))
     }
 }
@@ -380,7 +380,7 @@ impl<R: Read> SegmentReader<R> {
 ///
 /// The required API is pull-based: [`TraceSource::rewind`] resets to
 /// the beginning and [`TraceSource::next_batch`] yields the records, in
-/// trace order, as decode-once SoA [`RecordBatch`]es — what the batched
+/// trace order, as decode-once [`RecordBatch`]es — what the batched
 /// simulators consume. The push-style [`TraceSource::stream`] is a
 /// provided method rebuilt on top of the batches; it may be called more
 /// than once, restarting each time (file sources reopen the file).
@@ -404,18 +404,17 @@ pub trait TraceSource {
     fn next_batch(&mut self) -> Result<Option<&RecordBatch>, TraceStreamError>;
 
     /// Streams all records into `sink`, in order, restarting from the
-    /// beginning. A compatibility shim over [`TraceSource::next_batch`]
-    /// (sources with a cheaper native slice form may override it).
+    /// beginning: each batch's records go to the sink as they are, with
+    /// no copy (sources with a cheaper native slice form may override
+    /// it).
     ///
     /// # Errors
     ///
     /// Any [`TraceStreamError`] from the underlying source.
     fn stream(&mut self, sink: &mut dyn FnMut(&[TraceRecord])) -> Result<(), TraceStreamError> {
         self.rewind()?;
-        let mut buf = Vec::new();
         while let Some(batch) = self.next_batch()? {
-            batch.copy_to(&mut buf);
-            sink(&buf);
+            sink(batch.records());
         }
         Ok(())
     }
@@ -537,7 +536,7 @@ impl TraceSource for FilteredTraceSource<'_> {
 /// A [`TraceSource`] over an on-disk segment file. Restartable —
 /// [`TraceSource::rewind`] (and each [`TraceSource::stream`] call)
 /// reopens the file. [`TraceSource::next_batch`] decodes one segment
-/// per batch, straight into the SoA form (decode-once).
+/// per batch, straight into the batch (decode-once).
 #[derive(Debug)]
 pub struct SegmentFileSource {
     path: PathBuf,

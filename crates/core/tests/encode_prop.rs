@@ -7,14 +7,13 @@ use atum_core::{
 use proptest::prelude::*;
 
 /// Drains a source batch-by-batch, checking the batch invariants along
-/// the way (batches are never empty, and the flat record view matches
-/// the columnar one).
+/// the way (batches are never empty, and the slice, index and iterator
+/// views agree).
 fn collect_batches<S: TraceSource + ?Sized>(source: &mut S) -> Vec<TraceRecord> {
     let mut out = Vec::new();
     while let Some(batch) = source.next_batch().expect("batch") {
         assert!(!batch.is_empty(), "sources must never yield empty batches");
-        assert_eq!(batch.addrs().len(), batch.len());
-        assert_eq!(batch.metas().len(), batch.len());
+        assert_eq!(batch.records().len(), batch.len());
         for (i, r) in batch.iter().enumerate() {
             assert_eq!(batch.get(i), r);
         }
