@@ -53,23 +53,18 @@ fn f1_quick_matches_golden() {
     assert_matches_golden("f1", include_str!("golden/f1-quick.txt"));
 }
 
-/// The three engine tiers must produce byte-identical experiment
-/// output: every capture the pipeline performs — boot, tracing,
-/// stitching, simulation — goes through machines whose tier is set by
-/// the process-global default, and the tiers are proven
-/// observationally identical by the differential suites in
-/// `atum-bench`. Running the quick-scale t1/t2/f1 under each tier and
-/// diffing against the same golden files closes the loop end to end:
-/// a tier divergence anywhere in a full experiment pipeline shows up
-/// here as a byte diff.
+/// Both engine tiers must produce byte-identical experiment output:
+/// every capture the pipeline performs — boot, tracing, stitching,
+/// simulation — goes through machines whose tier is set by the
+/// process-global default, and the tiers are proven observationally
+/// identical by the differential suites in `atum-bench`. Running the
+/// quick-scale t1/t2/f1 under each tier and diffing against the same
+/// golden files closes the loop end to end: a tier divergence anywhere
+/// in a full experiment pipeline shows up here as a byte diff.
 #[test]
 fn output_identical_across_engine_tiers() {
     use atum_machine::{set_default_engine_tier, EngineTier};
-    for tier in [
-        EngineTier::Reference,
-        EngineTier::Fast,
-        EngineTier::Superblock,
-    ] {
+    for tier in [EngineTier::Reference, EngineTier::Fast] {
         set_default_engine_tier(tier);
         assert_matches_golden("t1", include_str!("golden/t1-quick.txt"));
         assert_matches_golden("t2", include_str!("golden/t2-quick.txt"));

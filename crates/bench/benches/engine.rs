@@ -69,23 +69,18 @@ fn engine_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-tier capture rates (reference vs fast vs superblock), written
-/// machine-readably to `BENCH_capture.json` at the workspace root.
-/// Trials are interleaved across the tiers and best-of so host-speed
-/// drift cancels in the ratios — the speedups, not the absolute rates,
+/// Per-tier capture rates (reference vs fast), written machine-readably
+/// to `BENCH_capture.json` at the workspace root. Trials are
+/// interleaved across the tiers and best-of so host-speed drift
+/// cancels in the ratios — the speedups, not the absolute rates,
 /// are the pinned result. `mculist cost` gates on this file: every
-/// traced slowdown must sit inside the static envelope, and the
-/// superblock rate must not regress below the fast-engine rate.
+/// traced slowdown must sit inside the static envelope.
 fn capture_rates(_c: &mut Criterion) {
     if !criterion::filter_matches("engine/capture_rates") {
         return;
     }
     const ROUNDS: usize = 10;
-    const TIERS: [EngineTier; 3] = [
-        EngineTier::Reference,
-        EngineTier::Fast,
-        EngineTier::Superblock,
-    ];
+    const TIERS: [EngineTier; 2] = [EngineTier::Reference, EngineTier::Fast];
     let img = bench_program();
     let load = |style: Option<PatchStyle>| {
         let mut m = loaded_machine(&img);
@@ -104,7 +99,7 @@ fn capture_rates(_c: &mut Criterion) {
         let mut probe = load(style);
         probe.run(u64::MAX);
         let insns = probe.insns();
-        let mut best = [f64::MAX; 3];
+        let mut best = [f64::MAX; 2];
         for _ in 0..ROUNDS {
             for (i, &tier) in TIERS.iter().enumerate() {
                 let mut m = load(style);
@@ -116,24 +111,17 @@ fn capture_rates(_c: &mut Criterion) {
         }
         let reference = insns as f64 / best[0];
         let fast = insns as f64 / best[1];
-        let superblock = insns as f64 / best[2];
         println!(
             "bench engine/capture_rates/{name}: reference {reference:.3e} insn/s  \
-             fast {fast:.3e} insn/s ({:.2}x)  superblock {superblock:.3e} insn/s \
-             ({:.2}x, {:.2}x over fast)",
-            fast / reference,
-            superblock / reference,
-            superblock / fast
+             fast {fast:.3e} insn/s ({:.2}x)",
+            fast / reference
         );
         entries.push(format!(
             "    \"{name}\": {{\n      \"insns\": {insns},\n      \
              \"fast_insns_per_sec\": {fast:.1},\n      \
-             \"superblock_insns_per_sec\": {superblock:.1},\n      \
              \"reference_insns_per_sec\": {reference:.1},\n      \
-             \"speedup\": {:.3},\n      \
-             \"superblock_speedup\": {:.3}\n    }}",
-            fast / reference,
-            superblock / reference
+             \"speedup\": {:.3}\n    }}",
+            fast / reference
         ));
     }
     let json = format!(

@@ -2,6 +2,7 @@
 //! shape on a custom control store and times both engines. Used to aim
 //! fast-engine work at the arms that actually cost something.
 
+use atum_machine::EngineTier;
 use atum_ucode::{AluOp, CcEffect, ControlStore, MicroOp, MicroReg, Target};
 
 fn stream(name: &str, body: Vec<MicroOp>) -> (String, ControlStore) {
@@ -69,12 +70,12 @@ fn main() {
     for (name, cs) in cases {
         let mut best = [f64::MAX; 2];
         for _ in 0..6 {
-            for (i, reference) in [(0, false), (1, true)] {
+            for (i, tier) in [(0, EngineTier::Fast), (1, EngineTier::Reference)] {
                 let mut m = atum_machine::Machine::with_control_store(
                     atum_machine::MemLayout::small(),
                     cs.clone(),
                 );
-                m.set_reference_engine(reference);
+                m.set_engine_tier(tier);
                 let t0 = std::time::Instant::now();
                 m.run(CYCLES);
                 best[i] = best[i].min(t0.elapsed().as_secs_f64());

@@ -217,8 +217,7 @@ pub struct CostReport {
     /// dilation vs the band, and the simulated tight check.
     pub static_report: String,
     /// Host-dependent section: measured `BENCH_capture.json` rates
-    /// checked against the static envelope, and the superblock tier
-    /// checked against the fast-engine rate floor.
+    /// checked against the static envelope.
     pub bench_report: String,
     /// Machine-readable form of everything (`--format json`).
     pub json: String,
@@ -400,19 +399,17 @@ pub fn cost_report() -> CostReport {
             if band_ok { "ok" } else { "FAIL" }
         );
 
-        // Gate: the tight deterministic check, run on every engine
-        // tier. Each tier re-runs the same workload traced; the added
-        // simulated cycles must be identical across tiers — the
-        // superblock tier's fused block accounting in particular must
-        // reproduce the per-op count exactly — and land inside the
-        // statically proved interval, and the architectural reference
-        // counts must be untouched (transparency, dynamically).
+        // Gate: the tight deterministic check, run on both engine
+        // tiers. Each tier re-runs the same workload traced; the added
+        // simulated cycles must be identical across tiers and land
+        // inside the statically proved interval, and the architectural
+        // reference counts must be untouched (transparency,
+        // dynamically).
         let mut added_by_tier = Vec::new();
         let mut transparent = true;
         for (tier, tname) in [
             (EngineTier::Reference, "reference"),
             (EngineTier::Fast, "fast"),
-            (EngineTier::Superblock, "superblock"),
         ] {
             let mut m = bench_machine(&img);
             m.set_engine_tier(tier);
@@ -437,7 +434,7 @@ pub fn cost_report() -> CostReport {
             stat,
             "  simulated traced run: +{added} cycles ({}), static bound {}: {}",
             if tiers_agree {
-                "reference/fast/superblock agree"
+                "reference/fast agree"
             } else {
                 "TIERS DISAGREE"
             },
@@ -511,7 +508,7 @@ pub fn cost_report() -> CostReport {
                     .find(|(n, _)| *n == name)
                     .and_then(|(_, d)| *d);
                 let _ = write!(json, "    \"{name}\": {{");
-                for (ei, engine) in ["fast", "superblock", "reference"].into_iter().enumerate() {
+                for (ei, engine) in ["fast", "reference"].into_iter().enumerate() {
                     let key = format!("{engine}_insns_per_sec");
                     let slow = match (
                         bench_rate(&text, "untraced", &key),
@@ -541,63 +538,8 @@ pub fn cost_report() -> CostReport {
                         slow.map_or("null".into(), |s| format!("{s:.4}")),
                     );
                 }
-                let _ = writeln!(json, "}}{}", if si <= 1 { "," } else { "" });
+                let _ = writeln!(json, "}}{}", if si == 0 { "," } else { "" });
             }
-
-            // Gate: the superblock tier must not regress below the fast
-            // engine on the capture configs — the tier exists for the
-            // patched capture path, whose long straight-line logging
-            // flows are what block dispatch accelerates. The untraced
-            // config is reported but not gated: that path is
-            // dispatch-bound (blocks end at every opcode/specifier
-            // dispatch), so the tier statistically ties the fast engine
-            // there. Both rates come from the same interleaved best-of
-            // run, so host drift largely cancels; a 3% floor allowance
-            // absorbs what remains.
-            const SB_FLOOR: f64 = 0.97;
-            let _ = write!(json, "    \"superblock_floor\": {{");
-            for (ci, (cfg, gated)) in [
-                ("untraced", false),
-                ("atum_scratch", true),
-                ("atum_spill", true),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let ratio = match (
-                    bench_rate(&text, cfg, "superblock_insns_per_sec"),
-                    bench_rate(&text, cfg, "fast_insns_per_sec"),
-                ) {
-                    (Some(s), Some(f)) if f > 0.0 => Some(s / f),
-                    _ => None,
-                };
-                let ok = if gated {
-                    ratio.is_some_and(|r| r >= SB_FLOOR)
-                } else {
-                    ratio.is_some()
-                };
-                if !ok {
-                    errors += 1;
-                }
-                let _ = writeln!(
-                    bench,
-                    "  {cfg:<14} superblock at {} the fast rate{}: {}",
-                    ratio.map_or("?".into(), |r| format!("{r:.2}x")),
-                    if gated {
-                        format!(", floor {SB_FLOOR:.2}")
-                    } else {
-                        " (informational)".into()
-                    },
-                    if ok { "ok" } else { "FAIL" }
-                );
-                let _ = write!(
-                    json,
-                    "{}\"{cfg}\": {}, \"{cfg}_ok\": {ok}",
-                    if ci > 0 { ", " } else { "" },
-                    ratio.map_or("null".into(), |r| format!("{r:.4}")),
-                );
-            }
-            let _ = writeln!(json, "}}");
         }
     }
     let _ = writeln!(

@@ -1,20 +1,12 @@
-//! Three-way differential engine suite: reference vs fast vs
-//! superblock.
+//! Differential engine suite: reference vs fast.
 //!
-//! The predecoded fast engine (`crates/machine/src/fast.rs`) and the
-//! traced-superblock tier stacked on it
-//! (`crates/machine/src/superblock.rs`) must both be observationally
-//! identical to the word-at-a-time reference interpreter — same
-//! architectural state, same microcycle counts, same trace bytes. This
-//! suite runs randomized programs on all three tiers in lockstep and
-//! compares them at **every instruction boundary**, both untraced and
-//! under each ATUM patch style (where the trace-buffer bytes are
-//! compared raw, exactly as the microcode wrote them).
-//!
-//! Lockstepping at single-instruction granularity is itself part of the
-//! point for the superblock tier: it exercises the insn-target exit in
-//! the middle of chained blocks, while the block cache keeps heating
-//! and forming across steps.
+//! The predecoded fast engine (`crates/machine/src/fast.rs`) must be
+//! observationally identical to the word-at-a-time reference
+//! interpreter — same architectural state, same microcycle counts, same
+//! trace bytes. This suite runs randomized programs on both engines in
+//! lockstep and compares them at **every instruction boundary**, both
+//! untraced and under each ATUM patch style (where the trace-buffer
+//! bytes are compared raw, exactly as the microcode wrote them).
 
 use atum_core::PatchStyle;
 use atum_machine::{EngineTier, Machine, MemLayout, RunExit};
@@ -22,14 +14,6 @@ use proptest::prelude::*;
 
 const ORG: u32 = 0x1000;
 const SCRATCH: u32 = 0x4000;
-
-/// The tiers under test, with the reference interpreter first as the
-/// baseline the other two are diffed against.
-const TIERS: [EngineTier; 3] = [
-    EngineTier::Reference,
-    EngineTier::Fast,
-    EngineTier::Superblock,
-];
 
 fn reg() -> impl Strategy<Value = String> {
     (0u8..10).prop_map(|r| format!("r{r}"))
@@ -176,98 +160,66 @@ fn trace_bytes(m: &Machine) -> Vec<u8> {
     m.read_phys(base, ptr.saturating_sub(base)).unwrap()
 }
 
-/// Runs all three tiers one instruction at a time, comparing everything
-/// observable at each boundary against the reference interpreter.
-/// Returns the failure case, if any.
+/// The first observable difference between the fast machine and its
+/// reference twin, if any: counters, registers, PSL, reference counts
+/// and, when traced, the raw trace-buffer bytes.
+fn divergence(fast: &Machine, refm: &Machine, traced: bool) -> Option<String> {
+    if fast.cycles() != refm.cycles() {
+        return Some(format!("cycles {} vs {}", fast.cycles(), refm.cycles()));
+    }
+    if fast.insns() != refm.insns() {
+        return Some(format!("insns {} vs {}", fast.insns(), refm.insns()));
+    }
+    if let Some(r) = (0..16u8).find(|&r| fast.gpr(r) != refm.gpr(r)) {
+        return Some(format!("r{r} {:#x} vs {:#x}", fast.gpr(r), refm.gpr(r)));
+    }
+    if fast.psl() != refm.psl() {
+        return Some(format!("PSL {:?} vs {:?}", fast.psl(), refm.psl()));
+    }
+    if fast.counts() != refm.counts() {
+        return Some(format!("counts {:?} vs {:?}", fast.counts(), refm.counts()));
+    }
+    if traced && trace_bytes(fast) != trace_bytes(refm) {
+        return Some("trace bytes".into());
+    }
+    None
+}
+
+/// Runs both engines one instruction at a time, comparing everything
+/// observable at each boundary. Returns the failure case, if any.
 fn lockstep(src: &str, style: Option<PatchStyle>) -> Result<(), TestCaseError> {
     let full = format!(".org {ORG:#x}\n{src}\n");
     let img = atum_asm::assemble(&full).expect("generated program assembles");
-    let mut machines: Vec<Machine> = TIERS.iter().map(|&t| load(&img, style, t)).collect();
+    let mut refm = load(&img, style, EngineTier::Reference);
+    let mut fast = load(&img, style, EngineTier::Fast);
     for boundary in 0..200_000u32 {
-        let exits: Vec<Option<RunExit>> = machines
-            .iter_mut()
-            .map(|m| m.step_insns(1, 1_000_000))
-            .collect();
-        let (refm, rest) = machines.split_first().unwrap();
-        for (m, (&tier, exit)) in rest.iter().zip(TIERS[1..].iter().zip(&exits[1..])) {
-            prop_assert_eq!(
-                *exit,
-                exits[0],
-                "{:?}: exit differs at boundary {} after:\n{}",
-                tier,
-                boundary,
-                src
-            );
-            prop_assert_eq!(
-                m.cycles(),
-                refm.cycles(),
-                "{:?}: microcycle count differs at boundary {} after:\n{}",
-                tier,
-                boundary,
-                src
-            );
-            prop_assert_eq!(
-                m.insns(),
-                refm.insns(),
-                "{:?}: insn count differs:\n{}",
-                tier,
-                src
-            );
-            for r in 0..16u8 {
-                prop_assert_eq!(
-                    m.gpr(r),
-                    refm.gpr(r),
-                    "{:?}: r{} differs at boundary {} after:\n{}",
-                    tier,
-                    r,
-                    boundary,
-                    src
-                );
-            }
-            prop_assert_eq!(
-                m.psl(),
-                refm.psl(),
-                "{:?}: PSL differs at boundary {} after:\n{}",
-                tier,
-                boundary,
-                src
-            );
-            prop_assert_eq!(
-                m.counts(),
-                refm.counts(),
-                "{:?}: ref counts differ at boundary {} after:\n{}",
-                tier,
-                boundary,
-                src
-            );
-            if style.is_some() {
-                prop_assert_eq!(
-                    trace_bytes(m),
-                    trace_bytes(refm),
-                    "{:?}: trace bytes differ at boundary {} after:\n{}",
-                    tier,
-                    boundary,
-                    src
-                );
-            }
+        let exit = refm.step_insns(1, 1_000_000);
+        let fast_exit = fast.step_insns(1, 1_000_000);
+        prop_assert_eq!(
+            fast_exit,
+            exit,
+            "exit differs at boundary {} after:\n{}",
+            boundary,
+            src
+        );
+        if let Some(d) = divergence(&fast, &refm, style.is_some()) {
+            return Err(TestCaseError::fail(format!(
+                "{d} at boundary {boundary} after:\n{src}"
+            )));
         }
-        match exits[0] {
+        match exit {
             None => continue,
             Some(RunExit::Halted) => break,
             Some(other) => panic!("unexpected exit {other:?} after:\n{src}"),
         }
     }
     // Scratch memory must match too.
-    let (refm, rest) = machines.split_first().unwrap();
-    for (m, &tier) in rest.iter().zip(&TIERS[1..]) {
-        prop_assert_eq!(
-            m.read_phys(SCRATCH, 128).unwrap(),
-            refm.read_phys(SCRATCH, 128).unwrap(),
-            "{:?}: scratch memory differs after:\n{}",
-            tier,
-            src
-        );
-    }
+    prop_assert_eq!(
+        fast.read_phys(SCRATCH, 128).unwrap(),
+        refm.read_phys(SCRATCH, 128).unwrap(),
+        "scratch memory differs after:\n{}",
+        src
+    );
     Ok(())
 }
 
@@ -291,9 +243,8 @@ proptest! {
 }
 
 /// The bench workload (pointer-chasing with ATUM attached) run in
-/// lockstep chunks across all three tiers — a deterministic deep case
-/// covering the exact capture path the benchmarks measure, with runs
-/// long enough for the superblock cache to heat up and dispatch blocks.
+/// lockstep chunks on both engines — a deterministic deep case covering
+/// the exact capture path the benchmarks measure.
 #[test]
 fn bench_workload_lockstep() {
     let w = atum_workloads::list_chase("bench", 64, 500);
@@ -303,40 +254,22 @@ fn bench_workload_lockstep() {
         .replace("chmk    #0", "halt");
     let img = atum_asm::assemble(&format!(".org {ORG:#x}\n{src}\n")).expect("bench program");
     for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
-        let mut machines: Vec<Machine> = TIERS.iter().map(|&t| load(&img, style, t)).collect();
-        for m in &mut machines {
+        let mut refm = load(&img, style, EngineTier::Reference);
+        let mut fast = load(&img, style, EngineTier::Fast);
+        for m in [&mut refm, &mut fast] {
             m.set_pc(img.symbol("start").unwrap());
         }
         loop {
-            let exits: Vec<Option<RunExit>> = machines
-                .iter_mut()
-                .map(|m| m.step_insns(64, 10_000_000))
-                .collect();
-            let (refm, rest) = machines.split_first().unwrap();
-            for (m, (&tier, exit)) in rest.iter().zip(TIERS[1..].iter().zip(&exits[1..])) {
-                assert_eq!(*exit, exits[0], "{style:?}/{tier:?}: exit differs");
-                assert_eq!(
-                    m.cycles(),
-                    refm.cycles(),
-                    "{style:?}/{tier:?}: cycles differ"
-                );
-                assert_eq!(m.insns(), refm.insns(), "{style:?}/{tier:?}: insns differ");
-                for r in 0..16u8 {
-                    assert_eq!(m.gpr(r), refm.gpr(r), "{style:?}/{tier:?}: r{r} differs");
-                }
-                assert_eq!(m.psl(), refm.psl(), "{style:?}/{tier:?}: PSL differs");
-                assert_eq!(
-                    m.counts(),
-                    refm.counts(),
-                    "{style:?}/{tier:?}: counts differ"
-                );
-                assert_eq!(
-                    trace_bytes(m),
-                    trace_bytes(refm),
-                    "{style:?}/{tier:?}: trace bytes differ"
-                );
+            let exit = refm.step_insns(64, 10_000_000);
+            assert_eq!(
+                fast.step_insns(64, 10_000_000),
+                exit,
+                "{style:?}: exit differs"
+            );
+            if let Some(d) = divergence(&fast, &refm, true) {
+                panic!("{style:?}: {d} differs");
             }
-            match exits[0] {
+            match exit {
                 None => continue,
                 Some(RunExit::Halted) => break,
                 Some(other) => panic!("{style:?}: unexpected exit {other:?}"),

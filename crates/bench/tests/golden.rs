@@ -67,7 +67,7 @@ fn mculist_cost_static_output_matches_golden_file() {
 
 /// Pins the machine-readable form of the same deterministic half
 /// (`cost-static --format json`) — what downstream tooling parses, with
-/// the superblock tier's per-tier added-cycle agreement included.
+/// the per-tier added-cycle agreement included.
 /// Regenerate deliberately with
 /// `cargo run -p atum-bench --bin mculist -- cost-static --format json > crates/bench/tests/golden/cost.json`.
 #[test]

@@ -184,20 +184,8 @@ impl Machine {
     /// `&mut self`.
     fn run_fast(&mut self, deadline: u64, insn_target: u64) -> Option<RunExit> {
         self.ensure_fast();
-        let superblocks = self.tier == crate::EngineTier::Superblock;
-        if superblocks {
-            self.ensure_superblocks();
-        }
         let fast = std::mem::replace(&mut self.fast, crate::fast::FastImage::empty());
-        let exit = if superblocks {
-            let mut sbc = std::mem::replace(&mut self.sblocks, crate::superblock::SbCache::empty());
-            let exit = self.run_fast_inner::<true>(&fast, &mut sbc, deadline, insn_target);
-            self.sblocks = sbc;
-            exit
-        } else {
-            let mut sbc = crate::superblock::SbCache::empty();
-            self.run_fast_inner::<false>(&fast, &mut sbc, deadline, insn_target)
-        };
+        let exit = self.run_fast_inner(&fast, deadline, insn_target);
         self.fast = fast;
         exit
     }
@@ -214,19 +202,9 @@ impl Machine {
     /// [`Machine::run`]/[`Machine::step_insns`] exactly: instruction
     /// target first (`None`), then the cycle deadline, then one
     /// predecoded step.
-    ///
-    /// With `SB` set (the superblock tier) the loop probes the
-    /// superblock cache at every dispatch point — function entry, the
-    /// opcode/specifier dispatches, and the instruction boundary — and
-    /// when a hot block exists there dispatches it whole through
-    /// [`Machine::sb_exec`]; a guard exit or a cold probe falls back to
-    /// the per-op path below, which runs until the next dispatch point
-    /// re-probes. With `SB` clear the probes compile out entirely and
-    /// this is exactly the PR 4 fast engine.
-    fn run_fast_inner<const SB: bool>(
+    fn run_fast_inner(
         &mut self,
         fast: &crate::fast::FastImage,
-        sbc: &mut crate::superblock::SbCache,
         deadline: u64,
         insn_target: u64,
     ) -> Option<RunExit> {
@@ -258,39 +236,6 @@ impl Machine {
         // deadline) are exactly the reference loop's.
         if self.insns >= insn_target {
             return None;
-        }
-        // The superblock probe: dispatch cached blocks at the current
-        // micro-PC until the cache goes cold there (then fall through to
-        // the per-op loop) or a block produces a run exit. `Chain` keeps
-        // probing at the updated micro-PC — which both links blocks
-        // end-to-end and heats up the profiling counter at every chain
-        // target — and always follows at least one executed, cycle-charged
-        // step, so the chain loop cannot spin.
-        macro_rules! sb_probe {
-            ($run:lifetime) => {{
-                if SB {
-                    loop {
-                        let fetch_entry = sbc.fetch_entry();
-                        let Some(sb) = sbc.probe(upc, fast, self.sb_epoch) else {
-                            break;
-                        };
-                        match self.sb_exec(
-                            sb,
-                            fetch_entry,
-                            deadline,
-                            insn_target,
-                            &mut upc,
-                            &mut cycles,
-                            &mut usp,
-                            &mut uf,
-                        ) {
-                            crate::superblock::SbExit::Chain => continue,
-                            crate::superblock::SbExit::Fallback => break,
-                            crate::superblock::SbExit::Exit(e) => break $run e,
-                        }
-                    }
-                }
-            }};
         }
         // One predecoded micro-op: deadline check, fetch, execute. Factored
         // as a macro so the loop below can instantiate it twice — two
@@ -547,16 +492,10 @@ impl Machine {
                 }
                 DecOp::DispatchOpcode => {
                     upc = fast.opcode_table[(self.regs.file[slots::OPREG] & 0xFF) as usize];
-                    if SB {
-                        continue $run;
-                    }
                 }
                 DecOp::DispatchSpec(table) => {
                     upc = fast.spec_tables[table as usize]
                         [((self.regs.file[slots::SPEC] >> 4) & 0xF) as usize];
-                    if SB {
-                        continue $run;
-                    }
                 }
                 DecOp::DecodeNext => {
                     sync!();
@@ -567,9 +506,6 @@ impl Machine {
                     }
                     if self.insns >= insn_target {
                         break $run None;
-                    }
-                    if SB {
-                        continue $run;
                     }
                 }
                 DecOp::AdvancePc => {
@@ -670,27 +606,18 @@ impl Machine {
                 DecOp::TbFlushAll => {
                     self.tlb.flush_all();
                     self.xc.flush_all();
-                    self.tb_event();
                 }
                 DecOp::TbFlushProc => {
                     self.tlb.flush_process();
                     self.xc.flush_all();
-                    self.tb_event();
                 }
                 DecOp::Halt => break $run Some(RunExit::Halted),
             }
             }};
         }
-        // The outer loop head is the probe point: reached on entry and
-        // again (via `continue 'run`) after every dispatch/boundary when
-        // `SB` is set. The inner loop is the per-op path and only leaves
-        // through the labeled breaks/continues above.
         let exit = 'run: loop {
-            sb_probe!('run);
-            loop {
-                dispatch_one!('run);
-                dispatch_one!('run);
-            }
+            dispatch_one!('run);
+            dispatch_one!('run);
         };
         self.upc = upc;
         self.cycles = cycles;
@@ -699,370 +626,8 @@ impl Machine {
         exit
     }
 
-    /// Executes one superblock against the fast loop's mirrored locals.
-    ///
-    /// Per-op equivalence rests on three invariants:
-    ///
-    /// * **Entry deadline fusion.** Element `k` of a block entered at
-    ///   cycle count `c` executes per-op iff `c + cyc_before(k) <
-    ///   deadline`, so the single pre-check `c + total_cost <= deadline`
-    ///   passes iff the per-op loop would have executed *every* charge
-    ///   of the block; otherwise the block falls back at its head
-    ///   without executing anything and the per-op loop replays it with
-    ///   identical partial accounting.
-    /// * **Cycle reconstruction.** During the block the live cycle count
-    ///   is `entry + op.cyc + extra`, where `extra` accumulates the
-    ///   data-dependent PTE-walk charges; it is materialized only where
-    ///   the per-op loop would observe it (guard exits, the `sync!`
-    ///   before memory helpers and the boundary, and run exits). After
-    ///   any `extra` growth the remaining-budget check re-establishes
-    ///   the entry invariant or falls back at the next element.
-    /// * **Exit addresses.** Every exit publishes the micro-PC the
-    ///   per-op loop would hold at the same point: the element's address
-    ///   on a pre-execution fallback, address + 1 after a fault or
-    ///   micro-stack error, the guard target on a taken guard.
-    ///
-    /// The elements are raw [`DecOp`]s, so this is the same single
-    /// jump-table dispatch as the per-op loop — minus the per-op
-    /// deadline check, fetch, micro-PC increment and cycle charge. The
-    /// pure arms are copied verbatim from `dispatch_one!`; the
-    /// control-flow arms replace micro-PC updates with block exits.
-    ///
-    /// `inline(never)`: the call cost amortises over a whole block, and
-    /// keeping this body (with its own copy of the op jump table) out of
-    /// `run_fast_inner` keeps the per-op loop compact.
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn sb_exec(
-        &mut self,
-        sb: &crate::superblock::Superblock,
-        fetch_entry: u32,
-        deadline: u64,
-        insn_target: u64,
-        upc: &mut u32,
-        cycles: &mut u64,
-        usp: &mut usize,
-        uf: &mut crate::regs::UFlags,
-    ) -> crate::superblock::SbExit {
-        use crate::superblock::SbExit;
-        let entry = *cycles;
-        if entry + sb.total_cost as u64 > deadline {
-            *upc = sb.head;
-            return SbExit::Fallback;
-        }
-        let mut extra: u64 = 0;
-        // Exit a block at a taken guard: publish the reconstructed cycle
-        // count and chain at the branch target.
-        macro_rules! guard_exit {
-            ($op:expr, $target:expr) => {{
-                *cycles = entry + $op.cyc as u64 + extra;
-                *upc = $target;
-                return SbExit::Chain;
-            }};
-        }
-        for op in &sb.ops {
-            match op.op {
-                DecOp::MovSS { src, dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] =
-                        self.regs.file[(src & slots::MASK) as usize];
-                }
-                DecOp::MovIS { imm, dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] = imm;
-                }
-                DecOp::MovGIS { dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] =
-                        self.regs.file[(self.regs.file[slots::REGNUM] & 0xF) as usize];
-                }
-                DecOp::MovSGI { src } => {
-                    let v = self.regs.file[(src & slots::MASK) as usize];
-                    let n = (self.regs.file[slots::REGNUM] & 0xF) as u8;
-                    self.log_gpr(n);
-                    self.regs.file[n as usize] = v;
-                    if n == 15 {
-                        self.regs.file[slots::IBCNT] = 0;
-                    }
-                }
-                DecOp::MovSMF { src, dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] =
-                        self.regs.file[(src & slots::MASK) as usize] & 0xF;
-                }
-                DecOp::MovSG { src, gpr } => {
-                    let v = self.regs.file[(src & slots::MASK) as usize];
-                    let n = gpr & 0xF;
-                    self.log_gpr(n);
-                    self.regs.file[n as usize] = v;
-                    if n == 15 {
-                        self.regs.file[slots::IBCNT] = 0;
-                    }
-                }
-                DecOp::AluSS {
-                    op,
-                    a,
-                    b,
-                    dst,
-                    cc,
-                    size,
-                } => {
-                    let av = self.regs.file[(a & slots::MASK) as usize];
-                    let bv = self.regs.file[(b & slots::MASK) as usize];
-                    self.alu_to_slot(op, av, bv, dst, cc, size, uf);
-                }
-                DecOp::AluIS {
-                    op,
-                    imm,
-                    b,
-                    dst,
-                    cc,
-                    size,
-                } => {
-                    let bv = self.regs.file[(b & slots::MASK) as usize];
-                    self.alu_to_slot(op, imm, bv, dst, cc, size, uf);
-                }
-                DecOp::AluSI {
-                    op,
-                    a,
-                    imm,
-                    dst,
-                    cc,
-                    size,
-                } => {
-                    let av = self.regs.file[(a & slots::MASK) as usize];
-                    self.alu_to_slot(op, av, imm, dst, cc, size, uf);
-                }
-                DecOp::Mov { src, dst } => {
-                    let v = self.src(src);
-                    self.wdst(dst, v);
-                }
-                DecOp::MovID { imm, dst } => self.wdst(dst, imm),
-                DecOp::Alu {
-                    op,
-                    a,
-                    b,
-                    dst,
-                    cc,
-                    size,
-                } => {
-                    let av = self.src(a);
-                    let bv = self.src(b);
-                    self.alu_generic(op, av, bv, dst, cc, size, uf);
-                }
-                DecOp::AluID {
-                    op,
-                    imm,
-                    b,
-                    dst,
-                    cc,
-                    size,
-                } => {
-                    let bv = self.src(b);
-                    self.alu_generic(op, imm, bv, dst, cc, size, uf);
-                }
-                DecOp::AluDI {
-                    op,
-                    a,
-                    imm,
-                    dst,
-                    cc,
-                    size,
-                } => {
-                    let av = self.src(a);
-                    self.alu_generic(op, av, imm, dst, cc, size, uf);
-                }
-                DecOp::AluConst {
-                    result,
-                    fbits,
-                    cc,
-                    dst,
-                } => {
-                    let flags = AluFlags {
-                        z: fbits & 1 != 0,
-                        n: fbits & 2 != 0,
-                        c: fbits & 4 != 0,
-                        v: fbits & 8 != 0,
-                        divz: fbits & 16 != 0,
-                    };
-                    *uf = crate::regs::UFlags {
-                        z: flags.z,
-                        n: flags.n,
-                        c: flags.c,
-                        v: flags.v,
-                        divz: flags.divz,
-                    };
-                    self.apply_cc(cc, flags);
-                    self.wdst(dst, result);
-                }
-                DecOp::SetSize(s) => self.regs.osize = s,
-                DecOp::AdvancePc => {
-                    self.log_gpr(15);
-                    self.regs.file[15] = self.regs.file[15].wrapping_add(1);
-                }
-                DecOp::ReadPrK { reg, dst } => {
-                    let v = self.read_prv_fixed(reg);
-                    self.wdst(dst, v);
-                }
-                DecOp::WritePrK { reg, src } => {
-                    let v = self.src(src);
-                    let plain = self.write_prv_plain(reg, v);
-                    debug_assert!(plain, "non-plain priv write inside a superblock");
-                }
-                DecOp::WritePrKI { reg, imm } => {
-                    let plain = self.write_prv_plain(reg, imm);
-                    debug_assert!(plain, "non-plain priv write inside a superblock");
-                }
-                DecOp::JumpUZero(t) => {
-                    if uf.z {
-                        guard_exit!(op, t);
-                    }
-                }
-                DecOp::JumpUNotZero(t) => {
-                    if !uf.z {
-                        guard_exit!(op, t);
-                    }
-                }
-                DecOp::JumpRegNumIsPc(t) => {
-                    if self.regs.file[slots::REGNUM] & 0xF == 15 {
-                        guard_exit!(op, t);
-                    }
-                }
-                DecOp::JumpIf { cond, target } => {
-                    if self.eval_ucond(cond, uf) {
-                        guard_exit!(op, target);
-                    }
-                }
-                DecOp::Read { class, size } => {
-                    let size = size.unwrap_or(self.regs.osize);
-                    self.cycles = entry + op.cyc as u64 + extra;
-                    match self.vread_fast(size, class) {
-                        Ok(()) => {
-                            // A PTE walk charged cycles inside the
-                            // helper; fold it into `extra` and make sure
-                            // the rest of the block still fits the
-                            // deadline, else resume per-op right here.
-                            extra = self.cycles - (entry + op.cyc as u64);
-                            if self.cycles + (sb.total_cost - op.cyc) as u64 > deadline {
-                                *cycles = self.cycles;
-                                *upc = op.upc + 1;
-                                return SbExit::Fallback;
-                            }
-                        }
-                        Err(e) => {
-                            self.upc = op.upc + 1;
-                            self.usp = *usp;
-                            return self.sb_exception(e, upc, cycles, usp);
-                        }
-                    }
-                }
-                DecOp::Write { size } => {
-                    let size = size.unwrap_or(self.regs.osize);
-                    self.cycles = entry + op.cyc as u64 + extra;
-                    match self.vwrite_fast(size) {
-                        Ok(()) => {
-                            extra = self.cycles - (entry + op.cyc as u64);
-                            if self.cycles + (sb.total_cost - op.cyc) as u64 > deadline {
-                                *cycles = self.cycles;
-                                *upc = op.upc + 1;
-                                return SbExit::Fallback;
-                            }
-                        }
-                        Err(e) => {
-                            self.upc = op.upc + 1;
-                            self.usp = *usp;
-                            return self.sb_exception(e, upc, cycles, usp);
-                        }
-                    }
-                }
-                DecOp::PhysRead => match self.mem.read_u32(self.regs.file[slots::MAR]) {
-                    Some(v) => self.regs.file[slots::MDR] = v,
-                    None => {
-                        self.upc = op.upc + 1;
-                        self.cycles = entry + op.cyc as u64 + extra;
-                        self.usp = *usp;
-                        return self.sb_exception(Exception::MachineCheck, upc, cycles, usp);
-                    }
-                },
-                DecOp::PhysWrite => {
-                    let v = self.regs.file[slots::MDR];
-                    if self.mem.write_u32(self.regs.file[slots::MAR], v).is_none() {
-                        self.upc = op.upc + 1;
-                        self.cycles = entry + op.cyc as u64 + extra;
-                        self.usp = *usp;
-                        return self.sb_exception(Exception::MachineCheck, upc, cycles, usp);
-                    }
-                }
-                DecOp::Call(_) => {
-                    if *usp >= MICRO_STACK_LIMIT {
-                        *cycles = entry + op.cyc as u64 + extra;
-                        *upc = op.upc + 1;
-                        return SbExit::Exit(Some(RunExit::MicroError("micro-stack overflow")));
-                    }
-                    // Formation followed the callee, so the pushed
-                    // return address is statically the call site + 1.
-                    self.ustack[*usp] = op.upc + 1;
-                    *usp += 1;
-                }
-                DecOp::Ret => {
-                    if *usp == 0 {
-                        *cycles = entry + op.cyc as u64 + extra;
-                        *upc = op.upc + 1;
-                        return SbExit::Exit(Some(RunExit::MicroError("micro-stack underflow")));
-                    }
-                    // The popped address is the matching `Call`
-                    // element's push, which is where formation
-                    // continued — the block's next element already sits
-                    // there.
-                    *usp -= 1;
-                }
-                DecOp::DecodeNext => {
-                    self.upc = op.upc + 1;
-                    self.cycles = entry + op.cyc as u64 + extra;
-                    let r = self.boundary();
-                    *upc = self.upc;
-                    *cycles = self.cycles;
-                    *usp = self.usp;
-                    if let Some(x) = r {
-                        return SbExit::Exit(Some(x));
-                    }
-                    if self.insns >= insn_target {
-                        return SbExit::Exit(None);
-                    }
-                    if *upc != fetch_entry {
-                        // A trap or interrupt redirected the micro-PC.
-                        return SbExit::Chain;
-                    }
-                }
-                // Formation never admits any other op into a block.
-                _ => debug_assert!(false, "non-block op inside a superblock"),
-            }
-        }
-        *cycles = entry + sb.total_cost as u64 + extra;
-        *upc = sb.exit_upc;
-        SbExit::Chain
-    }
-
-    /// The exception tail shared by the faultable superblock steps:
-    /// mirrors the per-op `enter_exception` + `reload!` sequence (the
-    /// locals must be published to `self` *before* calling this).
-    #[inline(never)]
-    fn sb_exception(
-        &mut self,
-        e: Exception,
-        upc: &mut u32,
-        cycles: &mut u64,
-        usp: &mut usize,
-    ) -> crate::superblock::SbExit {
-        let r = self.enter_exception(e);
-        *upc = self.upc;
-        *cycles = self.cycles;
-        *usp = self.usp;
-        match r {
-            Err(x) => crate::superblock::SbExit::Exit(Some(x)),
-            Ok(()) => crate::superblock::SbExit::Chain,
-        }
-    }
-
     /// Evaluates a micro-branch condition against the fast loop's local
-    /// micro-flags (the PSL conditions read `self` directly). Shared by
-    /// the per-op `JumpIf` arm and superblock guards.
+    /// micro-flags (the PSL conditions read `self` directly).
     #[inline(always)]
     fn eval_ucond(&self, cond: MicroCond, uf: &crate::regs::UFlags) -> bool {
         let psl = self.regs.psl;
@@ -1248,12 +813,10 @@ impl Machine {
             MicroOp::TbFlushAll => {
                 self.tlb.flush_all();
                 self.xc.flush_all();
-                self.tb_event();
             }
             MicroOp::TbFlushProc => {
                 self.tlb.flush_process();
                 self.xc.flush_all();
-                self.tb_event();
             }
             MicroOp::Halt => return Some(RunExit::Halted),
         }
@@ -1905,16 +1468,6 @@ impl Machine {
         true
     }
 
-    /// Records a TB/mapping event: bumps the superblock-cache epoch so
-    /// no block formed before the event can dispatch after it. Called at
-    /// exactly the points the translation micro-cache flushes (minus its
-    /// per-slot self-maintenance inside [`Machine::translate`], which is
-    /// not an architectural event).
-    #[inline(always)]
-    pub(crate) fn tb_event(&mut self) {
-        self.sb_epoch = self.sb_epoch.wrapping_add(1);
-    }
-
     pub(crate) fn write_prv_internal(&mut self, reg: PrivReg, v: u32) {
         match reg {
             PrivReg::Ksp => self.prv.ksp = v,
@@ -1922,32 +1475,26 @@ impl Machine {
             PrivReg::P0br => {
                 self.prv.p0br = v;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::P0lr => {
                 self.prv.p0lr = v;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::P1br => {
                 self.prv.p1br = v;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::P1lr => {
                 self.prv.p1lr = v;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::Sbr => {
                 self.prv.sbr = v;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::Slr => {
                 self.prv.slr = v;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::Pcbb => self.prv.pcbb = v,
             PrivReg::Scbb => self.prv.scbb = v,
@@ -1984,17 +1531,14 @@ impl Machine {
             PrivReg::Mapen => {
                 self.prv.mapen = v & 1;
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::Tbia => {
                 self.tlb.flush_all();
                 self.xc.flush_all();
-                self.tb_event();
             }
             PrivReg::Tbis => {
                 self.tlb.flush_single(v);
                 self.xc.invalidate_slot(v >> PAGE_SHIFT);
-                self.tb_event();
             }
         }
     }

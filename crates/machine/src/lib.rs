@@ -38,45 +38,39 @@ pub mod fast;
 mod mem;
 mod mmu;
 pub mod regs;
-pub mod superblock;
 
 pub use engine::{RefCounts, RunExit};
 pub use fast::FastImage;
 pub use mem::{MemError, MemLayout, PhysMemory};
 pub use mmu::{Tlb, TlbStats};
 pub use regs::{PrvFile, RegFile};
-pub use superblock::{SbCache, SbOp, Superblock};
 
 /// Which interpreter drives [`Machine::run`] / [`Machine::step_insns`].
-/// All three tiers produce identical architectural state, traces,
-/// counters and microcycle counts (the three-way differential suite in
-/// `atum-bench` pins this); they differ only in host throughput.
+/// Both tiers produce identical architectural state, traces, counters
+/// and microcycle counts (the differential suites in `atum-bench` pin
+/// this); they differ only in host throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineTier {
     /// The word-at-a-time reference interpreter — slow, obviously
     /// correct, kept as the oracle.
     Reference,
-    /// The predecoded per-op fast engine (PR 4).
-    Fast,
-    /// The fast engine plus the traced-superblock tier: hot micro-paths
-    /// are stitched into whole-block dispatches (see
-    /// [`superblock`]).
+    /// The predecoded per-op fast engine (see [`fast`]).
     #[default]
-    Superblock,
+    Fast,
 }
 
 use atum_arch::{CpuMode, Gpr, PrivReg, Psl};
 use atum_ucode::{stock, ControlStore, Entry};
 
 /// Process-global default [`EngineTier`] for newly created machines
-/// (`2` = [`EngineTier::Superblock`], the enum's default).
-static DEFAULT_TIER: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(2);
+/// (`1` = [`EngineTier::Fast`], the enum's default).
+static DEFAULT_TIER: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(1);
 
 /// Sets the [`EngineTier`] every subsequently created [`Machine`] starts
 /// on. Harnesses that build machines deep inside a pipeline (the
 /// experiment runner in `atum-analysis`) can be tier-toggled wholesale
 /// with this — the tier byte-identity suite runs the quick-scale
-/// experiments under every tier and asserts identical output. Existing
+/// experiments under both tiers and asserts identical output. Existing
 /// machines are unaffected; use [`Machine::set_engine_tier`] for those.
 pub fn set_default_engine_tier(tier: EngineTier) {
     DEFAULT_TIER.store(tier as u8, std::sync::atomic::Ordering::Relaxed);
@@ -87,8 +81,7 @@ pub fn set_default_engine_tier(tier: EngineTier) {
 pub fn default_engine_tier() -> EngineTier {
     match DEFAULT_TIER.load(std::sync::atomic::Ordering::Relaxed) {
         0 => EngineTier::Reference,
-        1 => EngineTier::Fast,
-        _ => EngineTier::Superblock,
+        _ => EngineTier::Fast,
     }
 }
 
@@ -123,14 +116,6 @@ pub struct Machine {
     pub(crate) xc: mmu::XlateCache,
     /// Which interpreter `run`/`step_insns` use.
     pub(crate) tier: EngineTier,
-    /// Superblock cache for the superblock tier (keyed on the store
-    /// version and `sb_epoch`; see [`superblock::SbCache`]).
-    pub(crate) sblocks: superblock::SbCache,
-    /// TB/mapping-event epoch: bumped on every translation-structure
-    /// event (TBIA/TBIS writes, `tbflush` micro-ops, base/length/MAPEN
-    /// register writes) so the superblock cache invalidates at exactly
-    /// the points the translation micro-cache flushes.
-    pub(crate) sb_epoch: u64,
 }
 
 impl Machine {
@@ -168,8 +153,6 @@ impl Machine {
             fast: fast::FastImage::empty(),
             xc: mmu::XlateCache::new(),
             tier: default_engine_tier(),
-            sblocks: superblock::SbCache::empty(),
-            sb_epoch: 0,
         };
         m.regs.psl = Psl::new();
         m.psl_at_start = m.regs.psl;
@@ -300,26 +283,9 @@ impl Machine {
         self.halted = false;
     }
 
-    /// Selects the word-at-a-time reference interpreter instead of the
-    /// predecoded fast engine. Both produce identical architectural
-    /// state, traces, counters and microcycle counts (the differential
-    /// suite pins this); the reference path exists as the oracle and for
-    /// debugging the fast one.
-    ///
-    /// Kept for PR 4 era callers: `true` selects
-    /// [`EngineTier::Reference`], `false` [`EngineTier::Fast`]. New code
-    /// should use [`Machine::set_engine_tier`].
-    pub fn set_reference_engine(&mut self, on: bool) {
-        self.tier = if on {
-            EngineTier::Reference
-        } else {
-            EngineTier::Fast
-        };
-    }
-
     /// Selects the execution tier for [`Machine::run`] /
     /// [`Machine::step_insns`]. Tiers can be switched at any instruction
-    /// boundary; all produce identical results.
+    /// boundary; both produce identical results.
     pub fn set_engine_tier(&mut self, tier: EngineTier) {
         self.tier = tier;
     }
@@ -346,31 +312,6 @@ impl Machine {
         &self.fast
     }
 
-    /// Rekeys (and empties) the superblock cache if the control store
-    /// has been mutated since it was last keyed. The TB-event epoch is
-    /// checked lazily at every probe, so it needs no eager handling
-    /// here.
-    pub(crate) fn ensure_superblocks(&mut self) {
-        if self.sblocks.version() != self.cs.version() {
-            self.sblocks.reset(
-                self.cs.version(),
-                self.sb_epoch,
-                self.cs.entry(Entry::Fetch),
-                self.fast.ops.len(),
-            );
-        }
-    }
-
-    /// The superblock cache, rekeyed first if the control store has been
-    /// mutated — the inspection point for external verifiers of the
-    /// superblock stitching (the `superblock` pass in `atum-mclint`
-    /// re-derives every cached block from the micro-words and diffs).
-    pub fn superblock_cache(&mut self) -> &superblock::SbCache {
-        self.ensure_fast();
-        self.ensure_superblocks();
-        &self.sblocks
-    }
-
     /// Runs until halt, returning an error on a cycle-limit or fatal exit.
     ///
     /// # Errors
@@ -381,5 +322,19 @@ impl Machine {
             RunExit::Halted => Ok(()),
             other => Err(other),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Machines run the fast engine unless a caller picks the reference
+    /// oracle.
+    #[test]
+    fn machines_start_on_the_fast_engine() {
+        assert_eq!(EngineTier::default(), EngineTier::Fast);
+        let m = Machine::new(MemLayout::small());
+        assert_eq!(m.engine_tier(), EngineTier::Fast);
     }
 }

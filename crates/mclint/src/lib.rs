@@ -33,12 +33,6 @@
 //!   targets and sizes, constant-folded ALU results recomputed from
 //!   scratch) and diffs that against the sealed
 //!   [`FastImage`](atum_machine::FastImage);
-//! * [`superblock`] — superblock formation equivalence: re-derives the
-//!   traced-superblock tier's stitched blocks (element addresses,
-//!   fused cycle offsets, exits) from the source micro-words through
-//!   an independent copy of the stitching rules, for every head the
-//!   block cache could probe, and can diff a live cache for stale or
-//!   tampered blocks;
 //! * [`atomicity`] — hook atomicity under faults, interrupts and
 //!   concurrent drains: no fault-permissible point inside a hook
 //!   closure, every hook follows the read-`TRPTR` → bounds-check →
@@ -71,7 +65,6 @@ pub mod cost;
 pub mod dataflow;
 pub mod lowering;
 pub mod structural;
-pub mod superblock;
 pub mod svx;
 pub mod transparency;
 
@@ -110,8 +103,6 @@ pub enum Pass {
     Cost,
     /// Fast-engine lowering equivalence against the control store.
     Lowering,
-    /// Superblock formation equivalence against the control store.
-    Superblock,
     /// Hook atomicity: fault-window safety, the trace-pointer protocol
     /// and the per-context/per-CPU/shared state partition.
     Atomicity,
@@ -126,7 +117,6 @@ impl Pass {
         Pass::Svx,
         Pass::Cost,
         Pass::Lowering,
-        Pass::Superblock,
         Pass::Atomicity,
     ];
 
@@ -146,7 +136,6 @@ impl fmt::Display for Pass {
             Pass::Svx => f.write_str("svx"),
             Pass::Cost => f.write_str("cost"),
             Pass::Lowering => f.write_str("lowering"),
-            Pass::Superblock => f.write_str("superblock"),
             Pass::Atomicity => f.write_str("atomicity"),
         }
     }
@@ -198,9 +187,7 @@ pub fn error_count(findings: &[Finding]) -> usize {
 
 /// The composed control-store verifier.
 pub mod lint {
-    use super::{
-        atomicity, cost, dataflow, lowering, structural, superblock, transparency, Finding, Pass,
-    };
+    use super::{atomicity, cost, dataflow, lowering, structural, transparency, Finding, Pass};
     use atum_ucode::ControlStore;
 
     /// Fully deterministic report order: pass, then symbol, then
@@ -215,19 +202,17 @@ pub mod lint {
     }
 
     /// Runs every control-store pass — structural, dataflow, cost,
-    /// lowering-equivalence, superblock-formation equivalence,
-    /// atomicity and (when hooks are installed) transparency — and
-    /// returns the combined findings sorted by pass, symbol and
-    /// micro-address. SVX images are linted separately through
-    /// [`crate::svx::check_image`], since they are not part of the
-    /// control store.
+    /// lowering-equivalence, atomicity and (when hooks are installed)
+    /// transparency — and returns the combined findings sorted by pass,
+    /// symbol and micro-address. SVX images are linted separately
+    /// through [`crate::svx::check_image`], since they are not part of
+    /// the control store.
     pub fn run(cs: &ControlStore) -> Vec<Finding> {
         let mut out = structural::check(cs);
         out.extend(dataflow::check(cs));
         out.extend(transparency::check(cs));
         out.extend(cost::check(cs));
         out.extend(lowering::check(cs));
-        out.extend(superblock::check(cs));
         out.extend(atomicity::check(cs));
         sort(out)
     }
@@ -243,7 +228,6 @@ pub mod lint {
             Pass::Svx => Vec::new(),
             Pass::Cost => cost::check(cs),
             Pass::Lowering => lowering::check(cs),
-            Pass::Superblock => superblock::check(cs),
             Pass::Atomicity => atomicity::check(cs),
         };
         sort(out)

@@ -196,9 +196,8 @@ fn dst(r: MicroReg) -> Dst {
 }
 
 /// Independently derives the [`DecOp`] a control-store word must lower
-/// to. Also the word-level front end of the `superblock` pass, which
-/// walks these derived ops instead of trusting the sealed image.
-pub(crate) fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
+/// to.
+fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
     match op {
         MicroOp::Mov { src: s, dst: d } => match (src(s), dst(d)) {
             (Ok(Src::Slot(src)), Dst::Slot(dst)) => DecOp::MovSS { src, dst },

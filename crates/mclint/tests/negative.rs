@@ -359,109 +359,7 @@ fn corrupted_lowering_is_caught() {
     assert_eq!(f.pass, atum_mclint::Pass::Lowering);
 }
 
-// ── negative: seeded bugs 10–12 — superblock cache corruption ────────
-
-/// The live block set a machine's superblock cache would hold for this
-/// store: one formed block per head that stitches one.
-fn formed_blocks(cs: &ControlStore) -> Vec<atum_machine::Superblock> {
-    use atum_machine::{FastImage, Superblock};
-    let img = FastImage::build(cs);
-    let fetch = cs.entry(Entry::Fetch);
-    (0..cs.len())
-        .filter_map(|h| Superblock::form(&img, fetch, h))
-        .collect()
-}
-
-#[test]
-fn corrupted_superblock_element_is_caught() {
-    use atum_machine::fast::DecOp;
-    let mut cs = stock::build();
-    PatchSet::install(&mut cs).unwrap();
-    let mut blocks = formed_blocks(&cs);
-    // Corrupt one element of the block stitched through the trace
-    // logger: swap a cached op for a different pure op. The tier would
-    // silently execute the wrong micro-word.
-    let addr = cs.symbol("atum.log").unwrap();
-    let (bi, ei) = blocks
-        .iter()
-        .enumerate()
-        .find_map(|(bi, b)| b.ops.iter().position(|e| e.upc == addr).map(|ei| (bi, ei)))
-        .expect("some block stitches through atum.log");
-    blocks[bi].ops[ei].op = DecOp::AdvancePc;
-    let findings = atum_mclint::superblock::check_blocks(&cs, cs.version(), &blocks);
-    let f = expect_finding(&findings, "atum.log", "element");
-    assert_eq!(f.addr, addr);
-    assert_eq!(f.severity, Severity::Error);
-    assert_eq!(f.pass, atum_mclint::Pass::Superblock);
-}
-
-#[test]
-fn stale_superblock_version_is_caught() {
-    // A cache stamped with yesterday's store version: exactly the state
-    // after a patch install bumps `ControlStore::version()`. One
-    // finding, because every block is then suspect.
-    let mut cs = stock::build();
-    let blocks = formed_blocks(&cs);
-    let stale = cs.version();
-    PatchSet::install(&mut cs).unwrap();
-    let findings = atum_mclint::superblock::check_blocks(&cs, stale, &blocks);
-    assert_eq!(findings.len(), 1);
-    let f = expect_finding(&findings, "superblock-cache", "stale");
-    assert_eq!(f.severity, Severity::Error);
-    assert_eq!(f.pass, atum_mclint::Pass::Superblock);
-}
-
-#[test]
-fn superblock_guard_that_cannot_exit_is_caught() {
-    use atum_machine::fast::DecOp;
-    let cs = stock::build();
-    let mut blocks = formed_blocks(&cs);
-    // Break a guard: replace a conditional branch element with a pure
-    // no-op-like move. A block executing this would run straight past
-    // the branch instead of exiting to its taken target — the classic
-    // "guard fails to fall back" corruption.
-    let (bi, ei, addr) = blocks
-        .iter()
-        .enumerate()
-        .find_map(|(bi, b)| {
-            b.ops
-                .iter()
-                .position(|e| {
-                    matches!(
-                        e.op,
-                        DecOp::JumpUZero(_)
-                            | DecOp::JumpUNotZero(_)
-                            | DecOp::JumpRegNumIsPc(_)
-                            | DecOp::JumpIf { .. }
-                    )
-                })
-                .map(|ei| (bi, ei, b.ops[ei].upc))
-        })
-        .expect("some block contains a guard");
-    blocks[bi].ops[ei].op = DecOp::AdvancePc;
-    let findings = atum_mclint::superblock::check_blocks(&cs, cs.version(), &blocks);
-    let f = expect_finding(&findings, &cs_symbol_at(&cs, addr), "element");
-    assert_eq!(f.addr, addr);
-    assert_eq!(f.severity, Severity::Error);
-    assert_eq!(f.pass, atum_mclint::Pass::Superblock);
-}
-
-/// Nearest-symbol rendering for an address, for asserting a finding
-/// names the right routine.
-fn cs_symbol_at(cs: &ControlStore, addr: u32) -> String {
-    let mut best: Option<(&str, u32)> = None;
-    for (name, &a) in cs.symbols() {
-        if a <= addr && best.is_none_or(|(_, b)| a > b) {
-            best = Some((name.as_str(), a));
-        }
-    }
-    match best {
-        Some((name, _)) => name.to_string(),
-        None => format!("{addr:#06x}"),
-    }
-}
-
-// ── negative: seeded bugs 13–16 — atomicity violations ───────────────
+// ── negative: seeded bugs 10–13 — atomicity violations ───────────────
 
 /// `Alu` with no condition-code side effect, the shape the real patches
 /// use for address arithmetic and the capacity check.
