@@ -1,5 +1,11 @@
 //! The experiment registry — one function per table/figure of the
 //! reconstructed evaluation (ids match DESIGN.md).
+//!
+//! An experiment is two parts: the machine runs it reads (`Run`) and a
+//! render step over finished runs. [`run_selected`] performs the
+//! distinct runs of every selected experiment once, in one job pool,
+//! then renders the reports. A run keeps only what its reports print,
+//! except the standard-mix capture, whose trace F1–F6 and E1–E4 walk.
 
 use crate::runner::{capture_mix, capture_mix_with_style, run_untraced, CapturedRun, RunnerError};
 use crate::table::{Report, Table};
@@ -9,7 +15,7 @@ use atum_cache::{
     simulate, simulate_many, simulate_many_stream, simulate_split, simulate_tlb,
     simulate_tlb_stream, sweep_block, Cache, CacheConfig, SwitchPolicy, TlbConfig, WritePolicy,
 };
-use atum_core::{PatchStyle, RecordKind, Trace};
+use atum_core::{PatchStyle, RecordKind, Trace, TraceStats};
 use atum_workloads::Workload;
 
 /// Budget generous enough for every experiment run.
@@ -51,6 +57,30 @@ fn t1_workload(scale: Scale) -> Workload {
     }
 }
 
+/// T2's per-workload suite, each captured alone.
+fn t2_suite(scale: Scale) -> Vec<Workload> {
+    match scale {
+        Scale::Quick => vec![
+            atum_workloads::matrix("matrix", 6),
+            atum_workloads::list_chase("list", 128, 2_000),
+            atum_workloads::fib_recursive("fib", 12),
+        ],
+        Scale::Full => atum_workloads::suite_standard(),
+    }
+}
+
+/// T2's scheduling-quantum sweep over the standard mix. Floor: the
+/// *traced* context-switch path costs ~5–6k cycles; quanta below that
+/// spiral into pure scheduling (the dilation effect ATUM dealt with by
+/// tracing against a 10ms VMS clock, thousands of instructions per tick
+/// even when slowed).
+fn t2_quanta(scale: Scale) -> &'static [u32] {
+    match scale {
+        Scale::Quick => &[12_000, 40_000],
+        Scale::Full => &[10_000, 20_000, 60_000, 240_000],
+    }
+}
+
 fn cache_sizes(scale: Scale) -> Vec<u32> {
     match scale {
         Scale::Quick => vec![1 << 10, 4 << 10, 16 << 10],
@@ -77,6 +107,200 @@ pub fn capture_standard_mix(scale: Scale) -> Result<CapturedRun, RunnerError> {
     capture_mix(&mix(scale), quantum(scale), BUDGET)
 }
 
+// ── Machine runs ──────────────────────────────────────────────────────
+
+/// A machine run an experiment reads, named by its inputs. The machine
+/// is deterministic, so equal values give equal results, and a run that
+/// several experiments read is performed once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// The standard mix at a scheduling quantum, traced.
+    Mix(u32),
+    /// T2's suite workload `i` alone, traced at the scale's quantum.
+    Solo(usize),
+    /// The T1/A1 probe workload, untraced (`None`) or traced with a
+    /// patch style.
+    Probe(Option<PatchStyle>),
+    /// The probe under the T-bit trap tracer.
+    Tbit,
+    /// The probe on the architectural simulator.
+    ArchSim,
+}
+
+/// What a finished run keeps for the render step.
+enum Kept {
+    /// The standard-mix capture at the scale's quantum.
+    Trace(CapturedRun),
+    /// A T2 row: the trace reduced to its statistics and drain count.
+    Stats(TraceStats, u32),
+    /// Simulated cycles and references (the hardware's count when
+    /// untraced, the trace's when traced).
+    Probe(u64, u64),
+    /// T-bit slowdown and PCs captured.
+    Tbit(f64, usize),
+    /// Simulator references and whether the program exited.
+    ArchSim(u64, bool),
+}
+
+impl Run {
+    /// Queue position in the job pool: long runs first, so the pool
+    /// ends on short ones. The order is static, from Full-scale host
+    /// times: T2's `bsearch` solo (suite index 6, 1.5–2.4 s), the mix
+    /// at each quantum, shortest first (0.7–1.9 s), the T-bit run
+    /// (1.1–1.7 s), the other solos (0.1–0.8 s), then the probes.
+    fn queue_rank(self) -> (u8, u32) {
+        match self {
+            Run::Solo(6) => (0, 0),
+            Run::Mix(q) => (1, q),
+            Run::Tbit => (2, 0),
+            Run::Solo(i) => (3, i as u32),
+            Run::Probe(_) | Run::ArchSim => (4, 0),
+        }
+    }
+
+    fn perform(self, scale: Scale) -> Result<Kept, RunnerError> {
+        let stats = |run: CapturedRun| Kept::Stats(run.trace.stats(), run.drains);
+        let probe = [t1_workload(scale)];
+        Ok(match self {
+            Run::Mix(q) if q == quantum(scale) => Kept::Trace(capture_standard_mix(scale)?),
+            Run::Mix(q) => stats(capture_mix(&mix(scale), q, BUDGET)?),
+            Run::Solo(i) => stats(capture_mix(
+                &t2_suite(scale)[i..=i],
+                quantum(scale),
+                BUDGET,
+            )?),
+            Run::Probe(None) => {
+                let (cycles, _, counts) = run_untraced(&probe, MEASURE_QUANTUM, BUDGET)?;
+                Kept::Probe(cycles, counts.total_refs())
+            }
+            Run::Probe(Some(style)) => {
+                let run = capture_mix_with_style(&probe, MEASURE_QUANTUM, BUDGET, style)?;
+                Kept::Probe(run.cycles, run.trace.ref_count() as u64)
+            }
+            Run::Tbit => {
+                let tbit = TbitTracer::default()
+                    .measure(&probe[0].source)
+                    .map_err(|e| RunnerError::Tracer(e.to_string()))?;
+                Kept::Tbit(tbit.slowdown(), tbit.pcs.len())
+            }
+            Run::ArchSim => {
+                // User-level only, runs on the host.
+                let img = atum_asm::assemble(&format!(".org 0x200\n{}\n", probe[0].source))
+                    .map_err(|e| RunnerError::Boot(e.to_string()))?;
+                let mut sim = ArchSim::new();
+                sim.load_image(&img);
+                sim.set_pc(img.symbol("start").unwrap_or(0x200));
+                sim.enable_trace(1);
+                let exited = sim.run(500_000_000) == ArchExit::Exited;
+                Kept::ArchSim(sim.trace().ref_count() as u64, exited)
+            }
+        })
+    }
+}
+
+/// The runs experiment `id` reads, in the order its report reads them:
+/// a report fails with the first failing run in this order.
+fn needs(id: &str, scale: Scale) -> Vec<Run> {
+    let probes = [
+        Run::Probe(None),
+        Run::Probe(Some(PatchStyle::Scratch)),
+        Run::Probe(Some(PatchStyle::Spill)),
+    ];
+    match id {
+        "t1" => [&probes[..], &[Run::Tbit, Run::ArchSim]].concat(),
+        "t2" => (0..t2_suite(scale).len())
+            .map(Run::Solo)
+            .chain(std::iter::once(Run::Mix(quantum(scale))))
+            .chain(t2_quanta(scale).iter().map(|&q| Run::Mix(q)))
+            .collect(),
+        "a1" => probes.to_vec(),
+        // Every other experiment walks the standard mix.
+        id if ALL_IDS.contains(&id) => vec![Run::Mix(quantum(scale))],
+        _ => Vec::new(),
+    }
+}
+
+/// The distinct runs `ids` read, in queue order.
+fn plan(scale: Scale, ids: &[impl AsRef<str>]) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for run in ids.iter().flat_map(|id| needs(id.as_ref(), scale)) {
+        if !runs.contains(&run) {
+            runs.push(run);
+        }
+    }
+    runs.sort_by_key(|r| r.queue_rank());
+    runs
+}
+
+/// Finished runs, looked up by value. `shared`, when given, stands in
+/// for the standard-mix capture.
+struct Finished<'a> {
+    scale: Scale,
+    shared: Option<&'a CapturedRun>,
+    runs: Vec<(Run, Result<Kept, RunnerError>)>,
+}
+
+impl<'a> Finished<'a> {
+    /// Performs the distinct runs `ids` read on up to `jobs` threads.
+    fn perform(
+        scale: Scale,
+        ids: &[impl AsRef<str>],
+        jobs: usize,
+        shared: Option<&'a CapturedRun>,
+    ) -> Finished<'a> {
+        let mut runs = plan(scale, ids);
+        if shared.is_some() {
+            runs.retain(|&r| r != Run::Mix(quantum(scale)));
+        }
+        let kept = crate::parallel::parallel_map(jobs, runs.clone(), |_, r| r.perform(scale));
+        Finished {
+            scale,
+            shared,
+            runs: runs.into_iter().zip(kept).collect(),
+        }
+    }
+
+    fn get(&self, run: Run) -> Result<&Kept, RunnerError> {
+        let (_, kept) = self
+            .runs
+            .iter()
+            .find(|(r, _)| *r == run)
+            .expect("every run a report reads is planned");
+        kept.as_ref().map_err(Clone::clone)
+    }
+
+    /// The standard-mix capture that F1–F6 and E1–E4 walk.
+    fn mix(&self) -> Result<&CapturedRun, RunnerError> {
+        match self.shared {
+            Some(run) => Ok(run),
+            None => match self.get(Run::Mix(quantum(self.scale)))? {
+                Kept::Trace(run) => Ok(run),
+                _ => unreachable!("the standard mix keeps its trace"),
+            },
+        }
+    }
+
+    /// A T2 row's statistics and drain count.
+    fn stats(&self, run: Run) -> Result<(TraceStats, u32), RunnerError> {
+        if run == Run::Mix(quantum(self.scale)) {
+            let mix = self.mix()?;
+            return Ok((mix.trace.stats(), mix.drains));
+        }
+        match self.get(run)? {
+            Kept::Stats(stats, drains) => Ok((stats.clone(), *drains)),
+            _ => unreachable!("T2's other runs keep their statistics"),
+        }
+    }
+
+    /// A probe run's cycles and references.
+    fn probe(&self, style: Option<PatchStyle>) -> Result<(u64, u64), RunnerError> {
+        match self.get(Run::Probe(style))? {
+            Kept::Probe(cycles, refs) => Ok((*cycles, *refs)),
+            _ => unreachable!("probe runs keep cycles and references"),
+        }
+    }
+}
+
 // ── T1: technique comparison ──────────────────────────────────────────
 
 /// T1 — the trace-technique comparison table: slowdown and completeness
@@ -86,26 +310,19 @@ pub fn capture_standard_mix(scale: Scale) -> Result<CapturedRun, RunnerError> {
 ///
 /// Any [`RunnerError`].
 pub fn t1_technique_comparison(scale: Scale) -> Result<Report, RunnerError> {
-    let w = t1_workload(scale);
-    let solo = vec![w.clone()];
-    let q = MEASURE_QUANTUM;
+    run_by_id("t1", scale, None)
+}
 
-    let (base_cycles, _, base_counts) = run_untraced(&solo, q, BUDGET)?;
-    let scratch = capture_mix_with_style(&solo, q, BUDGET, PatchStyle::Scratch)?;
-    let spill = capture_mix_with_style(&solo, q, BUDGET, PatchStyle::Spill)?;
-    let tbit = TbitTracer::default()
-        .measure(&w.source)
-        .map_err(|e| RunnerError::Tracer(e.to_string()))?;
-
-    // The architectural simulator: user-level only, runs on the host.
-    let img = atum_asm::assemble(&format!(".org 0x200\n{}\n", w.source))
-        .map_err(|e| RunnerError::Boot(e.to_string()))?;
-    let mut sim = ArchSim::new();
-    sim.load_image(&img);
-    sim.set_pc(img.symbol("start").unwrap_or(0x200));
-    sim.enable_trace(1);
-    let sim_exit = sim.run(500_000_000);
-    let sim_refs = sim.trace().ref_count();
+fn render_t1(done: &Finished) -> Result<Report, RunnerError> {
+    let (base_cycles, base_refs) = done.probe(None)?;
+    let (scratch_cycles, scratch_refs) = done.probe(Some(PatchStyle::Scratch))?;
+    let (spill_cycles, spill_refs) = done.probe(Some(PatchStyle::Spill))?;
+    let Kept::Tbit(slowdown, pcs) = *done.get(Run::Tbit)? else {
+        unreachable!("the T-bit run keeps its slowdown");
+    };
+    let Kept::ArchSim(sim_refs, exited) = *done.get(Run::ArchSim)? else {
+        unreachable!("the simulator run keeps its references");
+    };
 
     let mut t = Table::new([
         "technique",
@@ -118,31 +335,31 @@ pub fn t1_technique_comparison(scale: Scale) -> Result<Report, RunnerError> {
     t.row([
         "hardware monitor (ref.)".to_string(),
         "1.0x".to_string(),
-        format!("{} (window-limited)", base_counts.total_refs()),
+        format!("{base_refs} (window-limited)"),
         "phys only".to_string(),
         "yes".to_string(),
         "yes".to_string(),
     ]);
     t.row([
         "ATUM (scratch-reg patch)".to_string(),
-        format!("{:.1}x", scratch.cycles as f64 / base_cycles as f64),
-        format!("{}", scratch.trace.ref_count()),
+        format!("{:.1}x", scratch_cycles as f64 / base_cycles as f64),
+        format!("{scratch_refs}"),
         "yes".to_string(),
         "yes".to_string(),
         "yes".to_string(),
     ]);
     t.row([
         "ATUM (state-spill patch, 8200-like)".to_string(),
-        format!("{:.1}x", spill.cycles as f64 / base_cycles as f64),
-        format!("{}", spill.trace.ref_count()),
+        format!("{:.1}x", spill_cycles as f64 / base_cycles as f64),
+        format!("{spill_refs}"),
         "yes".to_string(),
         "yes".to_string(),
         "yes".to_string(),
     ]);
     t.row([
         "T-bit trap tracer (PCs only)".to_string(),
-        format!("{:.0}x", tbit.slowdown()),
-        format!("{} PCs", tbit.pcs.len()),
+        format!("{slowdown:.0}x"),
+        format!("{pcs} PCs"),
         "no".to_string(),
         "no".to_string(),
         "no".to_string(),
@@ -159,10 +376,7 @@ pub fn t1_technique_comparison(scale: Scale) -> Result<Report, RunnerError> {
     let mut r = Report::new("T1", "trace-capture technique comparison");
     r.table("slowdown and completeness by technique", t);
     r.note(format!(
-        "untraced reference: {} cycles, {} refs; simulator exit: {:?}",
-        base_cycles,
-        base_counts.total_refs(),
-        sim_exit == ArchExit::Exited
+        "untraced reference: {base_cycles} cycles, {base_refs} refs; simulator exit: {exited:?}"
     ));
     r.note(
         "shape vs paper: microcode tracing is 1-2 orders of magnitude cheaper than \
@@ -181,53 +395,27 @@ pub fn t1_technique_comparison(scale: Scale) -> Result<Report, RunnerError> {
 ///
 /// Any [`RunnerError`].
 pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
-    let suite = match scale {
-        Scale::Quick => vec![
-            atum_workloads::matrix("matrix", 6),
-            atum_workloads::list_chase("list", 128, 2_000),
-            atum_workloads::fib_recursive("fib", 12),
-        ],
-        Scale::Full => atum_workloads::suite_standard(),
-    };
-    let q = quantum(scale);
-    // Floor: the *traced* context-switch path costs ~5–6k cycles; quanta
-    // below that spiral into pure scheduling (the dilation effect ATUM
-    // dealt with by tracing against a 10ms VMS clock, thousands of
-    // instructions per tick even when slowed).
-    let quanta: &[u32] = match scale {
-        Scale::Quick => &[12_000, 40_000],
-        Scale::Full => &[10_000, 20_000, 60_000, 240_000],
-    };
+    run_by_id("t2", scale, None)
+}
 
-    // Every capture this experiment needs, fanned across the job pool.
-    // Each capture is deterministic, and `parallel_map` returns results
-    // in input order, so rows are identical at any thread count.
-    enum Job<'a> {
-        Solo(&'a atum_workloads::Workload),
-        Mix,
-        Quantum(u32),
-    }
-    let jobs: Vec<Job> = suite
-        .iter()
-        .map(Job::Solo)
-        .chain(std::iter::once(Job::Mix))
-        .chain(quanta.iter().map(|&qq| Job::Quantum(qq)))
-        .collect();
-    let runs = crate::parallel::parallel_map(crate::parallel::jobs(), jobs, |_, j| match j {
-        Job::Solo(w) => capture_mix(std::slice::from_ref(w), q, BUDGET),
-        Job::Mix => capture_standard_mix(scale),
-        Job::Quantum(qq) => capture_mix(&mix(scale), qq, BUDGET),
-    });
-    let mut runs = runs.into_iter();
-
+fn render_t2(done: &Finished) -> Result<Report, RunnerError> {
+    let scale = done.scale;
     let mut t = Table::new([
         "workload", "refs", "%I", "%R", "%W", "%OS", "ctx", "pages", "drains",
     ]);
-    for w in &suite {
-        let run = runs.next().expect("solo run")?;
-        let s = run.trace.stats();
+    let rows = t2_suite(scale)
+        .into_iter()
+        .enumerate()
+        .map(|(i, w)| (w.name, Run::Solo(i)))
+        // The multiprogrammed mix as the final row.
+        .chain(std::iter::once((
+            format!("mix({})", mix(scale).len()),
+            Run::Mix(quantum(scale)),
+        )));
+    for (name, run) in rows {
+        let (s, drains) = done.stats(run)?;
         t.row([
-            w.name.clone(),
+            name,
             s.total_refs().to_string(),
             pct(s.ifetch_fraction()),
             pct(s.reads as f64 / s.total_refs().max(1) as f64),
@@ -235,23 +423,9 @@ pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
             pct(s.os_fraction()),
             s.ctx_switches.to_string(),
             s.distinct_pages.to_string(),
-            run.drains.to_string(),
+            drains.to_string(),
         ]);
     }
-    // The multiprogrammed mix as the final row.
-    let run = runs.next().expect("mix run")?;
-    let s = run.trace.stats();
-    t.row([
-        format!("mix({})", mix(scale).len()),
-        s.total_refs().to_string(),
-        pct(s.ifetch_fraction()),
-        pct(s.reads as f64 / s.total_refs().max(1) as f64),
-        pct(s.write_fraction()),
-        pct(s.os_fraction()),
-        s.ctx_switches.to_string(),
-        s.distinct_pages.to_string(),
-        run.drains.to_string(),
-    ]);
 
     let mut r = Report::new("T2", "trace characteristics per workload");
     r.table("complete-system traces under MOSS", t);
@@ -259,11 +433,10 @@ pub fn t2_trace_characteristics(scale: Scale) -> Result<Report, RunnerError> {
     // OS fraction as a function of scheduling intensity: the quantum is
     // the knob that turns a batch machine into a timesharing one.
     let mut qt = Table::new(["quantum (cycles)", "%OS", "ctx switches"]);
-    for &qq in quanta {
-        let run = runs.next().expect("quantum run")?;
-        let s = run.trace.stats();
+    for &q in t2_quanta(scale) {
+        let (s, _) = done.stats(Run::Mix(q))?;
         qt.row([
-            qq.to_string(),
+            q.to_string(),
             pct(s.os_fraction()),
             s.ctx_switches.to_string(),
         ]);
@@ -825,11 +998,12 @@ pub fn e4_working_set(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerE
 ///
 /// Any [`RunnerError`].
 pub fn a1_patch_cost(scale: Scale) -> Result<Report, RunnerError> {
-    let w = t1_workload(scale);
-    let solo = vec![w];
-    let q = MEASURE_QUANTUM;
-    let (base_cycles, _, base_counts) = run_untraced(&solo, q, BUDGET)?;
-    let refs = base_counts.total_refs().max(1);
+    run_by_id("a1", scale, None)
+}
+
+fn render_a1(done: &Finished) -> Result<Report, RunnerError> {
+    let (base_cycles, base_refs) = done.probe(None)?;
+    let refs = base_refs.max(1);
     let base_cpr = base_cycles as f64 / refs as f64;
 
     let mut t = Table::new(["style", "patch words", "cycles/ref overhead", "slowdown"]);
@@ -843,8 +1017,8 @@ pub fn a1_patch_cost(scale: Scale) -> Result<Report, RunnerError> {
         ("scratch registers", PatchStyle::Scratch),
         ("state spill (8200-like)", PatchStyle::Spill),
     ] {
-        let run = capture_mix_with_style(&solo, q, BUDGET, style)?;
-        let cpr = run.cycles as f64 / refs as f64;
+        let (cycles, _) = done.probe(Some(style))?;
+        let cpr = cycles as f64 / refs as f64;
         // Patch footprint: re-derive on a scratch store.
         let mut cs = atum_ucode::stock::build();
         let ps = atum_core::PatchSet::install_with_style(&mut cs, style)
@@ -853,7 +1027,7 @@ pub fn a1_patch_cost(scale: Scale) -> Result<Report, RunnerError> {
             name.to_string(),
             ps.words().to_string(),
             format!("{:.1}", cpr - base_cpr),
-            format!("{:.1}x", run.cycles as f64 / base_cycles as f64),
+            format!("{:.1}x", cycles as f64 / base_cycles as f64),
         ]);
     }
     let mut r = Report::new("A1", "ablation: what the patch costs and why");
@@ -871,87 +1045,63 @@ pub const ALL_IDS: [&str; 13] = [
     "t1", "t2", "f1", "f2", "f3", "f4", "f5", "f6", "e1", "e2", "e3", "e4", "a1",
 ];
 
-/// Whether an experiment analyses the shared standard-mix capture.
-pub fn needs_shared(id: &str) -> bool {
-    matches!(
-        id,
-        "f1" | "f2" | "f3" | "f4" | "f5" | "f6" | "e1" | "e2" | "e3" | "e4"
-    )
+fn render(id: &str, done: &Finished) -> Result<Report, RunnerError> {
+    let scale = done.scale;
+    match id {
+        "t1" => render_t1(done),
+        "t2" => render_t2(done),
+        "a1" => render_a1(done),
+        "f1" => f1_os_vs_user(scale, done.mix()?),
+        "f2" => f2_switch_policy(scale, done.mix()?),
+        "f3" => f3_block_size(scale, done.mix()?),
+        "f4" => f4_associativity(scale, done.mix()?),
+        "f5" => f5_tlb(scale, done.mix()?),
+        "f6" => f6_organisation(scale, done.mix()?),
+        "e1" => e1_cold_start(scale, done.mix()?),
+        "e2" => e2_compaction(scale, done.mix()?),
+        "e3" => e3_os_breakdown(scale, done.mix()?),
+        "e4" => e4_working_set(scale, done.mix()?),
+        other => Err(RunnerError::UnknownExperiment(other.to_string())),
+    }
 }
 
-/// Runs one experiment by id. Experiments that analyse the standard mix
-/// use `shared` when given and capture their own copy when not.
+/// Runs one experiment by id, performing the machine runs it reads on
+/// [`crate::parallel::jobs`] threads. `shared`, when given, is used as
+/// the standard-mix capture instead of capturing it again.
 ///
 /// # Errors
 ///
-/// Any [`RunnerError`]; unknown ids report as [`RunnerError::Boot`].
+/// The first failing run's [`RunnerError`], in the order the report
+/// reads them; [`RunnerError::UnknownExperiment`] for an id not in
+/// [`ALL_IDS`].
 pub fn run_by_id(
     id: &str,
     scale: Scale,
     shared: Option<&CapturedRun>,
 ) -> Result<Report, RunnerError> {
-    let owned;
-    let run = if needs_shared(id) {
-        match shared {
-            Some(r) => r,
-            None => {
-                owned = capture_standard_mix(scale)?;
-                &owned
-            }
-        }
-    } else {
-        match id {
-            "t1" => return t1_technique_comparison(scale),
-            "t2" => return t2_trace_characteristics(scale),
-            "a1" => return a1_patch_cost(scale),
-            other => {
-                return Err(RunnerError::Boot(format!(
-                    "unknown experiment id '{other}'"
-                )))
-            }
-        }
-    };
-    match id {
-        "f1" => f1_os_vs_user(scale, run),
-        "f2" => f2_switch_policy(scale, run),
-        "f3" => f3_block_size(scale, run),
-        "f4" => f4_associativity(scale, run),
-        "f5" => f5_tlb(scale, run),
-        "f6" => f6_organisation(scale, run),
-        "e1" => e1_cold_start(scale, run),
-        "e2" => e2_compaction(scale, run),
-        "e3" => e3_os_breakdown(scale, run),
-        "e4" => e4_working_set(scale, run),
-        _ => unreachable!("needs_shared covers exactly the f/e ids"),
-    }
+    let done = Finished::perform(scale, &[id], crate::parallel::jobs(), shared);
+    render(id, &done)
 }
 
-/// Runs the given experiments on up to `jobs` threads, capturing the
-/// standard mix **once** and sharing it across every experiment that
-/// wants it. Results come back in `ids` order with per-id errors, and
-/// are identical at any thread count (see [`crate::parallel`]).
+/// Runs the given experiments on up to `jobs` threads in two steps: the
+/// distinct machine runs they read, each performed once, then the
+/// reports. Results come back in `ids` order; a failing run fails
+/// exactly the reports that read it. Output is identical at any thread
+/// count (see [`crate::parallel`]).
 pub fn run_selected(
     scale: Scale,
     ids: &[String],
     jobs: usize,
 ) -> Vec<(String, Result<Report, RunnerError>)> {
-    let shared: Option<Result<CapturedRun, RunnerError>> = ids
-        .iter()
-        .any(|id| needs_shared(&id.to_lowercase()))
-        .then(|| capture_standard_mix(scale));
-    crate::parallel::parallel_map(jobs, ids.to_vec(), |_, id| {
-        let lc = id.to_lowercase();
-        let report = match (&shared, needs_shared(&lc)) {
-            (Some(Ok(run)), true) => run_by_id(&lc, scale, Some(run)),
-            (Some(Err(e)), true) => Err(e.clone()),
-            _ => run_by_id(&lc, scale, None),
-        };
+    let lower: Vec<String> = ids.iter().map(|id| id.to_lowercase()).collect();
+    let done = Finished::perform(scale, &lower, jobs, None);
+    crate::parallel::parallel_map(jobs, ids.to_vec(), |i, id| {
+        let report = render(&lower[i], &done);
         (id, report)
     })
 }
 
-/// Runs every experiment at a scale, capturing the shared mix once and
-/// fanning the experiments over `jobs` threads.
+/// Runs every experiment at a scale on `jobs` threads.
 ///
 /// # Errors
 ///
@@ -989,6 +1139,27 @@ mod tests {
             any_gap,
             "complete trace should miss more somewhere: {rows:?}"
         );
+    }
+
+    #[test]
+    fn plan_performs_each_distinct_run_once() {
+        for (scale, distinct) in [(Scale::Full, 18), (Scale::Quick, 11)] {
+            let runs = plan(scale, &ALL_IDS);
+            assert_eq!(runs.len(), distinct, "{scale:?}: {runs:?}");
+            for (i, r) in runs.iter().enumerate() {
+                assert!(!runs[i + 1..].contains(r), "{scale:?}: {r:?} twice");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_ids_fail_with_their_own_error() {
+        match run_by_id("t9", Scale::Quick, None) {
+            Err(RunnerError::UnknownExperiment(id)) => assert_eq!(id, "t9"),
+            other => panic!("expected UnknownExperiment, got {other:?}"),
+        }
+        let out = run_selected(Scale::Quick, &["t9".to_string()], 1);
+        assert!(matches!(&out[0].1, Err(RunnerError::UnknownExperiment(id)) if id == "t9"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A small deterministic fork-join helper (no external dependencies).
 //!
-//! Experiment fan-out — per-workload captures, per-experiment report
-//! generation — is embarrassingly parallel, but the `experiments` binary
+//! Experiment fan-out — the distinct machine runs, then the reports —
+//! is embarrassingly parallel, but the `experiments` binary
 //! promises byte-identical output regardless of `--jobs`. The contract
 //! here makes that trivial: [`parallel_map`] returns results **in item
 //! order**, whatever order the worker threads finished in, and every
@@ -15,13 +15,15 @@ use atum_conc::thread;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 
-/// Global default thread count used by experiment internals (the
-/// per-workload capture fan inside T2, for example). 0 = not set; fall
-/// back to the host's available parallelism.
+/// Global default thread count for the machine runs of a single
+/// experiment (`experiments::run_by_id`, which the per-experiment
+/// `t1_…`/`t2_…`/`a1_…` functions call); `run_selected` takes its
+/// thread count as an argument instead. 0 = not set; fall back to the
+/// host's available parallelism.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the default thread count used where experiments fan out
-/// internally. 0 restores the host default.
+/// Sets the default thread count `run_by_id` performs its machine runs
+/// on. 0 restores the host default.
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);
 }

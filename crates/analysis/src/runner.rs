@@ -23,6 +23,8 @@ pub enum RunnerError {
         /// Actual console output.
         actual: String,
     },
+    /// The experiment id is not one of `experiments::ALL_IDS`.
+    UnknownExperiment(String),
 }
 
 impl fmt::Display for RunnerError {
@@ -37,6 +39,7 @@ impl fmt::Display for RunnerError {
                     "checksum mismatch: expected digits {expected}, got {actual}"
                 )
             }
+            RunnerError::UnknownExperiment(id) => write!(f, "unknown experiment id '{id}'"),
         }
     }
 }
@@ -181,6 +184,12 @@ mod tests {
         );
         assert!(cap.cycles > cycles, "tracing costs cycles");
         assert!(cap.trace.ref_count() > 0);
+    }
+
+    #[test]
+    fn unknown_experiment_names_the_id() {
+        let e = RunnerError::UnknownExperiment("t9".to_string());
+        assert_eq!(e.to_string(), "unknown experiment id 't9'");
     }
 
     #[test]

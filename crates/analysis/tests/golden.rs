@@ -13,7 +13,10 @@
 //! ```
 //!
 //! A second suite checks the `--jobs` contract: output must be identical
-//! at any thread count.
+//! at any thread count. A third checks that `run_by_id`, with or without
+//! a shared capture, renders what `run_selected` renders, and (in
+//! release builds) that every full-scale report is recorded verbatim in
+//! EXPERIMENTS.md.
 
 use atum_analysis::{experiments, Scale};
 
@@ -75,8 +78,7 @@ fn output_identical_across_engine_tiers() {
 
 /// `--jobs 1` and `--jobs 4` must print the same bytes: `parallel_map`
 /// returns results in input order and every job is deterministic. Also
-/// varies the global default used by internal fan-out (T2's
-/// per-workload captures).
+/// varies the global default that `run_by_id` performs its runs on.
 #[test]
 fn output_identical_across_job_counts() {
     let ids = ["t1", "t2", "f1"];
@@ -88,5 +90,62 @@ fn output_identical_across_job_counts() {
     assert!(
         serial == parallel,
         "experiment output depends on thread count\n--- jobs=1 ---\n{serial}\n--- jobs=4 ---\n{parallel}"
+    );
+}
+
+/// Every report, keyed by id, as `run_selected` renders it.
+fn selected(scale: Scale) -> Vec<(String, String)> {
+    let ids: Vec<String> = experiments::ALL_IDS.iter().map(|s| s.to_string()).collect();
+    experiments::run_selected(scale, &ids, 2)
+        .into_iter()
+        .map(|(id, r)| {
+            let report = r.unwrap_or_else(|e| panic!("{id} failed: {e}"));
+            (id, report.to_string())
+        })
+        .collect()
+}
+
+/// The paths the pipeline benchmark and the criterion `regen` bench
+/// take: `run_by_id` with the shared capture for every id, and without
+/// it for the ids that capture on their own.
+#[test]
+fn run_by_id_renders_what_run_selected_renders() {
+    let shared = experiments::capture_standard_mix(Scale::Quick).expect("capture");
+    for (id, want) in selected(Scale::Quick) {
+        let got = experiments::run_by_id(&id, Scale::Quick, Some(&shared))
+            .unwrap_or_else(|e| panic!("{id} with the shared capture failed: {e}"))
+            .to_string();
+        assert!(
+            got == want,
+            "{id} with the shared capture:\n{got}\n---\n{want}"
+        );
+        if ["t1", "t2", "a1", "f1"].contains(&id.as_str()) {
+            let alone = experiments::run_by_id(&id, Scale::Quick, None)
+                .unwrap_or_else(|e| panic!("{id} alone failed: {e}"))
+                .to_string();
+            assert!(alone == want, "{id} alone:\n{alone}\n---\n{want}");
+        }
+    }
+}
+
+/// The recorded tables must be what the code prints: every full-scale
+/// report appears verbatim in EXPERIMENTS.md.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs the full-scale evaluation; run with `cargo test --release`"
+)]
+fn experiments_md_records_every_full_report() {
+    let recorded = include_str!("../../../EXPERIMENTS.md");
+    let stale: Vec<String> = selected(Scale::Full)
+        .into_iter()
+        .filter(|(_, report)| !recorded.contains(report.as_str()))
+        .map(|(id, report)| format!("{id}:\n{report}"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md does not record these reports as printed; paste in \
+         `experiments full <id>`:\n{}",
+        stale.join("\n")
     );
 }

@@ -10,12 +10,14 @@
 //! ```
 //!
 //! `--csv` additionally emits each table as CSV after its report.
-//! `--jobs N` fans independent experiments (and their internal capture
-//! runs) over N threads; output is byte-identical for every N. The
-//! standard mix is captured once and shared across all experiments that
-//! analyse it.
+//! `--jobs N` sets the thread count of both steps of a run: first the
+//! distinct machine runs the selected experiments read, each performed
+//! once (the standard mix is captured once for every experiment that
+//! analyses it), then the reports. Output is byte-identical for every
+//! N. Every id is checked before anything runs: an unknown one exits
+//! nonzero, lists the valid ids and prints no report.
 
-use atum_analysis::{experiments, Report, Scale};
+use atum_analysis::{experiments, Report, RunnerError, Scale};
 use std::process::ExitCode;
 
 fn print_report(r: &Report, csv: bool) {
@@ -44,7 +46,6 @@ fn main() -> ExitCode {
         jobs = n;
         args.drain(pos..pos + 2);
     }
-    atum_analysis::set_jobs(jobs);
     let (scale, ids): (Scale, Vec<String>) = match args.split_first() {
         Some((first, rest)) if first == "quick" => (Scale::Quick, rest.to_vec()),
         Some((first, rest)) if first == "full" => (Scale::Full, rest.to_vec()),
@@ -52,16 +53,27 @@ fn main() -> ExitCode {
         None => (Scale::Full, Vec::new()),
     };
 
-    eprintln!(
-        "# ATUM reproduction — experiment harness ({:?} scale, {} jobs)",
-        scale, jobs
-    );
-
     let ids = if ids.is_empty() {
         experiments::ALL_IDS.iter().map(|s| s.to_string()).collect()
     } else {
         ids
     };
+    let unknown: Vec<&String> = ids
+        .iter()
+        .filter(|id| !experiments::ALL_IDS.contains(&id.to_lowercase().as_str()))
+        .collect();
+    if !unknown.is_empty() {
+        for id in unknown {
+            eprintln!("{}", RunnerError::UnknownExperiment(id.clone()));
+        }
+        eprintln!("valid ids: {}", experiments::ALL_IDS.join(" "));
+        return ExitCode::FAILURE;
+    }
+
+    eprintln!(
+        "# ATUM reproduction — experiment harness ({:?} scale, {} jobs)",
+        scale, jobs
+    );
     let mut ok = true;
     for (id, result) in experiments::run_selected(scale, &ids, jobs) {
         match result {

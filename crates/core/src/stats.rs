@@ -40,9 +40,16 @@ impl TraceStats {
         let mut s = TraceStats::default();
         let mut pages = HashSet::new();
         let mut data_pages = HashSet::new();
+        // The I-stream and the D-stream each stay on one page for long
+        // stretches, so a reference to the page its stream touched last
+        // is already in the sets and skips the hashing. No page number
+        // reaches `u32::MAX` (pages are 512 B), so it marks "none yet".
+        let (mut last_i, mut last_d) = (u32::MAX, u32::MAX);
+        let mut by_pid = [0u64; 256];
         for r in trace.iter() {
             s.records += 1;
-            match r.kind() {
+            let kind = r.kind();
+            match kind {
                 RecordKind::IFetch => s.ifetch += 1,
                 RecordKind::Read => s.reads += 1,
                 RecordKind::Write => s.writes += 1,
@@ -50,21 +57,29 @@ impl TraceStats {
                 RecordKind::Interrupt => s.interrupts += 1,
                 RecordKind::SegmentMark => {}
             }
-            if r.is_ref() {
+            if kind.is_ref() {
                 if r.is_kernel() {
                     s.kernel_refs += 1;
                 } else {
                     s.user_refs += 1;
                 }
-                pages.insert(r.page());
-                if r.kind().is_data() {
-                    data_pages.insert(r.page());
+                by_pid[r.pid() as usize] += 1;
+                let page = r.page();
+                if kind.is_data() {
+                    if page != last_d {
+                        last_d = page;
+                        pages.insert(page);
+                        data_pages.insert(page);
+                    }
+                } else if page != last_i {
+                    last_i = page;
+                    pages.insert(page);
                 }
-                *s.refs_by_pid.entry(r.pid()).or_insert(0) += 1;
             }
         }
         s.distinct_pages = pages.len() as u64;
         s.distinct_data_pages = data_pages.len() as u64;
+        s.refs_by_pid = (0..=u8::MAX).zip(by_pid).filter(|&(_, n)| n > 0).collect();
         s
     }
 
