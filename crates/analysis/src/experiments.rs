@@ -7,13 +7,13 @@
 //! then renders the reports. A run keeps only what its reports print,
 //! except the standard-mix capture, whose trace F1–F6 and E1–E4 walk.
 
-use crate::runner::{capture_mix, capture_mix_with_style, run_untraced, CapturedRun, RunnerError};
+use crate::runner::{capture_mix, capture_mix_stats, run_untraced, CapturedRun, RunnerError};
 use crate::table::{Report, Table};
 use crate::Scale;
 use atum_baselines::{ArchExit, ArchSim, TbitTracer};
 use atum_cache::{
-    simulate, simulate_many, simulate_many_stream, simulate_split, simulate_tlb,
-    simulate_tlb_stream, sweep_block, Cache, CacheConfig, SwitchPolicy, TlbConfig, WritePolicy,
+    simulate_many_stream, simulate_split, simulate_stream, simulate_tlb_stream, Cache, CacheConfig,
+    SwitchPolicy, TlbConfig, WritePolicy,
 };
 use atum_core::{PatchStyle, RecordKind, Trace, TraceStats};
 use atum_workloads::Workload;
@@ -159,23 +159,24 @@ impl Run {
     }
 
     fn perform(self, scale: Scale) -> Result<Kept, RunnerError> {
-        let stats = |run: CapturedRun| Kept::Stats(run.trace.stats(), run.drains);
+        // Only the standard mix keeps its trace; every other traced run
+        // counts its drained samples and never builds one.
+        let stats = |workloads: &[Workload], q| {
+            capture_mix_stats(workloads, q, BUDGET, PatchStyle::Scratch)
+                .map(|(stats, _, drains)| Kept::Stats(stats, drains))
+        };
         let probe = [t1_workload(scale)];
         Ok(match self {
             Run::Mix(q) if q == quantum(scale) => Kept::Trace(capture_standard_mix(scale)?),
-            Run::Mix(q) => stats(capture_mix(&mix(scale), q, BUDGET)?),
-            Run::Solo(i) => stats(capture_mix(
-                &t2_suite(scale)[i..=i],
-                quantum(scale),
-                BUDGET,
-            )?),
+            Run::Mix(q) => stats(&mix(scale), q)?,
+            Run::Solo(i) => stats(&t2_suite(scale)[i..=i], quantum(scale))?,
             Run::Probe(None) => {
                 let (cycles, _, counts) = run_untraced(&probe, MEASURE_QUANTUM, BUDGET)?;
                 Kept::Probe(cycles, counts.total_refs())
             }
             Run::Probe(Some(style)) => {
-                let run = capture_mix_with_style(&probe, MEASURE_QUANTUM, BUDGET, style)?;
-                Kept::Probe(run.cycles, run.trace.ref_count() as u64)
+                let (stats, cycles, _) = capture_mix_stats(&probe, MEASURE_QUANTUM, BUDGET, style)?;
+                Kept::Probe(cycles, stats.total_refs())
             }
             Run::Tbit => {
                 let tbit = TbitTracer::default()
@@ -470,7 +471,8 @@ pub fn f1_os_vs_user(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
     let cfgs: Vec<CacheConfig> = sizes.iter().map(|&s| base.with_size(s)).collect();
     // One pass per trace evaluates the whole size sweep; the user-only
     // pass streams through a filtered view instead of copying the trace.
-    let full = simulate_many(&run.trace, &cfgs);
+    let full =
+        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail");
     let uo = simulate_many_stream(&mut run.trace.user_source(), &cfgs)
         .expect("in-memory source cannot fail");
 
@@ -521,7 +523,8 @@ pub fn f2_switch_policy(scale: Scale, run: &CapturedRun) -> Result<Report, Runne
     }
     // One traversal: the engine groups the sweep by switch policy into
     // three shared stacks.
-    let stats = simulate_many(&run.trace, &cfgs);
+    let stats =
+        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail");
 
     let mut t = Table::new(["size", "flush miss%", "pid-tag miss%", "naive miss%"]);
     for (i, &size) in sizes.iter().enumerate() {
@@ -564,14 +567,17 @@ pub fn f3_block_size(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         .switch_policy(SwitchPolicy::PidTag)
         .build()
         .expect("config");
-    let base64 = base8.with_size(64 << 10);
-    let r8 = sweep_block(&run.trace, &base8, &blocks);
-    let r64 = sweep_block(&run.trace, &base64, &blocks);
+    // One pass per cache size; every block size is its own group, so
+    // each replays directly.
+    let [r8, r64] = [base8, base8.with_size(64 << 10)].map(|base| {
+        let cfgs: Vec<CacheConfig> = blocks.iter().map(|&b| base.with_block(b)).collect();
+        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail")
+    });
     for (i, &b) in blocks.iter().enumerate() {
         t.row([
             format!("{b}B"),
-            pct(r8[i].1.miss_rate()),
-            pct(r64[i].1.miss_rate()),
+            pct(r8[i].miss_rate()),
+            pct(r64[i].miss_rate()),
         ]);
     }
     let mut r = Report::new("F3", "miss rate vs block size");
@@ -612,7 +618,8 @@ pub fn f4_associativity(scale: Scale, run: &CapturedRun) -> Result<Report, Runne
             );
         }
     }
-    let stats = simulate_many(&run.trace, &cfgs);
+    let stats =
+        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail");
     for (i, &w) in ways.iter().enumerate() {
         t.row([
             format!("{w}"),
@@ -653,8 +660,16 @@ pub fn f5_tlb(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerError> {
         "user-only tagged miss%",
     ]);
     for &e in &entries {
-        let flush = simulate_tlb(&run.trace, &TlbConfig::new(e, 2, SwitchPolicy::Flush));
-        let tag = simulate_tlb(&run.trace, &TlbConfig::new(e, 2, SwitchPolicy::PidTag));
+        let flush = simulate_tlb_stream(
+            &mut run.trace.source(),
+            &TlbConfig::new(e, 2, SwitchPolicy::Flush),
+        )
+        .expect("in-memory source cannot fail");
+        let tag = simulate_tlb_stream(
+            &mut run.trace.source(),
+            &TlbConfig::new(e, 2, SwitchPolicy::PidTag),
+        )
+        .expect("in-memory source cannot fail");
         // The user-only view streams straight off the complete trace —
         // no per-entry copy.
         let ut = simulate_tlb_stream(
@@ -713,7 +728,8 @@ pub fn f6_organisation(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
                 .expect("config")
         })
         .collect();
-    let unified_stats = simulate_many(&run.trace, &unified_cfgs);
+    let unified_stats = simulate_many_stream(&mut run.trace.source(), &unified_cfgs)
+        .expect("in-memory source cannot fail");
     for (i, &b) in budgets.iter().enumerate() {
         let half = unified_cfgs[i].with_size(b / 2);
         let sp = simulate_split(&run.trace, &half, &half);
@@ -749,7 +765,8 @@ pub fn f6_organisation(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
         .expect("config");
     // Write-through takes the grouped-replay fallback; write-back rides
     // the stack engine — still one trace traversal for both.
-    let wstats = simulate_many(&run.trace, &[wb, wt]);
+    let wstats = simulate_many_stream(&mut run.trace.source(), &[wb, wt])
+        .expect("in-memory source cannot fail");
     let (swb, swt) = (wstats[0], wstats[1]);
     let mut wtab = Table::new(["policy", "miss%", "memory write traffic (events)"]);
     wtab.row([
@@ -780,14 +797,12 @@ pub fn f6_organisation(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
 /// Simulates the trace in discontiguous samples: every other window of
 /// `sample` references is kept, and the cache starts cold per window.
 fn sampled_miss_rate(trace: &Trace, cfg: &CacheConfig, sample: usize) -> f64 {
-    let refs: Vec<_> = trace.refs().collect();
+    let mut refs = trace.refs().peekable();
     let mut accesses = 0u64;
     let mut misses = 0u64;
-    let mut i = 0usize;
-    while i < refs.len() {
-        let end = (i + sample).min(refs.len());
+    while refs.peek().is_some() {
         let mut cache = Cache::new(*cfg);
-        for r in &refs[i..end] {
+        for r in refs.by_ref().take(sample) {
             let kind = match r.kind() {
                 RecordKind::IFetch => atum_cache::AccessKind::IFetch,
                 RecordKind::Write => atum_cache::AccessKind::Write,
@@ -797,7 +812,7 @@ fn sampled_miss_rate(trace: &Trace, cfg: &CacheConfig, sample: usize) -> f64 {
         }
         accesses += cache.stats().accesses;
         misses += cache.stats().misses;
-        i = end + sample; // skip a window: the samples are discontiguous
+        refs.by_ref().take(sample).for_each(drop); // skip a window: the samples are discontiguous
     }
     if accesses == 0 {
         0.0
@@ -824,7 +839,9 @@ pub fn e1_cold_start(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         .switch_policy(SwitchPolicy::PidTag)
         .build()
         .expect("config");
-    let continuous = simulate(&run.trace, &cfg).miss_rate();
+    let continuous = simulate_stream(&mut run.trace.source(), &cfg)
+        .expect("in-memory source cannot fail")
+        .miss_rate();
 
     let mut t = Table::new([
         "sample refs",

@@ -26,9 +26,7 @@ pub mod working_set;
 pub use parallel::{parallel_map, set_jobs};
 pub use runner::{capture_mix, run_untraced, CapturedRun, RunnerError};
 pub use table::{Report, Table};
-pub use working_set::{
-    working_set, working_set_curve, working_set_curve_stream, working_set_stream, WorkingSet,
-};
+pub use working_set::{working_set_curve_stream, working_set_stream, WorkingSet};
 
 /// Experiment scale: `Quick` for tests/smoke, `Full` for the recorded
 /// evaluation numbers.

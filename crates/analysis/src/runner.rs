@@ -1,7 +1,7 @@
 //! Capture helpers: boot a workload set under MOSS, run with or without
 //! the tracer attached, collect results.
 
-use atum_core::{CaptureSession, Trace, Tracer};
+use atum_core::{CaptureSession, Trace, TraceStats, Tracer, TracerError};
 use atum_machine::{Machine, RefCounts, RunExit};
 use atum_os::BootImage;
 use atum_workloads::Workload;
@@ -137,22 +137,9 @@ pub fn capture_mix_with_style(
     budget: u64,
     style: atum_core::PatchStyle,
 ) -> Result<CapturedRun, RunnerError> {
-    let image = build(workloads, quantum)?;
-    let mut m = Machine::new(image.memory_layout());
-    image
-        .load_into(&mut m)
-        .map_err(|e| RunnerError::Boot(e.to_string()))?;
-    let tracer =
-        Tracer::attach_with_style(&mut m, style).map_err(|e| RunnerError::Tracer(e.to_string()))?;
-    tracer.set_pid(&mut m, 0); // boot/kernel before the first dispatch
-    let capture = CaptureSession::new(&tracer, budget)
-        .run(&mut m)
-        .map_err(|e| RunnerError::Tracer(e.to_string()))?;
-    if capture.exit != RunExit::Halted {
-        return Err(RunnerError::NoHalt(capture.exit));
-    }
-    let console = String::from_utf8_lossy(&m.take_console_output()).to_string();
-    verify_checksums(workloads, &console)?;
+    let (capture, m, console) = traced(workloads, quantum, budget, style, |session, m| {
+        session.run(m).map(|c| (c.exit, c))
+    })?;
     Ok(CapturedRun {
         trace: capture.trace,
         cycles: m.cycles(),
@@ -161,6 +148,53 @@ pub fn capture_mix_with_style(
         counts: *m.counts(),
         drains: capture.drains,
     })
+}
+
+/// As [`capture_mix_with_style`], but the trace is never built: returns
+/// its statistics, the microcycles elapsed and the drain count. For runs
+/// that read nothing else of the trace, at O(hidden buffer) memory.
+///
+/// # Errors
+///
+/// Any [`RunnerError`]; checksums are verified.
+pub fn capture_mix_stats(
+    workloads: &[Workload],
+    quantum: u32,
+    budget: u64,
+    style: atum_core::PatchStyle,
+) -> Result<(TraceStats, u64, u32), RunnerError> {
+    let (capture, m, _) = traced(workloads, quantum, budget, style, |session, m| {
+        session.run_stats(m).map(|c| (c.exit, c))
+    })?;
+    Ok((capture.stats, m.cycles(), capture.drains))
+}
+
+/// Boots a mix with the tracer attached, runs `capture` over it,
+/// requires a halt and verifies the checksums; returns the capture, the
+/// machine and its console output.
+fn traced<C>(
+    workloads: &[Workload],
+    quantum: u32,
+    budget: u64,
+    style: atum_core::PatchStyle,
+    capture: impl FnOnce(&CaptureSession<'_>, &mut Machine) -> Result<(RunExit, C), TracerError>,
+) -> Result<(C, Machine, String), RunnerError> {
+    let image = build(workloads, quantum)?;
+    let mut m = Machine::new(image.memory_layout());
+    image
+        .load_into(&mut m)
+        .map_err(|e| RunnerError::Boot(e.to_string()))?;
+    let tracer =
+        Tracer::attach_with_style(&mut m, style).map_err(|e| RunnerError::Tracer(e.to_string()))?;
+    tracer.set_pid(&mut m, 0); // boot/kernel before the first dispatch
+    let (exit, c) = capture(&CaptureSession::new(&tracer, budget), &mut m)
+        .map_err(|e| RunnerError::Tracer(e.to_string()))?;
+    if exit != RunExit::Halted {
+        return Err(RunnerError::NoHalt(exit));
+    }
+    let console = String::from_utf8_lossy(&m.take_console_output()).to_string();
+    verify_checksums(workloads, &console)?;
+    Ok((c, m, console))
 }
 
 #[cfg(test)]

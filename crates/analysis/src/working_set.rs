@@ -6,7 +6,7 @@
 //! traces show both the OS's own footprint and the *compounding* of
 //! per-process footprints across context switches.
 
-use atum_core::{Trace, TraceRecord, TraceSource, TraceStreamError};
+use atum_core::{TraceRecord, TraceSource, TraceStreamError};
 use std::collections::HashSet;
 
 /// The working-set measurement for one window size.
@@ -90,20 +90,10 @@ impl WsState {
     }
 }
 
-/// Computes the working set of `trace` at one window size. Pages are
-/// distinguished per process id (two processes touching the same VA are
-/// two pages of demand).
-pub fn working_set(trace: &Trace, window: usize) -> WorkingSet {
-    let mut state = WsState::new(window);
-    for r in trace.iter() {
-        state.step(r);
-    }
-    state.finish()
-}
-
-/// The out-of-core form of [`working_set`]: one pass over any
-/// [`TraceSource`], identical results to the in-memory form over the
-/// same records.
+/// Computes the working set of `source` at one window size, in one
+/// pass. Pages are distinguished per process id (two processes touching
+/// the same VA are two pages of demand). An in-memory trace passes
+/// [`Trace::source`](atum_core::Trace::source).
 ///
 /// # Errors
 ///
@@ -121,15 +111,9 @@ pub fn working_set_stream<S: TraceSource>(
     Ok(state.finish())
 }
 
-/// Computes the working-set curve across several window sizes.
-pub fn working_set_curve(trace: &Trace, windows: &[usize]) -> Vec<WorkingSet> {
-    windows.iter().map(|&w| working_set(trace, w)).collect()
-}
-
-/// The out-of-core form of [`working_set_curve`]: every window size is
-/// measured in a **single pass** over the source (window states are
-/// independent, so one traversal feeds them all) — crucial for file
-/// sources, where the in-memory form would re-read the file per window.
+/// Computes the working-set curve across several window sizes, each as
+/// [`working_set_stream`] would, in a **single pass** over the source
+/// (window states are independent, so one traversal feeds them all).
 ///
 /// # Errors
 ///
@@ -152,7 +136,7 @@ pub fn working_set_curve_stream<S: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atum_core::{RecordKind, TraceRecord};
+    use atum_core::{RecordKind, Trace, TraceRecord};
 
     fn trace_of(pages: &[(u8, u32)]) -> Trace {
         pages
@@ -164,7 +148,7 @@ mod tests {
     #[test]
     fn single_page_working_set_is_one() {
         let t = trace_of(&[(1, 5); 100]);
-        let ws = working_set(&t, 10);
+        let ws = working_set_stream(&mut t.source(), 10).unwrap();
         assert_eq!(ws.mean_pages, 1.0);
         assert_eq!(ws.max_pages, 1);
         assert_eq!(ws.windows, 10);
@@ -173,7 +157,7 @@ mod tests {
     #[test]
     fn distinct_pages_counted() {
         let t = trace_of(&[(1, 0), (1, 1), (1, 2), (1, 3)]);
-        let ws = working_set(&t, 4);
+        let ws = working_set_stream(&mut t.source(), 4).unwrap();
         assert_eq!(ws.mean_pages, 4.0);
     }
 
@@ -181,7 +165,7 @@ mod tests {
     fn pids_separate_demand() {
         // Same VA from two pids is two pages of demand.
         let t = trace_of(&[(1, 7), (2, 7), (1, 7), (2, 7)]);
-        let ws = working_set(&t, 4);
+        let ws = working_set_stream(&mut t.source(), 4).unwrap();
         assert_eq!(ws.mean_pages, 2.0);
     }
 
@@ -189,7 +173,7 @@ mod tests {
     fn curve_is_monotone_in_window() {
         let pages: Vec<(u8, u32)> = (0..4096u32).map(|i| (1, i % 37)).collect();
         let t = trace_of(&pages);
-        let curve = working_set_curve(&t, &[8, 64, 512]);
+        let curve = working_set_curve_stream(&mut t.source(), &[8, 64, 512]).unwrap();
         assert!(curve[0].mean_pages <= curve[1].mean_pages);
         assert!(curve[1].mean_pages <= curve[2].mean_pages);
         assert!(curve[2].mean_pages <= 37.0);
@@ -222,18 +206,20 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(working_set_curve(&t, &windows), want);
         assert_eq!(
             working_set_curve_stream(&mut t.source(), &windows).unwrap(),
             want
         );
+        for (w, ws) in windows.iter().zip(&want) {
+            assert_eq!(working_set_stream(&mut t.source(), *w).unwrap(), *ws);
+        }
     }
 
     #[test]
     fn markers_do_not_count() {
         let mut t = trace_of(&[(1, 0), (1, 1)]);
         t.push(TraceRecord::new(RecordKind::CtxSwitch, 0x9000, 0, 2, true));
-        let ws = working_set(&t, 2);
+        let ws = working_set_stream(&mut t.source(), 2).unwrap();
         assert_eq!(ws.windows, 1);
         assert_eq!(ws.mean_pages, 2.0);
     }
@@ -241,21 +227,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
-        working_set(&Trace::new(), 0);
-    }
-
-    #[test]
-    fn streamed_forms_match_in_memory() {
-        let pages: Vec<(u8, u32)> = (0..4096u32).map(|i| ((1 + i % 2) as u8, i % 53)).collect();
-        let t = trace_of(&pages);
-        let windows = [8usize, 64, 512];
-        assert_eq!(
-            working_set_stream(&mut t.source(), 64).unwrap(),
-            working_set(&t, 64)
-        );
-        assert_eq!(
-            working_set_curve_stream(&mut t.source(), &windows).unwrap(),
-            working_set_curve(&t, &windows)
-        );
+        working_set_stream(&mut Trace::new().source(), 0).unwrap();
     }
 }

@@ -108,6 +108,8 @@ impl TbitTracer {
             other => return Err(TbitError::Run(other)),
         }
         let base_cycles = m.cycles();
+        // Free the reference machine before the traced one is built.
+        drop(m);
 
         // Traced run: LogPc kernel, T bit set in every process PSL.
         let traced = BootImage::builder()

@@ -1,13 +1,13 @@
-//! Analysis-rate benchmark: the Fenwick recency-index sweep engine
-//! against the legacy linked-list walk.
+//! Analysis-rate benchmark: the single-pass stack engine
+//! (`simulate_many_stream`) against per-configuration replay
+//! (`simulate_stream` once per configuration, the cache oracle).
 //!
 //! Captures the standard mix, replicates it to a few million records,
 //! then runs three sweep families — the F1-style direct-mapped size
-//! sweep, an associativity mix, and a purge-on-switch family — two ways
-//! each: the legacy walk (`oracle` feature) and the Fenwick engine. Both
-//! result sets must be identical per family, and the new engine's rate
-//! on the F1 family must be at least [`MIN_GAIN`]× the old walk (the CI
-//! floor gate). Rates are recorded machine-readably in
+//! sweep, an associativity mix, and a purge-on-switch family — both
+//! ways. The result sets must be identical per family, and the stack
+//! engine's rate on the F1 family must be at least [`MIN_GAIN`]× replay
+//! (the CI floor gate). Rates are recorded machine-readably in
 //! `BENCH_analysis.json` at the workspace root.
 //!
 //! ```text
@@ -15,21 +15,20 @@
 //! ```
 
 use atum_analysis::{experiments, Scale};
-use atum_cache::{simulate_many, simulate_many_oracle, CacheConfig, SwitchPolicy};
+use atum_cache::{simulate_many_stream, simulate_stream, CacheConfig, CacheStats, SwitchPolicy};
 use atum_core::{RecordKind, Trace};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// The raw-record budget the replicated trace must exceed — big enough
-/// that the legacy walk's per-access pointer chase dominates its
-/// constant costs.
+/// that per-reference work dominates each pass's constant costs.
 const RECORD_BUDGET: u64 = 4 << 20;
 
 /// Best-of timing rounds per variant (interleaved so host drift cancels
 /// in the ratios).
 const ROUNDS: usize = 3;
 
-/// CI floor: the new engine's rate over the F1 family must beat the old
-/// walk by at least this factor.
+/// CI floor: the stack engine's rate over the F1 family must beat
+/// per-configuration replay by at least this factor.
 const MIN_GAIN: f64 = 2.0;
 
 /// Re-stitches one copy of `src` onto `big`, keeping per-drain segment
@@ -110,6 +109,18 @@ fn families() -> Vec<Family> {
     ]
 }
 
+/// One pass answering every configuration.
+fn stack_engine(trace: &Trace, cfgs: &[CacheConfig]) -> Vec<CacheStats> {
+    simulate_many_stream(&mut trace.source(), cfgs).expect("in-memory source cannot fail")
+}
+
+/// One replay pass per configuration.
+fn replay(trace: &Trace, cfgs: &[CacheConfig]) -> Vec<CacheStats> {
+    cfgs.iter()
+        .map(|c| simulate_stream(&mut trace.source(), c).expect("in-memory source cannot fail"))
+        .collect()
+}
+
 fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::MAX;
     let mut last = None;
@@ -139,33 +150,32 @@ fn analysis(_c: &mut Criterion) {
     let mut rows = String::new();
     let mut f1_gain = 0.0f64;
     for fam in families() {
-        // Correctness first: both engines must agree exactly.
-        let want = simulate_many(&big, &fam.cfgs);
+        // Correctness first: the stack engine must match replay exactly.
         assert_eq!(
-            want,
-            simulate_many_oracle(&big, &fam.cfgs),
-            "{}: Fenwick engine diverged from the legacy walk",
+            stack_engine(&big, &fam.cfgs),
+            replay(&big, &fam.cfgs),
+            "{}: stack engine diverged from per-config replay",
             fam.name
         );
 
         // Timing: interleave the variants inside each round.
-        let mut t_old = f64::MAX;
+        let mut t_replay = f64::MAX;
         let mut t_fen = f64::MAX;
         for _ in 0..ROUNDS {
-            let (t, _) = best_of(1, || simulate_many_oracle(&big, &fam.cfgs));
-            t_old = t_old.min(t);
-            let (t, _) = best_of(1, || simulate_many(&big, &fam.cfgs));
+            let (t, _) = best_of(1, || replay(&big, &fam.cfgs));
+            t_replay = t_replay.min(t);
+            let (t, _) = best_of(1, || stack_engine(&big, &fam.cfgs));
             t_fen = t_fen.min(t);
         }
-        let old_rate = refs / t_old;
+        let replay_rate = refs / t_replay;
         let fen_rate = refs / t_fen;
-        let gain = t_old / t_fen;
+        let gain = t_replay / t_fen;
         if fam.name == "f1_size_sweep" {
             f1_gain = gain;
         }
         println!(
-            "bench analysis[{}]: {} configs  old-walk {old_rate:.3e} refs/s  \
-             fenwick {fen_rate:.3e} refs/s  ({gain:.2}x over old walk)",
+            "bench analysis[{}]: {} configs  replay {replay_rate:.3e} refs/s  \
+             fenwick {fen_rate:.3e} refs/s  ({gain:.2}x over replay)",
             fam.name,
             fam.cfgs.len(),
         );
@@ -174,9 +184,9 @@ fn analysis(_c: &mut Criterion) {
         }
         rows.push_str(&format!(
             "    {{\n      \"family\": \"{}\",\n      \"configs\": {},\n      \
-             \"old_walk_refs_per_sec\": {old_rate:.1},\n      \
+             \"replay_refs_per_sec\": {replay_rate:.1},\n      \
              \"fenwick_refs_per_sec\": {fen_rate:.1},\n      \
-             \"gain_over_old_walk\": {gain:.3},\n      \
+             \"gain_over_replay\": {gain:.3},\n      \
              \"results_identical\": true\n    }}",
             fam.name,
             fam.cfgs.len(),
@@ -185,7 +195,7 @@ fn analysis(_c: &mut Criterion) {
 
     assert!(
         f1_gain >= MIN_GAIN,
-        "F1 sweep family must run at least {MIN_GAIN}x the legacy walk, got {f1_gain:.2}x"
+        "F1 sweep family must run at least {MIN_GAIN}x per-config replay, got {f1_gain:.2}x"
     );
 
     let json = format!(
@@ -193,7 +203,7 @@ fn analysis(_c: &mut Criterion) {
          \"unit\": \"memory references per second\",\n  \
          \"records\": {},\n  \"refs\": {},\n  \
          \"min_gain_floor\": {MIN_GAIN},\n  \
-         \"f1_gain_over_old_walk\": {f1_gain:.3},\n  \
+         \"f1_gain_over_replay\": {f1_gain:.3},\n  \
          \"families\": [\n{rows}\n  ]\n}}\n",
         big.len(),
         big.ref_count(),

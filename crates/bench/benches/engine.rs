@@ -153,50 +153,10 @@ fn cache_throughput(c: &mut Criterion) {
             .assoc(ways)
             .build()
             .unwrap();
-        g.bench_function(name, |b| b.iter(|| atum_cache::simulate(&trace, &cfg)));
+        g.bench_function(name, |b| {
+            b.iter(|| atum_cache::simulate_stream(&mut trace.source(), &cfg).unwrap())
+        });
     }
-    g.finish();
-}
-
-fn cache_multi_throughput(c: &mut Criterion) {
-    // The paper's sweeps ask the same question of many configurations at
-    // once. Compare N independent `simulate` passes against one
-    // `simulate_many` pass over the same N configurations (a size sweep,
-    // all LRU write-back, so the stack engine takes them in one walk).
-    let img = bench_program();
-    let mut m = loaded_machine(&img);
-    let tracer = Tracer::attach(&mut m).unwrap();
-    tracer.set_enabled(&mut m, true);
-    m.run(u64::MAX);
-    let trace = tracer.extract(&m).unwrap();
-    let refs = trace.ref_count() as u64;
-
-    let mut cfgs: Vec<atum_cache::CacheConfig> = Vec::new();
-    for kb in [1u32, 2, 4, 8, 16, 32, 64] {
-        for ways in [1u32, 2, 4, 8] {
-            cfgs.push(
-                atum_cache::CacheConfig::builder()
-                    .size(kb << 10)
-                    .block(16)
-                    .assoc(ways)
-                    .build()
-                    .unwrap(),
-            );
-        }
-    }
-
-    let mut g = c.benchmark_group("cache_multi");
-    g.throughput(Throughput::Elements(refs * cfgs.len() as u64));
-    g.bench_function("replay_per_config", |b| {
-        b.iter(|| {
-            cfgs.iter()
-                .map(|cfg| atum_cache::simulate(&trace, cfg))
-                .collect::<Vec<_>>()
-        })
-    });
-    g.bench_function("single_pass", |b| {
-        b.iter(|| atum_cache::simulate_many(&trace, &cfgs))
-    });
     g.finish();
 }
 
@@ -250,6 +210,6 @@ fn build_costs(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = engine_throughput, capture_rates, cache_throughput, cache_multi_throughput, archsim_throughput, build_costs
+    targets = engine_throughput, capture_rates, cache_throughput, archsim_throughput, build_costs
 }
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Out-of-core trace streaming benchmark: captures the standard mix,
 //! replicates it onto disk past a 16 MiB in-memory budget, then runs the
-//! same stackable cache sweep two ways — in-memory `simulate_many` and
-//! streamed from the segment file. The two result sets must be
-//! identical, and the streamed sweep must run within
+//! same stackable cache sweep (`simulate_many_stream`) over two sources:
+//! the in-memory trace (`Trace::source`) and the segment file. The two
+//! result sets must be identical, and the streamed sweep must run within
 //! [`MAX_STREAMED_SLOWDOWN`]× of the in-memory one. The timings and the
 //! file's compression ratio are recorded machine-readably in
 //! `BENCH_trace.json` at the workspace root.
@@ -12,7 +12,7 @@
 //! ```
 
 use atum_analysis::{experiments, Scale};
-use atum_cache::{simulate_many, simulate_many_stream, CacheConfig};
+use atum_cache::{simulate_many_stream, CacheConfig};
 use atum_core::{RecordKind, SegmentFileSource, SegmentWriter, Trace};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -110,7 +110,7 @@ fn trace_stream(_c: &mut Criterion) {
     let cfgs = sweep_configs();
 
     // Correctness first: both paths must produce identical stats.
-    let baseline = simulate_many(&big, &cfgs);
+    let baseline = simulate_many_stream(&mut big.source(), &cfgs).expect("in-memory source");
     let seq = simulate_many_stream(&mut SegmentFileSource::new(path), &cfgs).expect("stream");
     assert_eq!(baseline, seq, "streamed sweep diverged");
 
@@ -118,7 +118,9 @@ fn trace_stream(_c: &mut Criterion) {
     let mut t_mem = f64::MAX;
     let mut t_seq = f64::MAX;
     for _ in 0..ROUNDS {
-        let (t, _) = best_of(1, || simulate_many(&big, &cfgs));
+        let (t, _) = best_of(1, || {
+            simulate_many_stream(&mut big.source(), &cfgs).expect("in-memory source")
+        });
         t_mem = t_mem.min(t);
         let (t, _) = best_of(1, || {
             simulate_many_stream(&mut SegmentFileSource::new(path), &cfgs).expect("stream")

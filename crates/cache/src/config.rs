@@ -248,7 +248,12 @@ impl CacheConfigBuilder {
                 self.assoc
             )));
         }
-        if self.block * self.assoc > self.size {
+        // Checked: 2^16 ways of 2^16 B blocks would wrap to 0 and pass.
+        if self
+            .block
+            .checked_mul(self.assoc)
+            .is_none_or(|ways_bytes| ways_bytes > self.size)
+        {
             return Err(ConfigError(format!(
                 "{} ways of {} B blocks exceed {} B",
                 self.assoc, self.block, self.size
@@ -294,6 +299,14 @@ mod tests {
             .size(64)
             .block(32)
             .assoc(4)
+            .build()
+            .is_err());
+        // `block * assoc` overflows u32 here; it must be an error, not
+        // a panic (debug) or a wrapped product of 0 (release).
+        assert!(CacheConfig::builder()
+            .size(1 << 16)
+            .block(1 << 16)
+            .assoc(1 << 16)
             .build()
             .is_err());
     }

@@ -3,9 +3,10 @@
 //! The analysis instrument of the reproduction: ATUM's contribution was
 //! the *traces*; their value was demonstrated by feeding them to memory-
 //! system simulators like these. This crate provides a set-associative
-//! cache model and a TLB model, both driven directly by
-//! [`atum_core::Trace`] records, with the context-switch policies the
-//! paper's multiprogramming studies turn on:
+//! cache model and a TLB model, both driven by any
+//! [`atum_core::TraceSource`] (an in-memory [`atum_core::Trace`] through
+//! its `source()`, or an on-disk segment file), with the context-switch
+//! policies the paper's multiprogramming studies turn on:
 //!
 //! * [`SwitchPolicy::Ignore`] — pretend a single address space (what
 //!   naive one-process trace studies implicitly did);
@@ -17,7 +18,7 @@
 //! ## Example
 //!
 //! ```
-//! use atum_cache::{CacheConfig, simulate};
+//! use atum_cache::{CacheConfig, simulate_stream};
 //! use atum_core::{RecordKind, Trace, TraceRecord};
 //!
 //! let mut trace = Trace::new();
@@ -25,7 +26,7 @@
 //!     trace.push(TraceRecord::new(RecordKind::Read, i * 4, 4, 1, false));
 //! }
 //! let cfg = CacheConfig::builder().size(1024).block(16).assoc(2).build().unwrap();
-//! let stats = simulate(&trace, &cfg);
+//! let stats = simulate_stream(&mut trace.source(), &cfg).unwrap();
 //! // 64 sequential reads over 16-byte blocks: one miss per block.
 //! assert_eq!(stats.accesses, 64);
 //! assert_eq!(stats.misses, 16);
@@ -45,14 +46,9 @@ mod tlb;
 pub use config::{
     CacheConfig, CacheConfigBuilder, ConfigError, Replacement, SwitchPolicy, WritePolicy,
 };
-#[cfg(feature = "oracle")]
-pub use multi::simulate_many_oracle;
-pub use multi::{simulate_many, simulate_many_stream, stackable, MultiSim};
+pub use multi::{simulate_many_stream, stackable};
 pub use set_assoc::{AccessKind, Cache};
-pub use sim::{
-    simulate, simulate_stream, simulate_tlb, simulate_tlb_stream, sweep_assoc, sweep_block,
-    sweep_size,
-};
+pub use sim::{simulate_stream, simulate_tlb_stream};
 pub use split::{simulate_split, SplitStats};
 pub use stats::CacheStats;
 pub use tlb::{TlbConfig, TlbSim};

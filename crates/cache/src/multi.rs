@@ -26,9 +26,8 @@
 //!   set-relative stack distance exactly `i` — and a block that fell
 //!   off the end has distance `≥ A_max`, which already misses in every
 //!   configuration at the level. Distances the sweep can never act on
-//!   are never computed: this is the early-exit economics of the old
-//!   walk, made O(A_max) flat-array work per level instead of an
-//!   unbounded pointer chase.
+//!   are never computed, so a level costs O(A_max) flat-array work
+//!   instead of an unbounded walk down the full recency stack.
 //! * **Fenwick (binary indexed) trees over access time** (high
 //!   associativity): every resident block carries the global time of
 //!   its last touch, and each set keeps a Fenwick tree over its
@@ -44,8 +43,7 @@
 //! configuration) needs no distance queries at all on either
 //! representation. Block residency, first-touch history and dirty
 //! bitmasks live in one flat open-addressing table keyed by
-//! `(pid_tag, blockno)` — one multiplicative-hash probe per access
-//! where the old engine paid two SipHash container lookups.
+//! `(pid_tag, blockno)` — one multiplicative-hash probe per access.
 //!
 //! Most references repeat the block just touched, and those skip the
 //! index entirely: a block in the MRU slot of its set at the coarsest
@@ -74,15 +72,6 @@
 //! invisible. Dirty state is a per-entry bitmask over the group's
 //! configurations.
 //!
-//! The historical linked-list walk survives behind
-//! `#[cfg(any(test, feature = "oracle"))]` as [`mod@oracle`]: the
-//! property suites drive both engines over randomized traces (flushes
-//! and PID tags included) and demand field-for-field identical
-//! [`CacheStats`], pinning the invariants — hit iff set-relative
-//! distance < ways, lazy write-back settlement at re-touch/purge/end,
-//! purge invalidation = resident lines within ways, first-touch history
-//! preserved across purges.
-//!
 //! Inclusion requires that every access reorder the recency order the
 //! same way in every configuration. That holds for LRU with
 //! write-allocate; it fails for FIFO and random replacement (no stack
@@ -93,13 +82,17 @@
 //! traversal.
 //!
 //! The produced [`CacheStats`] are field-for-field identical to running
-//! [`crate::sim::simulate`] per configuration (the property suite in
-//! `tests/multi_equiv.rs` pins this down).
+//! [`crate::sim::simulate_stream`] per configuration, the one cache
+//! oracle. The property suite in `tests/multi_equiv.rs` drives both
+//! over randomized traces (flushes and PID tags included), pinning the
+//! invariants: hit iff set-relative distance < ways, lazy write-back
+//! settlement at re-touch/purge/end, purge invalidation = resident
+//! lines within ways, first-touch history preserved across purges.
 
 use crate::config::{CacheConfig, Replacement, SwitchPolicy, WritePolicy};
 use crate::set_assoc::{AccessKind, Cache};
 use crate::stats::CacheStats;
-use atum_core::{RecordKind, Trace, TraceRecord, TraceSource, TraceStreamError};
+use atum_core::{RecordKind, TraceRecord, TraceSource, TraceStreamError};
 use std::collections::HashMap;
 
 /// Whether a configuration can join a shared-stack group (LRU +
@@ -254,7 +247,7 @@ struct GroupCfg {
     /// Index into the group's `levels` (the config's set count).
     level: usize,
     assoc: u32,
-    /// Index into `simulate_many`'s input slice.
+    /// Index into `simulate_many_stream`'s input slice.
     orig: usize,
     bit: u64,
 }
@@ -770,325 +763,6 @@ impl StackGroup {
     }
 }
 
-/// The historical linked-list stack-distance engine, kept as the
-/// equivalence oracle for the Fenwick recency index (`cargo test`, or
-/// the `oracle` feature for benches). Same statistics, O(stack depth)
-/// per access: the property suites drive both engines over the same
-/// randomized traces and demand identical output.
-#[cfg(any(test, feature = "oracle"))]
-pub(crate) mod oracle {
-    use super::*;
-    use std::collections::HashSet;
-
-    const NIL: u32 = u32::MAX;
-
-    /// One entry of the global LRU stack.
-    #[derive(Debug, Clone)]
-    struct Node {
-        block: u32,
-        /// Per-configuration dirty bits (bit i = group's i-th config).
-        dirty: u64,
-        prev: u32,
-        next: u32,
-    }
-
-    #[derive(Debug, Clone)]
-    struct OGroupCfg {
-        /// log2 of the set count.
-        slog: usize,
-        assoc: u32,
-        /// Index into `simulate_many`'s input slice.
-        orig: usize,
-        bit: u64,
-    }
-
-    /// The legacy shared-stack group: a doubly-linked MRU→LRU list
-    /// walked node by node, bucketing same-set predecessors by trailing
-    /// zeros of the block-number XOR, with a periodic all-decided early
-    /// exit.
-    #[derive(Debug)]
-    pub(crate) struct StackGroup {
-        block_size: u32,
-        switch: SwitchPolicy,
-        cfgs: Vec<OGroupCfg>,
-        s_max: usize,
-        all_mask: u64,
-
-        nodes: Vec<Node>,
-        head: u32,
-        map: HashMap<(u8, u32), u32>,
-        seen: HashSet<u64>,
-
-        accesses: u64,
-        ifetches: u64,
-        reads: u64,
-        writes: u64,
-        ctx_switches: u64,
-        cold: u64,
-
-        hits: Vec<u64>,
-        ifetch_hits: Vec<u64>,
-        read_hits: Vec<u64>,
-        write_hits: Vec<u64>,
-        writebacks: Vec<u64>,
-        invalidations: Vec<u64>,
-
-        bucket: Vec<u32>,
-        dist: Vec<u32>,
-    }
-
-    impl StackGroup {
-        pub(crate) fn new(configs: &[CacheConfig], orig_indices: &[usize]) -> StackGroup {
-            assert!(orig_indices.len() <= 64, "dirty bitmask is 64 bits wide");
-            let block_size = configs[orig_indices[0]].block();
-            let switch = configs[orig_indices[0]].switch_policy();
-            let cfgs: Vec<OGroupCfg> = orig_indices
-                .iter()
-                .enumerate()
-                .map(|(i, &orig)| {
-                    let c = &configs[orig];
-                    debug_assert_eq!(c.block(), block_size);
-                    debug_assert_eq!(c.switch_policy(), switch);
-                    OGroupCfg {
-                        slog: c.sets().trailing_zeros() as usize,
-                        assoc: c.assoc(),
-                        orig,
-                        bit: 1u64 << i,
-                    }
-                })
-                .collect();
-            let s_max = cfgs.iter().map(|c| c.slog).max().unwrap_or(0);
-            let n = cfgs.len();
-            StackGroup {
-                block_size,
-                switch,
-                all_mask: if n == 64 { u64::MAX } else { (1u64 << n) - 1 },
-                s_max,
-                cfgs,
-                nodes: Vec::new(),
-                head: NIL,
-                map: HashMap::new(),
-                seen: HashSet::new(),
-                accesses: 0,
-                ifetches: 0,
-                reads: 0,
-                writes: 0,
-                ctx_switches: 0,
-                cold: 0,
-                hits: vec![0; n],
-                ifetch_hits: vec![0; n],
-                read_hits: vec![0; n],
-                write_hits: vec![0; n],
-                writebacks: vec![0; n],
-                invalidations: vec![0; n],
-                bucket: vec![0; s_max + 1],
-                dist: vec![0; s_max + 1],
-            }
-        }
-
-        pub(crate) fn orig_of(&self, i: usize) -> usize {
-            self.cfgs[i].orig
-        }
-
-        pub(crate) fn len(&self) -> usize {
-            self.cfgs.len()
-        }
-
-        pub(crate) fn stats_for(&self, i: usize) -> CacheStats {
-            CacheStats {
-                accesses: self.accesses,
-                hits: self.hits[i],
-                misses: self.accesses - self.hits[i],
-                cold_misses: self.cold,
-                ifetch_accesses: self.ifetches,
-                ifetch_misses: self.ifetches - self.ifetch_hits[i],
-                read_accesses: self.reads,
-                read_misses: self.reads - self.read_hits[i],
-                write_accesses: self.writes,
-                write_misses: self.writes - self.write_hits[i],
-                writebacks: self.writebacks[i],
-                write_throughs: 0,
-                flush_invalidations: self.invalidations[i],
-                context_switches: self.ctx_switches,
-            }
-        }
-
-        pub(crate) fn context_switch(&mut self) {
-            self.ctx_switches += 1;
-            if self.switch == SwitchPolicy::Flush {
-                self.flush();
-            }
-        }
-
-        fn flush(&mut self) {
-            let mut above: Vec<HashMap<u32, u32>> = vec![HashMap::new(); self.s_max + 1];
-            let mut cur = self.head;
-            while cur != NIL {
-                let node = &self.nodes[cur as usize];
-                for (i, c) in self.cfgs.iter().enumerate() {
-                    let set = node.block & ((1u32 << c.slog) - 1);
-                    let pos = above[c.slog].get(&set).copied().unwrap_or(0);
-                    if pos < c.assoc {
-                        self.invalidations[i] += 1;
-                    }
-                    if node.dirty & c.bit != 0 {
-                        self.writebacks[i] += 1;
-                    }
-                }
-                for (s, counts) in above.iter_mut().enumerate() {
-                    *counts.entry(node.block & ((1u32 << s) - 1)).or_insert(0) += 1;
-                }
-                cur = node.next;
-            }
-            self.nodes.clear();
-            self.map.clear();
-            self.head = NIL;
-        }
-
-        pub(crate) fn finish(&mut self) {
-            let mut above: Vec<HashMap<u32, u32>> = vec![HashMap::new(); self.s_max + 1];
-            let mut cur = self.head;
-            while cur != NIL {
-                let node = &self.nodes[cur as usize];
-                if node.dirty != 0 {
-                    for (i, c) in self.cfgs.iter().enumerate() {
-                        if node.dirty & c.bit == 0 {
-                            continue;
-                        }
-                        let set = node.block & ((1u32 << c.slog) - 1);
-                        let pos = above[c.slog].get(&set).copied().unwrap_or(0);
-                        if pos >= c.assoc {
-                            self.writebacks[i] += 1;
-                        }
-                    }
-                }
-                for (s, counts) in above.iter_mut().enumerate() {
-                    *counts.entry(node.block & ((1u32 << s) - 1)).or_insert(0) += 1;
-                }
-                cur = node.next;
-            }
-        }
-
-        fn all_decided(&mut self) -> bool {
-            let mut acc = 0u32;
-            for s in (0..=self.s_max).rev() {
-                acc += self.bucket[s];
-                self.dist[s] = acc;
-            }
-            self.cfgs.iter().all(|c| self.dist[c.slog] >= c.assoc)
-        }
-
-        pub(crate) fn access(&mut self, addr: u32, kind: AccessKind, pid: u8) {
-            let is_write = kind.is_write();
-            self.accesses += 1;
-            match kind {
-                AccessKind::IFetch => self.ifetches += 1,
-                AccessKind::Read => self.reads += 1,
-                AccessKind::Write => self.writes += 1,
-            }
-            let pid_tag = match self.switch {
-                SwitchPolicy::PidTag => pid,
-                _ => 0,
-            };
-            let blockno = addr / self.block_size;
-            let target = self.map.get(&(pid_tag, blockno)).copied();
-
-            let mut hit_mask = 0u64;
-            match target {
-                None => {
-                    if self.seen.insert(((pid_tag as u64) << 32) | blockno as u64) {
-                        self.cold += 1;
-                    }
-                }
-                Some(tnode) => {
-                    self.bucket.fill(0);
-                    let mut cur = self.head;
-                    let mut batch = 0u32;
-                    while cur != NIL && cur != tnode {
-                        let node = &self.nodes[cur as usize];
-                        let tz = (node.block ^ blockno).trailing_zeros() as usize;
-                        let next = node.next;
-                        self.bucket[tz.min(self.s_max)] += 1;
-                        batch += 1;
-                        if batch == 64 {
-                            batch = 0;
-                            if self.all_decided() {
-                                break;
-                            }
-                        }
-                        cur = next;
-                    }
-                    let decided_all = self.all_decided();
-                    let old_dirty = self.nodes[tnode as usize].dirty;
-                    for (i, c) in self.cfgs.iter().enumerate() {
-                        if !decided_all && self.dist[c.slog] < c.assoc {
-                            self.hits[i] += 1;
-                            match kind {
-                                AccessKind::IFetch => self.ifetch_hits[i] += 1,
-                                AccessKind::Read => self.read_hits[i] += 1,
-                                AccessKind::Write => self.write_hits[i] += 1,
-                            }
-                            hit_mask |= c.bit;
-                        } else if old_dirty & c.bit != 0 {
-                            self.writebacks[i] += 1;
-                        }
-                    }
-                }
-            }
-
-            let old_dirty = match target {
-                Some(t) => {
-                    self.unlink(t);
-                    self.nodes[t as usize].dirty
-                }
-                None => 0,
-            };
-            let dirty = (old_dirty & hit_mask) | if is_write { self.all_mask } else { 0 };
-            match target {
-                Some(t) => {
-                    self.nodes[t as usize].dirty = dirty;
-                    self.push_front(t);
-                }
-                None => {
-                    let idx = self.nodes.len() as u32;
-                    self.nodes.push(Node {
-                        block: blockno,
-                        dirty,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    self.map.insert((pid_tag, blockno), idx);
-                    self.push_front(idx);
-                }
-            }
-        }
-
-        fn unlink(&mut self, idx: u32) {
-            let (prev, next) = {
-                let n = &self.nodes[idx as usize];
-                (n.prev, n.next)
-            };
-            if prev != NIL {
-                self.nodes[prev as usize].next = next;
-            } else {
-                self.head = next;
-            }
-            if next != NIL {
-                self.nodes[next as usize].prev = prev;
-            }
-        }
-
-        fn push_front(&mut self, idx: u32) {
-            self.nodes[idx as usize].prev = NIL;
-            self.nodes[idx as usize].next = self.head;
-            if self.head != NIL {
-                self.nodes[self.head as usize].prev = idx;
-            }
-            self.head = idx;
-        }
-    }
-}
-
 /// A trace record decoded once into the operation every engine consumes
 /// — the per-record kind dispatch is hoisted out of the per-engine
 /// loop.
@@ -1118,23 +792,13 @@ fn decode_op(r: &TraceRecord) -> Option<Op> {
 #[derive(Debug)]
 enum Engine {
     Group(StackGroup),
-    #[cfg(any(test, feature = "oracle"))]
-    Oracle(oracle::StackGroup),
-    Direct {
-        orig: usize,
-        cache: Cache,
-    },
+    Direct { orig: usize, cache: Cache },
 }
 
 impl Engine {
     fn apply(&mut self, op: Op) {
         match self {
             Engine::Group(g) => match op {
-                Op::Switch(_) => g.context_switch(),
-                Op::Ref { access, addr, pid } => g.access(addr, access, pid),
-            },
-            #[cfg(any(test, feature = "oracle"))]
-            Engine::Oracle(g) => match op {
                 Op::Switch(_) => g.context_switch(),
                 Op::Ref { access, addr, pid } => g.access(addr, access, pid),
             },
@@ -1148,12 +812,10 @@ impl Engine {
     }
 }
 
-/// The incremental form of [`simulate_many`]: sweep state that consumes
-/// records one at a time ([`MultiSim::step`]), so callers can drive it
-/// from an in-memory trace or any [`TraceSource`] without materialising
-/// the records.
+/// The sweep state behind [`simulate_many_stream`]: its engines consume
+/// records one at a time ([`MultiSim::step`]).
 #[derive(Debug)]
-pub struct MultiSim {
+struct MultiSim {
     n: usize,
     engines: Vec<Engine>,
 }
@@ -1161,21 +823,7 @@ pub struct MultiSim {
 impl MultiSim {
     /// Prepares a sweep over `cfgs`: stackable configurations join
     /// shared-stack groups, the rest get independent [`Cache`] replays.
-    pub fn new(cfgs: &[CacheConfig]) -> MultiSim {
-        Self::build(cfgs, false)
-    }
-
-    /// As [`MultiSim::new`], but stack groups use the legacy
-    /// linked-list walk — the equivalence oracle the property suites
-    /// and the analysis bench compare against.
-    #[cfg(any(test, feature = "oracle"))]
-    pub fn new_oracle(cfgs: &[CacheConfig]) -> MultiSim {
-        Self::build(cfgs, true)
-    }
-
-    fn build(cfgs: &[CacheConfig], use_oracle: bool) -> MultiSim {
-        #[cfg(not(any(test, feature = "oracle")))]
-        debug_assert!(!use_oracle);
+    fn new(cfgs: &[CacheConfig]) -> MultiSim {
         let mut engines: Vec<Engine> = Vec::new();
         let mut grouped: HashMap<(u32, u8), Vec<usize>> = HashMap::new();
         for (i, c) in cfgs.iter().enumerate() {
@@ -1200,9 +848,6 @@ impl MultiSim {
                         orig: chunk[0],
                         cache: Cache::new(cfgs[chunk[0]]),
                     });
-                } else if use_oracle {
-                    #[cfg(any(test, feature = "oracle"))]
-                    engines.push(Engine::Oracle(oracle::StackGroup::new(cfgs, chunk)));
                 } else {
                     engines.push(Engine::Group(StackGroup::new(cfgs, chunk)));
                 }
@@ -1216,7 +861,7 @@ impl MultiSim {
 
     /// Feeds one trace record to every engine (the record's kind is
     /// decoded once, not once per engine).
-    pub fn step(&mut self, r: &TraceRecord) {
+    fn step(&mut self, r: &TraceRecord) {
         if let Some(op) = decode_op(r) {
             for e in &mut self.engines {
                 e.apply(op);
@@ -1226,7 +871,7 @@ impl MultiSim {
 
     /// Settles the lazy write-back accounting and assembles the final
     /// statistics, index-aligned with the input configurations.
-    pub fn finish(mut self) -> Vec<CacheStats> {
+    fn finish(mut self) -> Vec<CacheStats> {
         let mut out = vec![CacheStats::default(); self.n];
         for e in &mut self.engines {
             match e {
@@ -1234,13 +879,6 @@ impl MultiSim {
                     g.finish();
                     for (i, c) in g.cfgs.iter().enumerate() {
                         out[c.orig] = g.stats_for(i);
-                    }
-                }
-                #[cfg(any(test, feature = "oracle"))]
-                Engine::Oracle(g) => {
-                    g.finish();
-                    for i in 0..g.len() {
-                        out[g.orig_of(i)] = g.stats_for(i);
                     }
                 }
                 Engine::Direct { orig, cache } => {
@@ -1252,37 +890,16 @@ impl MultiSim {
     }
 }
 
-/// Simulates every configuration in one traversal of the trace.
+/// Simulates every configuration in one traversal of `source`.
 ///
 /// Results are index-aligned with `cfgs` and identical to calling
-/// [`crate::sim::simulate`] per configuration. LRU write-back
+/// [`crate::sim::simulate_stream`] per configuration. LRU write-back
 /// configurations sharing a block size and switch policy are evaluated
 /// by the stack-distance engine; the rest replay on independent
-/// [`Cache`] models driven from the same traversal.
-pub fn simulate_many(trace: &Trace, cfgs: &[CacheConfig]) -> Vec<CacheStats> {
-    let mut sim = MultiSim::new(cfgs);
-    for r in trace.iter() {
-        sim.step(r);
-    }
-    sim.finish()
-}
-
-/// [`simulate_many`] on the legacy linked-list engine — the oracle the
-/// property suites and the analysis bench compare the recency index
-/// against.
-#[cfg(any(test, feature = "oracle"))]
-pub fn simulate_many_oracle(trace: &Trace, cfgs: &[CacheConfig]) -> Vec<CacheStats> {
-    let mut sim = MultiSim::new_oracle(cfgs);
-    for r in trace.iter() {
-        sim.step(r);
-    }
-    sim.finish()
-}
-
-/// The out-of-core form of [`simulate_many`]: one traversal of any
-/// [`TraceSource`] — an on-disk segment file streams through at
-/// O(segment) resident memory, and the results are identical to the
-/// in-memory pass over the same records.
+/// [`Cache`] models driven from the same traversal. An in-memory trace
+/// passes [`Trace::source`](atum_core::Trace::source), whose segment
+/// slices reach the engines without a copy; an on-disk segment file
+/// streams through at O(segment) resident memory.
 ///
 /// # Errors
 ///
@@ -1303,8 +920,17 @@ pub fn simulate_many_stream<S: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::simulate;
-    use atum_core::TraceRecord;
+    use atum_core::Trace;
+
+    /// The sweep under test, over an in-memory trace.
+    fn many(t: &Trace, cfgs: &[CacheConfig]) -> Vec<CacheStats> {
+        simulate_many_stream(&mut t.source(), cfgs).unwrap()
+    }
+
+    /// Per-configuration replay: the oracle every sweep must match.
+    fn replay(t: &Trace, cfg: &CacheConfig) -> CacheStats {
+        crate::sim::simulate_stream(&mut t.source(), cfg).unwrap()
+    }
 
     fn trace_with_switches() -> Trace {
         let mut t = Trace::new();
@@ -1355,28 +981,9 @@ mod tests {
             SwitchPolicy::PidTag,
         ] {
             let cfgs = sweep_configs(switch);
-            let many = simulate_many(&t, &cfgs);
-            for (cfg, got) in cfgs.iter().zip(&many) {
-                let want = simulate(&t, cfg);
-                assert_eq!(*got, want, "mismatch under {cfg}");
+            for (cfg, got) in cfgs.iter().zip(many(&t, &cfgs)) {
+                assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
             }
-        }
-    }
-
-    #[test]
-    fn oracle_engine_matches_fenwick_engine() {
-        let t = trace_with_switches();
-        for switch in [
-            SwitchPolicy::Ignore,
-            SwitchPolicy::Flush,
-            SwitchPolicy::PidTag,
-        ] {
-            let cfgs = sweep_configs(switch);
-            assert_eq!(
-                simulate_many(&t, &cfgs),
-                simulate_many_oracle(&t, &cfgs),
-                "engines diverge under {switch:?}"
-            );
         }
     }
 
@@ -1395,9 +1002,8 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let many = simulate_many(&t, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
-            assert_eq!(*got, simulate(&t, cfg), "mismatch under {cfg}");
+        for (cfg, got) in cfgs.iter().zip(many(&t, &cfgs)) {
+            assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
         }
     }
 
@@ -1411,7 +1017,7 @@ mod tests {
             .unwrap();
         assert!(!stackable(&cfg));
         let t = trace_with_switches();
-        assert_eq!(simulate_many(&t, &[cfg])[0], simulate(&t, &cfg));
+        assert_eq!(many(&t, &[cfg])[0], replay(&t, &cfg));
     }
 
     #[test]
@@ -1421,15 +1027,14 @@ mod tests {
             .into_iter()
             .map(|b| CacheConfig::builder().size(1024).block(b).build().unwrap())
             .collect();
-        let many = simulate_many(&t, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
-            assert_eq!(*got, simulate(&t, cfg), "mismatch under {cfg}");
+        for (cfg, got) in cfgs.iter().zip(many(&t, &cfgs)) {
+            assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
         }
     }
 
     #[test]
     fn empty_input() {
-        assert!(simulate_many(&Trace::new(), &[]).is_empty());
+        assert!(many(&Trace::new(), &[]).is_empty());
     }
 
     #[test]
@@ -1453,24 +1058,8 @@ mod tests {
                 .unwrap(),
         ];
         cfgs.extend(sweep_configs(SwitchPolicy::Ignore));
-        let many = simulate_many(&t, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
-            assert_eq!(*got, simulate(&t, cfg), "mismatch under {cfg}");
-        }
-        assert_eq!(many, simulate_many_oracle(&t, &cfgs));
-    }
-
-    #[test]
-    fn streamed_matches_in_memory() {
-        let t = trace_with_switches();
-        for switch in [
-            SwitchPolicy::Ignore,
-            SwitchPolicy::Flush,
-            SwitchPolicy::PidTag,
-        ] {
-            let cfgs = sweep_configs(switch);
-            let want = simulate_many(&t, &cfgs);
-            assert_eq!(simulate_many_stream(&mut t.source(), &cfgs).unwrap(), want);
+        for (cfg, got) in cfgs.iter().zip(many(&t, &cfgs)) {
+            assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
         }
     }
 
@@ -1528,7 +1117,7 @@ mod tests {
                 .any(|e| matches!(e, Engine::Group(g) if g.table.slots.len() >= 8192));
             assert!(grown, "the block table must grow under {switch:?}");
             for (cfg, got) in cfgs.iter().zip(sim.finish()) {
-                assert_eq!(got, simulate(&t, cfg), "mismatch under {cfg}");
+                assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
             }
         }
     }
@@ -1559,99 +1148,5 @@ mod tests {
             "dead slots must stay bounded, got {}",
             f.times.len()
         );
-    }
-}
-
-#[cfg(test)]
-mod oracle_prop {
-    //! Property suite: the Fenwick recency index against the legacy
-    //! linked-list walk, over randomized traces with context switches
-    //! (flushes) and PID tags — field-for-field identical statistics
-    //! for every configuration.
-
-    use super::*;
-    use atum_core::TraceRecord;
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum Event {
-        Access {
-            addr: u32,
-            kind: RecordKind,
-            pid: u8,
-        },
-        Switch {
-            pid: u8,
-        },
-    }
-
-    fn event() -> impl Strategy<Value = Event> {
-        prop_oneof![
-            12 => (0u32..16384, 0u8..3, 0u8..4).prop_map(|(addr, k, pid)| Event::Access {
-                addr,
-                kind: match k {
-                    0 => RecordKind::IFetch,
-                    1 => RecordKind::Read,
-                    _ => RecordKind::Write,
-                },
-                pid,
-            }),
-            1 => (0u8..4).prop_map(|pid| Event::Switch { pid }),
-        ]
-    }
-
-    fn trace_of(events: &[Event]) -> Trace {
-        let mut t = Trace::new();
-        for e in events {
-            match *e {
-                Event::Access { addr, kind, pid } => {
-                    t.push(TraceRecord::new(kind, addr, 4, pid, false));
-                }
-                Event::Switch { pid } => {
-                    t.push(TraceRecord::new(RecordKind::CtxSwitch, 0, 0, pid, true));
-                }
-            }
-        }
-        t
-    }
-
-    fn stack_config() -> impl Strategy<Value = CacheConfig> {
-        (
-            prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048), Just(8192)],
-            prop_oneof![Just(8u32), Just(16), Just(32)],
-            // 32 ways exceeds SAT_CAP_MAX, driving the Fenwick path.
-            prop_oneof![Just(1u32), Just(2), Just(4), Just(8), Just(32)],
-            prop_oneof![
-                Just(SwitchPolicy::Ignore),
-                Just(SwitchPolicy::Flush),
-                Just(SwitchPolicy::PidTag),
-            ],
-        )
-            .prop_filter_map("valid config", |(size, block, assoc, switch)| {
-                CacheConfig::builder()
-                    .size(size)
-                    .block(block)
-                    .assoc(assoc)
-                    .switch_policy(switch)
-                    .build()
-                    .ok()
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(192))]
-
-        #[test]
-        fn fenwick_matches_oracle(
-            cfgs in proptest::collection::vec(stack_config(), 1..10),
-            events in proptest::collection::vec(event(), 1..600),
-        ) {
-            let trace = trace_of(&events);
-            let fen = simulate_many(&trace, &cfgs);
-            let ora = simulate_many_oracle(&trace, &cfgs);
-            for ((cfg, f), o) in cfgs.iter().zip(&fen).zip(&ora) {
-                prop_assert_eq!(f, o, "recency index diverges from oracle under {}", cfg);
-            }
-        }
     }
 }

@@ -1,10 +1,10 @@
-//! Driving caches and TLBs from ATUM traces, plus parameter sweeps.
+//! Driving caches and TLBs from ATUM traces.
 
 use crate::config::CacheConfig;
 use crate::set_assoc::{AccessKind, Cache};
 use crate::stats::CacheStats;
 use crate::tlb::{TlbConfig, TlbSim};
-use atum_core::{RecordKind, Trace, TraceRecord, TraceSource, TraceStreamError};
+use atum_core::{RecordKind, TraceRecord, TraceSource, TraceStreamError};
 
 pub(crate) fn record_kind_to_access(kind: RecordKind) -> Option<AccessKind> {
     match kind {
@@ -37,18 +37,11 @@ fn tlb_step(tlb: &mut TlbSim, r: &TraceRecord) {
     }
 }
 
-/// Runs a trace through a cache configuration.
-pub fn simulate(trace: &Trace, cfg: &CacheConfig) -> CacheStats {
-    let mut cache = Cache::new(*cfg);
-    for r in trace.iter() {
-        cache_step(&mut cache, r);
-    }
-    *cache.stats()
-}
-
-/// Runs any [`TraceSource`] through a cache configuration — identical
-/// results to [`simulate`] over the same records, at O(segment) memory
-/// for file sources.
+/// Runs any [`TraceSource`] through one cache configuration: the
+/// per-configuration replay that [`crate::multi::simulate_many_stream`]
+/// must match, and the one cache oracle. An in-memory trace passes
+/// [`Trace::source`](atum_core::Trace::source); an on-disk segment file
+/// streams through at O(segment) memory.
 ///
 /// # Errors
 ///
@@ -66,17 +59,7 @@ pub fn simulate_stream<S: TraceSource>(
     Ok(*cache.stats())
 }
 
-/// Runs a trace through a TLB configuration.
-pub fn simulate_tlb(trace: &Trace, cfg: &TlbConfig) -> CacheStats {
-    let mut tlb = TlbSim::new(*cfg);
-    for r in trace.iter() {
-        tlb_step(&mut tlb, r);
-    }
-    *tlb.stats()
-}
-
-/// Runs any [`TraceSource`] through a TLB configuration — the streaming
-/// form of [`simulate_tlb`].
+/// Runs any [`TraceSource`] through a TLB configuration.
 ///
 /// # Errors
 ///
@@ -94,62 +77,15 @@ pub fn simulate_tlb_stream<S: TraceSource>(
     Ok(*tlb.stats())
 }
 
-fn sweep<F>(trace: &Trace, points: &[u32], make: F) -> Vec<(u32, CacheStats)>
-where
-    F: Fn(u32) -> CacheConfig,
-{
-    let cfgs: Vec<CacheConfig> = points.iter().map(|&p| make(p)).collect();
-    points
-        .iter()
-        .copied()
-        .zip(crate::multi::simulate_many(trace, &cfgs))
-        .collect()
-}
-
-/// Miss rate as a function of cache size; other parameters from `base`.
-///
-/// All sweeps run through [`crate::multi::simulate_many`]: LRU
-/// write-back points share one trace traversal, everything else replays
-/// grouped.
-pub fn sweep_size(trace: &Trace, base: &CacheConfig, sizes: &[u32]) -> Vec<(u32, CacheStats)> {
-    sweep(trace, sizes, |s| base.with_size(s))
-}
-
-/// Miss rate as a function of block size.
-pub fn sweep_block(trace: &Trace, base: &CacheConfig, blocks: &[u32]) -> Vec<(u32, CacheStats)> {
-    sweep(trace, blocks, |b| {
-        CacheConfig::builder()
-            .size(base.size())
-            .block(b)
-            .assoc(base.assoc())
-            .replacement(base.replacement())
-            .write_policy(base.write_policy())
-            .switch_policy(base.switch_policy())
-            .build()
-            .expect("sweep config")
-    })
-}
-
-/// Miss rate as a function of associativity.
-pub fn sweep_assoc(trace: &Trace, base: &CacheConfig, ways: &[u32]) -> Vec<(u32, CacheStats)> {
-    sweep(trace, ways, |w| {
-        CacheConfig::builder()
-            .size(base.size())
-            .block(base.block())
-            .assoc(w)
-            .replacement(base.replacement())
-            .write_policy(base.write_policy())
-            .switch_policy(base.switch_policy())
-            .build()
-            .expect("sweep config")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SwitchPolicy;
-    use atum_core::TraceRecord;
+    use atum_core::{Trace, TraceRecord};
+
+    fn replay(t: &Trace, cfg: &CacheConfig) -> CacheStats {
+        simulate_stream(&mut t.source(), cfg).unwrap()
+    }
 
     fn looped_trace(blocks: u32, reps: u32) -> Trace {
         let mut t = Trace::new();
@@ -165,9 +101,8 @@ mod tests {
     fn miss_rate_drops_when_working_set_fits() {
         let trace = looped_trace(256, 10); // 4 KiB working set
         let base = CacheConfig::builder().block(16).build().unwrap();
-        let sweep = sweep_size(&trace, &base, &[1024, 2048, 8192]);
-        let small = sweep[0].1.miss_rate();
-        let large = sweep[2].1.miss_rate();
+        let small = replay(&trace, &base.with_size(1024)).miss_rate();
+        let large = replay(&trace, &base.with_size(8192)).miss_rate();
         assert!(small > 0.9, "thrashing at 1 KiB: {small}");
         assert!(large < 0.15, "fits at 8 KiB: {large}");
     }
@@ -179,9 +114,8 @@ mod tests {
             t.push(TraceRecord::new(RecordKind::Read, a, 1, 1, false));
         }
         let base = CacheConfig::builder().size(8192).build().unwrap();
-        let sweep = sweep_block(&t, &base, &[8, 32, 128]);
-        let small = sweep[0].1.miss_rate();
-        let big = sweep[2].1.miss_rate();
+        let small = replay(&t, &base.with_block(8)).miss_rate();
+        let big = replay(&t, &base.with_block(128)).miss_rate();
         assert!(big < small / 4.0, "spatial locality: {small} vs {big}");
     }
 
@@ -193,9 +127,8 @@ mod tests {
             t.push(TraceRecord::new(RecordKind::Read, 4096, 4, 1, false));
         }
         let base = CacheConfig::builder().size(4096).block(16).build().unwrap();
-        let sweep = sweep_assoc(&t, &base, &[1, 2]);
-        assert!(sweep[0].1.miss_rate() > 0.9);
-        assert!(sweep[1].1.miss_rate() < 0.05);
+        assert!(replay(&t, &base).miss_rate() > 0.9);
+        assert!(replay(&t, &base.with_assoc(2)).miss_rate() < 0.05);
     }
 
     #[test]
@@ -216,9 +149,9 @@ mod tests {
             .assoc(2)
             .build()
             .unwrap();
-        let ignore = simulate(&t, &base);
-        let flush = simulate(&t, &base.with_switch(SwitchPolicy::Flush));
-        let tagged = simulate(&t, &base.with_switch(SwitchPolicy::PidTag));
+        let ignore = replay(&t, &base);
+        let flush = replay(&t, &base.with_switch(SwitchPolicy::Flush));
+        let tagged = replay(&t, &base.with_switch(SwitchPolicy::PidTag));
         assert!(flush.miss_rate() > 0.9, "every switch restarts cold");
         assert!(tagged.miss_rate() < 0.1, "tags keep both footprints");
         // Ignore aliases the two pids onto the same lines: also low here
@@ -234,7 +167,7 @@ mod tests {
             t.push(TraceRecord::new(RecordKind::Read, p * 512, 4, 1, false));
         }
         let cfg = TlbConfig::new(32, 2, SwitchPolicy::Flush);
-        let s = simulate_tlb(&t, &cfg);
+        let s = simulate_tlb_stream(&mut t.source(), &cfg).unwrap();
         assert_eq!(s.accesses, 64);
         assert_eq!(s.misses, 64, "64 distinct pages through a 32-entry TLB");
     }

@@ -118,7 +118,7 @@ mod tests {
             .assoc(1)
             .build()
             .unwrap();
-        let u = crate::sim::simulate(&t, &unified);
+        let u = crate::sim::simulate_stream(&mut t.source(), &unified).unwrap();
         let s = simulate_split(&t, &half, &half);
         // The 64-entry (1 KiB footprint) I-loop fits a 256 B I-cache
         // poorly, but the point is structural: the split simulation runs

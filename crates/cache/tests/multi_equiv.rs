@@ -1,5 +1,6 @@
 //! Property tests: the single-pass multi-configuration engine against
-//! per-configuration [`simulate`] — every [`CacheStats`] field must be
+//! per-configuration replay ([`simulate_stream`], the one cache oracle)
+//! — every [`CacheStats`](atum_cache::CacheStats) field must be
 //! identical for every configuration of a random sweep over a random
 //! access stream with context switches, under all switch policies and
 //! including the non-LRU / write-through configurations that take the
@@ -7,7 +8,10 @@
 //! accesses on the block last touched, which exercises the stack
 //! engine's MRU short-circuit.
 
-use atum_cache::{simulate, simulate_many, CacheConfig, Replacement, SwitchPolicy, WritePolicy};
+use atum_cache::{
+    simulate_many_stream, simulate_stream, CacheConfig, CacheStats, Replacement, SwitchPolicy,
+    WritePolicy,
+};
 use atum_core::{RecordKind, Trace, TraceRecord};
 use proptest::prelude::*;
 
@@ -36,7 +40,7 @@ enum Event {
 
 fn event() -> impl Strategy<Value = Event> {
     prop_oneof![
-        10 => (0u32..8192, 0u8..3, 0u8..4).prop_map(|(addr, k, pid)| Event::Access {
+        10 => (0u32..16384, 0u8..3, 0u8..4).prop_map(|(addr, k, pid)| Event::Access {
             addr,
             kind: match k {
                 0 => RecordKind::IFetch,
@@ -45,7 +49,7 @@ fn event() -> impl Strategy<Value = Event> {
             },
             pid,
         }),
-        5 => (0u32..8192, 1u32..17, any::<u16>(), any::<u16>(), any::<bool>(), 0u8..4).prop_map(
+        5 => (0u32..16384, 1u32..17, any::<u16>(), any::<u16>(), any::<bool>(), 0u8..4).prop_map(
             |(addr, len, advance, writes, fetch, pid)| Event::Run {
                 addr: addr & !3,
                 len,
@@ -102,15 +106,18 @@ fn switch_policy() -> impl Strategy<Value = SwitchPolicy> {
     ]
 }
 
+/// A cache size from 256 B to 8 KiB.
+fn size() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048), Just(8192)]
+}
+
 /// A stack-engine-eligible configuration: LRU + write-back-allocate.
-/// A 32-way one has 1–8 sets, so a group holding one often has a
-/// Fenwick tree as its coarsest level (no MRU short-circuit).
+/// A 32-way one (past the 16-way saturated arrays) has 1–32 sets, so a
+/// group holding one often has a Fenwick tree as its coarsest level (no
+/// MRU short-circuit).
 fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
-    let narrow = (
-        prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048)],
-        prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
-    );
-    let wide = (prop_oneof![Just(1024u32), Just(2048)], Just(32u32));
+    let narrow = (size(), prop_oneof![Just(1u32), Just(2), Just(4), Just(8)]);
+    let wide = (size(), Just(32u32));
     (
         prop_oneof![4 => narrow, 1 => wide],
         prop_oneof![Just(8u32), Just(16), Just(32)],
@@ -154,6 +161,14 @@ fn any_config() -> impl Strategy<Value = CacheConfig> {
         })
 }
 
+fn many(trace: &Trace, cfgs: &[CacheConfig]) -> Vec<CacheStats> {
+    simulate_many_stream(&mut trace.source(), cfgs).unwrap()
+}
+
+fn replay(trace: &Trace, cfg: &CacheConfig) -> CacheStats {
+    simulate_stream(&mut trace.source(), cfg).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -163,10 +178,8 @@ proptest! {
         events in proptest::collection::vec(event(), 1..500),
     ) {
         let trace = trace_of(&events);
-        let many = simulate_many(&trace, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
-            let want = simulate(&trace, cfg);
-            prop_assert_eq!(*got, want, "single-pass diverges under {}", cfg);
+        for (cfg, got) in cfgs.iter().zip(many(&trace, &cfgs)) {
+            prop_assert_eq!(got, replay(&trace, cfg), "single-pass diverges under {}", cfg);
         }
     }
 
@@ -176,10 +189,8 @@ proptest! {
         events in proptest::collection::vec(event(), 1..500),
     ) {
         let trace = trace_of(&events);
-        let many = simulate_many(&trace, &cfgs);
-        for (cfg, got) in cfgs.iter().zip(&many) {
-            let want = simulate(&trace, cfg);
-            prop_assert_eq!(*got, want, "sweep member diverges under {}", cfg);
+        for (cfg, got) in cfgs.iter().zip(many(&trace, &cfgs)) {
+            prop_assert_eq!(got, replay(&trace, cfg), "sweep member diverges under {}", cfg);
         }
     }
 
@@ -202,8 +213,8 @@ proptest! {
                     .unwrap()
             })
             .collect();
-        let many = simulate_many(&trace, &cfgs);
-        prop_assert!(many[1].misses <= many[0].misses);
-        prop_assert!(many[2].misses <= many[1].misses);
+        let stats = many(&trace, &cfgs);
+        prop_assert!(stats[1].misses <= stats[0].misses);
+        prop_assert!(stats[2].misses <= stats[1].misses);
     }
 }

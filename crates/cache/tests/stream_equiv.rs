@@ -1,12 +1,12 @@
 //! Property suite: a sweep streamed from an on-disk segment file against
-//! the in-memory pass.
+//! the same sweep over the in-memory source.
 //!
 //! `simulate_many_stream` over a `SegmentFileSource` decodes the file
 //! one segment at a time and drives the stack-distance engine from it;
-//! the statistics must be identical to `simulate_many` over the same
-//! records held in memory.
+//! the statistics must be identical to the same call over the records
+//! held in memory (`Trace::source`).
 
-use atum_cache::{simulate_many, simulate_many_stream, CacheConfig, SwitchPolicy};
+use atum_cache::{simulate_many_stream, CacheConfig, SwitchPolicy};
 use atum_core::{encode_trace, RecordKind, SegmentFileSource, Trace, TraceRecord};
 use proptest::prelude::*;
 
@@ -84,7 +84,7 @@ proptest! {
         case in any::<u32>(),
     ) {
         let trace = trace_of(&events);
-        let want = simulate_many(&trace, &cfgs);
+        let want = simulate_many_stream(&mut trace.source(), &cfgs).unwrap();
 
         let path = std::env::temp_dir().join(format!(
             "atum-stream-prop-{}-{case}.atrace",

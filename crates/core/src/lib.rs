@@ -67,7 +67,7 @@ pub use encode::{decode_trace, encode_trace, DecodeTraceError, SegmentHeader};
 pub use patch::{PatchSet, PatchStyle};
 pub use record::{RecordKind, TraceRecord};
 pub use stats::TraceStats;
-pub use stitch::{Capture, CaptureSession, CaptureStreamError, StreamedCapture};
+pub use stitch::{Capture, CaptureSession, CaptureStreamError, StatsCapture, StreamedCapture};
 pub use stream::{
     FilteredTraceSource, MemTraceSource, SegmentFileSource, SegmentReader, SegmentWriter,
     StreamStats, TraceSource, TraceStreamError,

@@ -2,7 +2,7 @@
 //! reports: length, reference mix, OS fraction, context switches,
 //! distinct pages touched.
 
-use crate::record::RecordKind;
+use crate::record::{RecordKind, TraceRecord};
 use crate::trace::Trace;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -37,50 +37,9 @@ pub struct TraceStats {
 impl TraceStats {
     /// Computes statistics over a trace.
     pub fn of(trace: &Trace) -> TraceStats {
-        let mut s = TraceStats::default();
-        let mut pages = HashSet::new();
-        let mut data_pages = HashSet::new();
-        // The I-stream and the D-stream each stay on one page for long
-        // stretches, so a reference to the page its stream touched last
-        // is already in the sets and skips the hashing. No page number
-        // reaches `u32::MAX` (pages are 512 B), so it marks "none yet".
-        let (mut last_i, mut last_d) = (u32::MAX, u32::MAX);
-        let mut by_pid = [0u64; 256];
-        for r in trace.iter() {
-            s.records += 1;
-            let kind = r.kind();
-            match kind {
-                RecordKind::IFetch => s.ifetch += 1,
-                RecordKind::Read => s.reads += 1,
-                RecordKind::Write => s.writes += 1,
-                RecordKind::CtxSwitch => s.ctx_switches += 1,
-                RecordKind::Interrupt => s.interrupts += 1,
-                RecordKind::SegmentMark => {}
-            }
-            if kind.is_ref() {
-                if r.is_kernel() {
-                    s.kernel_refs += 1;
-                } else {
-                    s.user_refs += 1;
-                }
-                by_pid[r.pid() as usize] += 1;
-                let page = r.page();
-                if kind.is_data() {
-                    if page != last_d {
-                        last_d = page;
-                        pages.insert(page);
-                        data_pages.insert(page);
-                    }
-                } else if page != last_i {
-                    last_i = page;
-                    pages.insert(page);
-                }
-            }
-        }
-        s.distinct_pages = pages.len() as u64;
-        s.distinct_data_pages = data_pages.len() as u64;
-        s.refs_by_pid = (0..=u8::MAX).zip(by_pid).filter(|&(_, n)| n > 0).collect();
-        s
+        let mut acc = StatsAccumulator::new();
+        acc.add(trace.records());
+        acc.finish()
     }
 
     /// Total memory references.
@@ -116,6 +75,88 @@ impl TraceStats {
     }
 }
 
+/// [`TraceStats`] gathered one record slice at a time, for a trace that
+/// is never held whole: the slices' concatenation gets exactly the
+/// statistics [`TraceStats::of`] gives the whole trace.
+pub(crate) struct StatsAccumulator {
+    s: TraceStats,
+    pages: HashSet<u32>,
+    data_pages: HashSet<u32>,
+    // The I-stream and the D-stream each stay on one page for long
+    // stretches, so a reference to the page its stream touched last is
+    // already in the sets and skips the hashing. No page number reaches
+    // `u32::MAX` (pages are 512 B), so it marks "none yet".
+    last_i: u32,
+    last_d: u32,
+    by_pid: [u64; 256],
+}
+
+impl StatsAccumulator {
+    pub(crate) fn new() -> StatsAccumulator {
+        StatsAccumulator {
+            s: TraceStats::default(),
+            pages: HashSet::new(),
+            data_pages: HashSet::new(),
+            last_i: u32::MAX,
+            last_d: u32::MAX,
+            by_pid: [0; 256],
+        }
+    }
+
+    /// Whether no record has been added yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.s.records == 0
+    }
+
+    /// Adds the next records of the trace, in order.
+    pub(crate) fn add(&mut self, records: &[TraceRecord]) {
+        let s = &mut self.s;
+        for r in records {
+            s.records += 1;
+            let kind = r.kind();
+            match kind {
+                RecordKind::IFetch => s.ifetch += 1,
+                RecordKind::Read => s.reads += 1,
+                RecordKind::Write => s.writes += 1,
+                RecordKind::CtxSwitch => s.ctx_switches += 1,
+                RecordKind::Interrupt => s.interrupts += 1,
+                RecordKind::SegmentMark => {}
+            }
+            if kind.is_ref() {
+                if r.is_kernel() {
+                    s.kernel_refs += 1;
+                } else {
+                    s.user_refs += 1;
+                }
+                self.by_pid[r.pid() as usize] += 1;
+                let page = r.page();
+                if kind.is_data() {
+                    if page != self.last_d {
+                        self.last_d = page;
+                        self.pages.insert(page);
+                        self.data_pages.insert(page);
+                    }
+                } else if page != self.last_i {
+                    self.last_i = page;
+                    self.pages.insert(page);
+                }
+            }
+        }
+    }
+
+    /// The statistics of every record added.
+    pub(crate) fn finish(self) -> TraceStats {
+        let mut s = self.s;
+        s.distinct_pages = self.pages.len() as u64;
+        s.distinct_data_pages = self.data_pages.len() as u64;
+        s.refs_by_pid = (0..=u8::MAX)
+            .zip(self.by_pid)
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        s
+    }
+}
+
 impl fmt::Display for TraceStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -146,7 +187,6 @@ impl fmt::Display for TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
 
     #[test]
     fn counts_and_fractions() {

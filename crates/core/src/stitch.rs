@@ -3,6 +3,7 @@
 //! the hidden buffer.
 
 use crate::record::{RecordKind, TraceRecord};
+use crate::stats::{StatsAccumulator, TraceStats};
 use crate::stream::{SegmentWriter, StreamStats};
 use crate::trace::Trace;
 use crate::tracer::{Tracer, TracerError};
@@ -15,6 +16,18 @@ use std::io::{self, Write};
 pub struct Capture {
     /// The stitched trace.
     pub trace: Trace,
+    /// How the final run ended.
+    pub exit: RunExit,
+    /// Number of buffer-full drains that occurred (segments - 1).
+    pub drains: u32,
+}
+
+/// The result of a capture session that kept only the trace's
+/// statistics ([`CaptureSession::run_stats`]).
+#[derive(Debug)]
+pub struct StatsCapture {
+    /// Statistics of the stitched trace.
+    pub stats: TraceStats,
     /// How the final run ended.
     pub exit: RunExit,
     /// Number of buffer-full drains that occurred (segments - 1).
@@ -105,28 +118,72 @@ impl<'t> CaptureSession<'t> {
     ///
     /// Any extraction [`TracerError`] if a drain fails.
     pub fn run(&self, m: &mut Machine) -> Result<Capture, TracerError> {
+        let mut trace = Trace::new();
+        let (exit, drains) = self.drive(m, |m| {
+            trace.stitch(self.tracer.drain(m)?);
+            Ok::<(), TracerError>(())
+        })?;
+        Ok(Capture {
+            trace,
+            exit,
+            drains,
+        })
+    }
+
+    /// As [`CaptureSession::run`], but only the trace's statistics are
+    /// kept: each drained sample is counted into them and its buffer
+    /// reused, so the capture's resident cost is O(hidden buffer), not
+    /// O(trace). The statistics are exactly those of the trace
+    /// [`CaptureSession::run`] would have stitched, marks included.
+    ///
+    /// # Errors
+    ///
+    /// Any extraction [`TracerError`] if a drain fails.
+    pub fn run_stats(&self, m: &mut Machine) -> Result<StatsCapture, TracerError> {
+        let mut stats = StatsAccumulator::new();
+        let mut sample = Vec::new();
+        let (exit, drains) = self.drive(m, |m| {
+            self.tracer.drain_into(m, &mut sample)?;
+            // Stitching ends the trace so far with a mark, once it has
+            // any records.
+            if !stats.is_empty() {
+                stats.add(&[TraceRecord::new(RecordKind::SegmentMark, 0, 0, 0, false)]);
+            }
+            stats.add(&sample);
+            Ok::<(), TracerError>(())
+        })?;
+        Ok(StatsCapture {
+            stats: stats.finish(),
+            exit,
+            drains,
+        })
+    }
+
+    /// The capture loop: enables capture and runs until the machine halts
+    /// for a reason other than a full buffer (or the budget runs out),
+    /// calling `drain` at every halt, then disables capture. Returns how
+    /// the final run ended and the number of buffer-full drains.
+    fn drive<E>(
+        &self,
+        m: &mut Machine,
+        mut drain: impl FnMut(&mut Machine) -> Result<(), E>,
+    ) -> Result<(RunExit, u32), E> {
         self.tracer.set_enabled(m, true);
         let deadline = m.cycles().saturating_add(self.max_total_cycles);
-        let mut trace = Trace::new();
         let mut drains = 0u32;
         loop {
             let budget = deadline.saturating_sub(m.cycles());
             let exit = m.run(budget);
-            match exit {
-                RunExit::Halted if self.tracer.is_full(m) && drains < self.max_drains => {
-                    trace.stitch(self.tracer.drain(m)?);
-                    drains += 1;
-                    m.resume();
-                }
-                other => {
-                    trace.stitch(self.tracer.drain(m)?);
-                    self.tracer.set_enabled(m, false);
-                    return Ok(Capture {
-                        trace,
-                        exit: other,
-                        drains,
-                    });
-                }
+            let full_drain = matches!(exit, RunExit::Halted)
+                && self.tracer.is_full(m)
+                && drains < self.max_drains;
+            drain(m)?;
+            if full_drain {
+                drains += 1;
+                m.resume();
+            } else {
+                self.tracer.set_enabled(m, false);
+                return Ok((exit, drains));
             }
         }
     }
@@ -151,19 +208,11 @@ impl<'t> CaptureSession<'t> {
         m: &mut Machine,
         w: &mut SegmentWriter<W>,
     ) -> Result<StreamedCapture, CaptureStreamError> {
-        self.tracer.set_enabled(m, true);
-        let deadline = m.cycles().saturating_add(self.max_total_cycles);
         let mut cur: Vec<TraceRecord> = Vec::new();
         let mut pending: Vec<TraceRecord> = Vec::new();
         let mut have_pending = false;
         let mut pending_cycle = 0u64;
-        let mut drains = 0u32;
-        loop {
-            let budget = deadline.saturating_sub(m.cycles());
-            let exit = m.run(budget);
-            let full_drain = matches!(exit, RunExit::Halted)
-                && self.tracer.is_full(m)
-                && drains < self.max_drains;
+        let (exit, drains) = self.drive(m, |m| {
             self.tracer.drain_into(m, &mut cur)?;
             // Leading empty samples vanish, exactly as stitching them
             // into an empty trace would.
@@ -176,20 +225,15 @@ impl<'t> CaptureSession<'t> {
                 pending_cycle = m.cycles();
                 have_pending = true;
             }
-            if full_drain {
-                drains += 1;
-                m.resume();
-            } else {
-                if have_pending {
-                    w.write_segment(&pending, pending_cycle)?;
-                }
-                self.tracer.set_enabled(m, false);
-                return Ok(StreamedCapture {
-                    exit,
-                    drains,
-                    stats: w.stats(),
-                });
-            }
+            Ok::<(), CaptureStreamError>(())
+        })?;
+        if have_pending {
+            w.write_segment(&pending, pending_cycle)?;
         }
+        Ok(StreamedCapture {
+            exit,
+            drains,
+            stats: w.stats(),
+        })
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example cache_study
 //! ```
 
-use atum::cache::{simulate_many, CacheConfig, SwitchPolicy};
+use atum::cache::{simulate_many_stream, CacheConfig, SwitchPolicy};
 use atum::core::{CaptureSession, Tracer};
 use atum::machine::Machine;
 use atum::os::BootImage;
@@ -29,16 +29,17 @@ fn main() {
     let _ = machine.take_console_output();
 
     let trace = capture.trace;
-    let user_only = trace.user_only();
     println!(
         "trace: {} refs total, {} user-only\n",
         trace.ref_count(),
-        user_only.ref_count()
+        trace.user_refs().count()
     );
 
     // Each sweep is a single pass over the trace: every size here is
-    // LRU write-back, so `simulate_many` folds the whole sweep into one
-    // stack-distance walk instead of one replay per configuration.
+    // LRU write-back, so `simulate_many_stream` folds the whole sweep
+    // into one stack-distance walk instead of one replay per
+    // configuration. The user-only pass streams a filtered view of the
+    // same trace rather than copying it.
     let sizes = [1u32 << 10, 4 << 10, 16 << 10, 64 << 10];
 
     // F1: complete vs user-only, direct-mapped.
@@ -46,8 +47,8 @@ fn main() {
     println!("{:>8} {:>12} {:>12}", "size", "complete", "user-only");
     let base = CacheConfig::builder().block(16).assoc(1).build().unwrap();
     let cfgs: Vec<CacheConfig> = sizes.iter().map(|&s| base.with_size(s)).collect();
-    let full = simulate_many(&trace, &cfgs);
-    let user = simulate_many(&user_only, &cfgs);
+    let full = simulate_many_stream(&mut trace.source(), &cfgs).expect("in-memory source");
+    let user = simulate_many_stream(&mut trace.user_source(), &cfgs).expect("in-memory source");
     for (i, size) in sizes.iter().enumerate() {
         println!(
             "{:>7}K {:>11.2}% {:>11.2}%",
@@ -71,7 +72,7 @@ fn main() {
             ]
         })
         .collect();
-    let stats = simulate_many(&trace, &cfgs);
+    let stats = simulate_many_stream(&mut trace.source(), &cfgs).expect("in-memory source");
     for (i, size) in sizes.iter().enumerate() {
         println!(
             "{:>7}K {:>11.2}% {:>11.2}%",

@@ -2,12 +2,12 @@
 //! source through the microcoded machine, MOSS, the ATUM tracer and the
 //! cache simulators — the invariants the reproduction's claims rest on.
 
-use atum::cache::{simulate, CacheConfig, SwitchPolicy};
-use atum::core::{CaptureSession, RecordKind, Tracer};
+use atum::cache::{simulate_stream, CacheConfig, SwitchPolicy};
+use atum::core::{CaptureSession, RecordKind, Trace, Tracer};
 use atum::machine::{Machine, RunExit};
 use atum::os::BootImage;
 
-fn traced_mix_run() -> (Machine, atum::core::Trace) {
+fn traced_mix_run() -> (Machine, Trace) {
     let mix = vec![
         atum::workloads::matrix("matrix", 8),
         atum::workloads::list_chase("list", 256, 3_000),
@@ -89,8 +89,8 @@ fn archival_encoding_preserves_cache_results() {
             .switch_policy(policy)
             .build()
             .unwrap();
-        let a = simulate(&trace, &cfg);
-        let b = simulate(&decoded, &cfg);
+        let a = simulate_stream(&mut trace.source(), &cfg).unwrap();
+        let b = simulate_stream(&mut decoded.source(), &cfg).unwrap();
         assert_eq!(a, b, "cache results identical through the archive format");
     }
 }
@@ -98,15 +98,14 @@ fn archival_encoding_preserves_cache_results() {
 #[test]
 fn os_inclusion_changes_cache_results() {
     let (_, trace) = traced_mix_run();
-    let user = trace.user_only();
     let cfg = CacheConfig::builder()
         .size(4 << 10)
         .block(16)
         .assoc(1)
         .build()
         .unwrap();
-    let full = simulate(&trace, &cfg);
-    let user_only = simulate(&user, &cfg);
+    let full = simulate_stream(&mut trace.source(), &cfg).unwrap();
+    let user_only = simulate_stream(&mut trace.user_source(), &cfg).unwrap();
     assert!(full.accesses > user_only.accesses);
     assert!(
         full.misses > user_only.misses,
@@ -123,8 +122,10 @@ fn flush_vs_tag_ordering_holds_on_real_traces() {
         .assoc(2)
         .build()
         .unwrap();
-    let flush = simulate(&trace, &base.with_switch(SwitchPolicy::Flush));
-    let tag = simulate(&trace, &base.with_switch(SwitchPolicy::PidTag));
+    let flush =
+        simulate_stream(&mut trace.source(), &base.with_switch(SwitchPolicy::Flush)).unwrap();
+    let tag =
+        simulate_stream(&mut trace.source(), &base.with_switch(SwitchPolicy::PidTag)).unwrap();
     assert!(
         flush.miss_rate() > tag.miss_rate(),
         "purging must cost more than tagging: {} vs {}",

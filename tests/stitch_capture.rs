@@ -3,7 +3,7 @@
 //!
 //! A small reserved region forces the patch microcode to halt with the
 //! FULL flag many times mid-workload; the host drains and resumes each
-//! time, and [`CaptureSession`] stitches the samples. Three claims are
+//! time, and [`CaptureSession`] stitches the samples. Four claims are
 //! pinned down here:
 //!
 //! 1. Stitching is lossless: with asynchronous preemption quiesced, the
@@ -15,15 +15,18 @@
 //! 3. The drained segments are only equivalent *as a whole*: replaying
 //!    each against a cold cache (the cold-start window E1 quantifies)
 //!    can only overstate misses relative to the stitched trace.
+//! 4. A capture that keeps only statistics (`run_stats`) counts exactly
+//!    the trace stitching would have built.
 
-use atum::cache::{simulate, CacheConfig, SwitchPolicy};
+use atum::cache::{simulate_stream, CacheConfig, SwitchPolicy};
 use atum::core::{Capture, CaptureSession, RecordKind, Trace, Tracer};
 use atum::machine::{Machine, RunExit};
 use atum::os::BootImage;
 
-/// Captures the standard two-process mix with the given reserved-buffer
-/// length (`None` = the full default region) and scheduler quantum.
-fn capture_mix(buf_len: Option<u32>, quantum: u32) -> Capture {
+/// Boots the standard two-process mix with the tracer attached to a
+/// reserved buffer of the given length (`None` = the full default
+/// region) and the given scheduler quantum.
+fn boot_mix(buf_len: Option<u32>, quantum: u32) -> (Machine, Tracer) {
     let mix = vec![
         atum::workloads::matrix("matrix", 8),
         atum::workloads::list_chase("list", 256, 3_000),
@@ -41,9 +44,15 @@ fn capture_mix(buf_len: Option<u32>, quantum: u32) -> Capture {
         None => Tracer::attach(&mut m).unwrap(),
     };
     tracer.set_pid(&mut m, 0);
-    let capture = CaptureSession::new(&tracer, 50_000_000_000)
-        .run(&mut m)
-        .unwrap();
+    (m, tracer)
+}
+
+const BUDGET: u64 = 50_000_000_000;
+
+/// Captures the mix [`boot_mix`] boots, stitching every drain.
+fn capture_mix(buf_len: Option<u32>, quantum: u32) -> Capture {
+    let (mut m, tracer) = boot_mix(buf_len, quantum);
+    let capture = CaptureSession::new(&tracer, BUDGET).run(&mut m).unwrap();
     assert_eq!(capture.exit, RunExit::Halted);
     capture
 }
@@ -104,8 +113,8 @@ fn stitched_os_mix_equals_continuous_capture() {
     // And so is everything downstream of it.
     let cfg = cfg_16k_2way();
     assert_eq!(
-        simulate(&stitched.trace, &cfg),
-        simulate(&continuous.trace, &cfg),
+        simulate_stream(&mut stitched.trace.source(), &cfg).unwrap(),
+        simulate_stream(&mut continuous.trace.source(), &cfg).unwrap(),
     );
 }
 
@@ -125,8 +134,12 @@ fn drain_dilation_under_preemption_is_tiny() {
 
     let cfg = cfg_16k_2way();
     let (ma, mb) = (
-        simulate(&continuous.trace, &cfg).miss_rate(),
-        simulate(&stitched.trace, &cfg).miss_rate(),
+        simulate_stream(&mut continuous.trace.source(), &cfg)
+            .unwrap()
+            .miss_rate(),
+        simulate_stream(&mut stitched.trace.source(), &cfg)
+            .unwrap()
+            .miss_rate(),
     );
     assert!(
         (ma - mb).abs() < 0.001,
@@ -141,7 +154,7 @@ fn per_segment_replay_shows_cold_start_bias() {
     assert!(stitched.drains > 2);
 
     let cfg = cfg_16k_2way();
-    let whole = simulate(&stitched.trace, &cfg);
+    let whole = simulate_stream(&mut stitched.trace.source(), &cfg).unwrap();
 
     // Replay each drained sample against a cold cache, as if the segments
     // had never been stitched.
@@ -155,7 +168,7 @@ fn per_segment_replay_shows_cold_start_bias() {
     }
     let (mut hits, mut misses) = (0u64, 0u64);
     for seg in &segments {
-        let s = simulate(seg, &cfg);
+        let s = simulate_stream(&mut seg.source(), &cfg).unwrap();
         hits += s.hits;
         misses += s.misses;
     }
@@ -170,4 +183,20 @@ fn per_segment_replay_shows_cold_start_bias() {
         misses,
         whole.misses
     );
+}
+
+#[test]
+fn stats_only_capture_counts_the_stitched_trace() {
+    for buf_len in [None, Some(4096)] {
+        let stitched = capture_mix(buf_len, PREEMPT);
+        let (mut m, tracer) = boot_mix(buf_len, PREEMPT);
+        let counted = CaptureSession::new(&tracer, BUDGET)
+            .run_stats(&mut m)
+            .unwrap();
+        // Same drains, and the statistics of the trace that was never
+        // built equal those of the stitched one, segment marks included.
+        assert_eq!(counted.exit, RunExit::Halted);
+        assert_eq!(counted.drains, stitched.drains);
+        assert_eq!(counted.stats, stitched.trace.stats());
+    }
 }
