@@ -174,7 +174,7 @@ fn archsim_throughput(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("archsim");
     g.throughput(Throughput::Elements(insns));
-    g.bench_function("user_only", |b| {
+    g.bench_function("user_program", |b| {
         b.iter_batched(
             || {
                 let mut sim = atum_baselines::ArchSim::new();

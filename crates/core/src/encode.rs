@@ -12,8 +12,7 @@
 //!
 //! * an `S` marker byte;
 //! * varint record count and payload length (the length is what lets a
-//!   reader *skip* a segment without decoding it — the parallel segment
-//!   reader in [`crate::stream`] is built on this);
+//!   reader *skip* a segment without decoding it);
 //! * a varint capture-cycle stamp (the machine's microcycle counter at
 //!   drain time; 0 when unknown, e.g. re-encoded in-memory traces);
 //! * the PID and kernel flag of the segment's first record (its context).
@@ -38,6 +37,7 @@
 //! E2 and `BENCH_trace.json`).
 
 use crate::record::{meta, RecordKind, TraceRecord};
+use crate::stream::{SegmentReader, TraceStreamError};
 use crate::trace::Trace;
 use std::fmt;
 
@@ -250,31 +250,6 @@ pub(crate) fn push_segment_header(out: &mut Vec<u8>, h: &SegmentHeader) {
     out.push(h.kernel as u8);
 }
 
-/// Parses a segment header from `bytes` at `*pos`, advancing it.
-pub(crate) fn parse_segment_header(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<SegmentHeader, DecodeTraceError> {
-    let mark = *bytes.get(*pos).ok_or(DecodeTraceError::Truncated)?;
-    *pos += 1;
-    if mark != SEG_MARK {
-        return Err(DecodeTraceError::BadSegment);
-    }
-    let records = read_varint(bytes, pos)?;
-    let payload_len = read_varint(bytes, pos)?;
-    let cycle = read_varint(bytes, pos)?;
-    let pid = *bytes.get(*pos).ok_or(DecodeTraceError::Truncated)?;
-    let kernel = *bytes.get(*pos + 1).ok_or(DecodeTraceError::Truncated)? != 0;
-    *pos += 2;
-    Ok(SegmentHeader {
-        records,
-        payload_len,
-        cycle,
-        pid,
-        kernel,
-    })
-}
-
 /// Decodes one segment's payload, appending exactly `h.records` records
 /// to `out`. The whole payload must be consumed — trailing bytes, or a
 /// payload that runs out early, are [`DecodeTraceError::BadSegment`] /
@@ -360,29 +335,14 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 ///
 /// Any [`DecodeTraceError`].
 pub fn decode_trace(bytes: &[u8]) -> Result<Trace, DecodeTraceError> {
-    if bytes.len() < 5 || &bytes[0..4] != MAGIC || bytes[4] != VERSION {
-        return Err(DecodeTraceError::BadHeader);
-    }
-    let mut pos = 5;
-    let mut trace = Trace::new();
-    let mut records = Vec::new();
-    let mut first = true;
-    while pos < bytes.len() {
-        let h = parse_segment_header(bytes, &mut pos)?;
-        let end = pos
-            .checked_add(h.payload_len as usize)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(DecodeTraceError::Truncated)?;
-        records.clear();
-        decode_segment_payload(&bytes[pos..end], &h, &mut records)?;
-        pos = end;
-        if !first {
-            trace.begin_segment();
-        }
-        first = false;
-        trace.extend(records.iter().copied());
-    }
-    Ok(trace)
+    SegmentReader::new(bytes)
+        .and_then(SegmentReader::into_trace)
+        .map_err(|e| match e {
+            TraceStreamError::Decode(e) => e,
+            // Reading a byte slice never fails; running out of it is
+            // already `Truncated`.
+            TraceStreamError::Io(_) => DecodeTraceError::Truncated,
+        })
 }
 
 #[cfg(test)]
@@ -443,6 +403,18 @@ mod tests {
         let back = decode_trace(&encode_trace(&t)).unwrap();
         assert_eq!(back, t, "records and segment boundaries both survive");
         assert_eq!(back.segments(), 4);
+    }
+
+    #[test]
+    fn leading_empty_segment_round_trips() {
+        // Only a hand-built file starts with an empty segment, and decode
+        // keeps it as the trace's first segment.
+        let mut bytes = encode_trace(&Trace::new());
+        bytes.extend_from_slice(&encode_trace(&sample_trace())[5..]);
+        let back = decode_trace(&bytes).unwrap();
+        assert_eq!(back.segments(), 2);
+        assert_eq!(back.records(), sample_trace().records());
+        assert_eq!(encode_trace(&back), bytes);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! Control lives in four privileged registers (`TRCTL`/`TRBASE`/`TRPTR`/
 //! `TRLIM` — microcode scratch on the real 8200, poked from the console).
 //! When the buffer fills, the patch sets the FULL bit and halts the
-//! processor; the host drains the region ([`Tracer::drain`]) and resumes —
-//! the paper's trace-sample *stitching* ([`CaptureSession`]).
+//! processor; the host drains the region ([`Tracer::drain_into`]) and
+//! resumes — the paper's trace-sample *stitching* ([`CaptureSession`]).
 //!
 //! Nothing here calls back into the machine: an unpatched machine has no
 //! tracer, and the patched machine's only extra behaviour is more

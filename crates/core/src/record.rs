@@ -91,6 +91,9 @@ pub(crate) mod meta {
     pub const PID_SHIFT: u32 = 8;
     /// Pid field mask (pre-shift).
     pub const PID_MASK: u32 = 0xFF;
+    /// Every bit some field occupies; the microcode leaves the rest zero.
+    pub const FIELDS: u32 =
+        0xF << KIND_SHIFT | KERNEL_BIT | SIZE_MASK << SIZE_SHIFT | PID_MASK << PID_SHIFT;
 }
 
 /// One parsed trace record.
@@ -115,10 +118,17 @@ impl TraceRecord {
         TraceRecord { addr, meta }
     }
 
-    /// Parses the two raw longwords from the buffer; `None` if the kind
-    /// field is invalid (corrupt buffer).
+    /// Parses the two raw longwords from the buffer; `None` unless the
+    /// meta longword is one the microcode writes: a valid kind, a size of
+    /// 0, 1, 2 or 4, and every bit outside the kind, kernel, size and pid
+    /// fields zero. Anything else means the buffer was scribbled — and
+    /// would not survive the v2 codec, which keeps only those fields.
     pub fn from_raw(addr: u32, meta: u32) -> Option<TraceRecord> {
         RecordKind::from_bits(meta >> meta::KIND_SHIFT)?;
+        let size = (meta >> meta::SIZE_SHIFT) & meta::SIZE_MASK;
+        if meta & !meta::FIELDS != 0 || !matches!(size, 0 | 1 | 2 | 4) {
+            return None;
+        }
         Some(TraceRecord { addr, meta })
     }
 
@@ -195,9 +205,20 @@ mod tests {
     }
 
     #[test]
-    fn bad_kind_rejected() {
+    fn bad_meta_rejected() {
         assert_eq!(TraceRecord::from_raw(0, 0), None);
         assert_eq!(TraceRecord::from_raw(0, 0xF << 28), None);
+        let meta = |size| TraceRecord::new(RecordKind::Read, 0, size, 1, true).meta;
+        for size in [0, 1, 2, 4] {
+            assert!(
+                TraceRecord::from_raw(0, meta(size)).is_some(),
+                "size {size}"
+            );
+        }
+        for size in [3, 5, 6, 7] {
+            assert_eq!(TraceRecord::from_raw(0, meta(size)), None, "size {size}");
+        }
+        assert_eq!(TraceRecord::from_raw(0, meta(4) | 1), None, "stray bit");
     }
 
     #[test]

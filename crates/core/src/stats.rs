@@ -103,11 +103,6 @@ impl StatsAccumulator {
         }
     }
 
-    /// Whether no record has been added yet.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.s.records == 0
-    }
-
     /// Adds the next records of the trace, in order.
     pub(crate) fn add(&mut self, records: &[TraceRecord]) {
         let s = &mut self.s;

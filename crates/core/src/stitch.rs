@@ -119,8 +119,9 @@ impl<'t> CaptureSession<'t> {
     /// Any extraction [`TracerError`] if a drain fails.
     pub fn run(&self, m: &mut Machine) -> Result<Capture, TracerError> {
         let mut trace = Trace::new();
-        let (exit, drains) = self.drive(m, |m| {
-            trace.stitch(self.tracer.drain(m)?);
+        let (exit, drains) = self.drive(m, |segment, _| {
+            // The first segment `drive` hands over is never empty.
+            trace.push_segment(segment, trace.is_empty());
             Ok::<(), TracerError>(())
         })?;
         Ok(Capture {
@@ -131,25 +132,18 @@ impl<'t> CaptureSession<'t> {
     }
 
     /// As [`CaptureSession::run`], but only the trace's statistics are
-    /// kept: each drained sample is counted into them and its buffer
-    /// reused, so the capture's resident cost is O(hidden buffer), not
-    /// O(trace). The statistics are exactly those of the trace
-    /// [`CaptureSession::run`] would have stitched, marks included.
+    /// kept: each segment is counted into them as it is drained, so the
+    /// capture's resident cost is O(hidden buffer), not O(trace). The
+    /// statistics are exactly those of the trace [`CaptureSession::run`]
+    /// would have stitched, marks included.
     ///
     /// # Errors
     ///
     /// Any extraction [`TracerError`] if a drain fails.
     pub fn run_stats(&self, m: &mut Machine) -> Result<StatsCapture, TracerError> {
         let mut stats = StatsAccumulator::new();
-        let mut sample = Vec::new();
-        let (exit, drains) = self.drive(m, |m| {
-            self.tracer.drain_into(m, &mut sample)?;
-            // Stitching ends the trace so far with a mark, once it has
-            // any records.
-            if !stats.is_empty() {
-                stats.add(&[TraceRecord::new(RecordKind::SegmentMark, 0, 0, 0, false)]);
-            }
-            stats.add(&sample);
+        let (exit, drains) = self.drive(m, |segment, _| {
+            stats.add(segment);
             Ok::<(), TracerError>(())
         })?;
         Ok(StatsCapture {
@@ -159,45 +153,14 @@ impl<'t> CaptureSession<'t> {
         })
     }
 
-    /// The capture loop: enables capture and runs until the machine halts
-    /// for a reason other than a full buffer (or the budget runs out),
-    /// calling `drain` at every halt, then disables capture. Returns how
-    /// the final run ended and the number of buffer-full drains.
-    fn drive<E>(
-        &self,
-        m: &mut Machine,
-        mut drain: impl FnMut(&mut Machine) -> Result<(), E>,
-    ) -> Result<(RunExit, u32), E> {
-        self.tracer.set_enabled(m, true);
-        let deadline = m.cycles().saturating_add(self.max_total_cycles);
-        let mut drains = 0u32;
-        loop {
-            let budget = deadline.saturating_sub(m.cycles());
-            let exit = m.run(budget);
-            let full_drain = matches!(exit, RunExit::Halted)
-                && self.tracer.is_full(m)
-                && drains < self.max_drains;
-            drain(m)?;
-            if full_drain {
-                drains += 1;
-                m.resume();
-            } else {
-                self.tracer.set_enabled(m, false);
-                return Ok((exit, drains));
-            }
-        }
-    }
-
-    /// As [`CaptureSession::run`], but each drained sample goes straight
-    /// to a [`SegmentWriter`] and its record buffer is reused — the
-    /// capture's resident cost is O(hidden buffer), not O(trace).
+    /// As [`CaptureSession::run`], but each segment goes straight to a
+    /// [`SegmentWriter`] as it is drained — the capture's resident cost
+    /// is O(hidden buffer), not O(trace).
     ///
     /// The file decodes to exactly the trace [`CaptureSession::run`]
     /// would have returned: one file segment per stitched segment, with
     /// the same [`RecordKind::SegmentMark`] separators, stamped with the
-    /// machine's cycle counter at each drain. (One segment is held back
-    /// until the next drain so the mark can be appended to its tail, as
-    /// stitching does.)
+    /// machine's cycle counter at each drain.
     ///
     /// # Errors
     ///
@@ -208,32 +171,59 @@ impl<'t> CaptureSession<'t> {
         m: &mut Machine,
         w: &mut SegmentWriter<W>,
     ) -> Result<StreamedCapture, CaptureStreamError> {
-        let mut cur: Vec<TraceRecord> = Vec::new();
-        let mut pending: Vec<TraceRecord> = Vec::new();
-        let mut have_pending = false;
-        let mut pending_cycle = 0u64;
-        let (exit, drains) = self.drive(m, |m| {
-            self.tracer.drain_into(m, &mut cur)?;
-            // Leading empty samples vanish, exactly as stitching them
-            // into an empty trace would.
-            if have_pending || !cur.is_empty() {
-                if have_pending {
-                    pending.push(TraceRecord::new(RecordKind::SegmentMark, 0, 0, 0, false));
-                    w.write_segment(&pending, pending_cycle)?;
-                }
-                std::mem::swap(&mut pending, &mut cur);
-                pending_cycle = m.cycles();
-                have_pending = true;
-            }
-            Ok::<(), CaptureStreamError>(())
+        let (exit, drains) = self.drive(m, |segment, cycle| {
+            w.write_segment(segment, cycle)
+                .map_err(CaptureStreamError::Io)
         })?;
-        if have_pending {
-            w.write_segment(&pending, pending_cycle)?;
-        }
         Ok(StreamedCapture {
             exit,
             drains,
             stats: w.stats(),
         })
+    }
+
+    /// The capture loop, and the one place the stitch rule lives: enables
+    /// capture and runs until the machine halts for a reason other than a
+    /// full buffer (or the budget runs out), draining the buffer at every
+    /// halt, then disables capture. Returns how the final run ended and
+    /// the number of buffer-full drains.
+    ///
+    /// Each drained sample is one segment, handed to `sink` with the
+    /// machine's cycle counter at its drain. Samples before the first
+    /// record are dropped, and a segment that another drain follows ends
+    /// with a [`RecordKind::SegmentMark`] — exactly the segments
+    /// [`Trace::stitch`] would build from the samples.
+    fn drive<E: From<TracerError>>(
+        &self,
+        m: &mut Machine,
+        mut sink: impl FnMut(&[TraceRecord], u64) -> Result<(), E>,
+    ) -> Result<(RunExit, u32), E> {
+        // A full buffer plus its mark: the drains never reallocate.
+        let mut sample = Vec::with_capacity(self.tracer.capacity_records() as usize + 1);
+        let mut started = false;
+        self.tracer.set_enabled(m, true);
+        let deadline = m.cycles().saturating_add(self.max_total_cycles);
+        let mut drains = 0u32;
+        loop {
+            let budget = deadline.saturating_sub(m.cycles());
+            let exit = m.run(budget);
+            let full_drain = matches!(exit, RunExit::Halted)
+                && self.tracer.is_full(m)
+                && drains < self.max_drains;
+            self.tracer.drain_into(m, &mut sample)?;
+            started |= !sample.is_empty();
+            if started {
+                if full_drain {
+                    sample.push(TraceRecord::new(RecordKind::SegmentMark, 0, 0, 0, false));
+                }
+                sink(&sample, m.cycles())?;
+            }
+            if !full_drain {
+                self.tracer.set_enabled(m, false);
+                return Ok((exit, drains));
+            }
+            drains += 1;
+            m.resume();
+        }
     }
 }

@@ -291,14 +291,15 @@ fn read_payload<R: Read>(
     Ok(())
 }
 
-/// Buffered segment-file reader: walks a file one segment at a time with
-/// reusable payload and record buffers, so memory stays O(largest
+/// Buffered segment-file reader — the one reader of the v2 format:
+/// walks a stream one segment at a time, decoding each into a
+/// [`RecordBatch`] it owns and reuses, so memory stays O(largest
 /// segment) regardless of file size.
 #[derive(Debug)]
 pub struct SegmentReader<R: Read> {
     r: R,
     payload: Vec<u8>,
-    records: Vec<TraceRecord>,
+    batch: RecordBatch,
 }
 
 impl SegmentReader<BufReader<File>> {
@@ -327,13 +328,12 @@ impl<R: Read> SegmentReader<R> {
         Ok(SegmentReader {
             r,
             payload: Vec::new(),
-            records: Vec::new(),
+            batch: RecordBatch::new(),
         })
     }
 
     /// Decodes the next segment, or `None` at clean end-of-stream. The
-    /// returned slice borrows the reader's internal buffer and is valid
-    /// until the next call.
+    /// returned slice is the reader's batch, valid until the next call.
     ///
     /// # Errors
     ///
@@ -346,30 +346,21 @@ impl<R: Read> SegmentReader<R> {
             Some(h) => h,
         };
         read_payload(&mut self.r, h.payload_len, &mut self.payload)?;
-        self.records.clear();
-        decode_segment_payload(&self.payload, &h, &mut self.records)?;
-        Ok(Some((h, &self.records)))
+        self.batch.clear();
+        decode_segment_payload(&self.payload, &h, &mut self.batch.records)?;
+        Ok(Some((h, self.batch.records())))
     }
 
-    /// Decodes the next segment straight into a batch (cleared
-    /// first) — the decode-once path under [`TraceSource::next_batch`].
-    /// Returns the header, or `None` at clean end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TraceStreamError`].
-    pub fn next_segment_into(
-        &mut self,
-        out: &mut RecordBatch,
-    ) -> Result<Option<SegmentHeader>, TraceStreamError> {
-        let h = match read_segment_header_r(&mut self.r)? {
-            None => return Ok(None),
-            Some(h) => h,
-        };
-        read_payload(&mut self.r, h.payload_len, &mut self.payload)?;
-        out.clear();
-        decode_segment_payload(&self.payload, &h, &mut out.records)?;
-        Ok(Some(h))
+    /// Decodes the rest of the stream into an in-memory [`Trace`], one
+    /// trace segment per file segment.
+    pub(crate) fn into_trace(mut self) -> Result<Trace, TraceStreamError> {
+        let mut trace = Trace::new();
+        let mut first = true;
+        while let Some((_, records)) = self.next_segment()? {
+            trace.push_segment(records, first);
+            first = false;
+        }
+        Ok(trace)
     }
 }
 
@@ -466,39 +457,24 @@ impl TraceSource for MemTraceSource<'_> {
     }
 }
 
-enum Filter {
-    User,
-    Pid(u8),
-}
-
 /// Chunk size for filtered in-memory sources: large enough to amortise
 /// the per-batch dispatch, small enough to stay cache-resident.
 const FILTER_CHUNK: usize = 4096;
 
-/// An allocation-light filtered view of an in-memory trace, yielding
-/// only the matching references (in fixed-size batches). Built by
-/// [`Trace::user_source`] / [`Trace::pid_source`].
+/// An allocation-light user-only view of an in-memory trace, yielding
+/// only its user-mode references (in fixed-size batches) — what a
+/// pre-ATUM user-level tracer would have seen. Built by
+/// [`Trace::user_source`].
 pub struct FilteredTraceSource<'a> {
     trace: &'a Trace,
-    filter: Filter,
     pos: usize,
     batch: RecordBatch,
 }
 
 impl<'a> FilteredTraceSource<'a> {
-    pub(crate) fn user(trace: &'a Trace) -> FilteredTraceSource<'a> {
+    pub(crate) fn new(trace: &'a Trace) -> FilteredTraceSource<'a> {
         FilteredTraceSource {
             trace,
-            filter: Filter::User,
-            pos: 0,
-            batch: RecordBatch::new(),
-        }
-    }
-
-    pub(crate) fn pid(trace: &'a Trace, pid: u8) -> FilteredTraceSource<'a> {
-        FilteredTraceSource {
-            trace,
-            filter: Filter::Pid(pid),
             pos: 0,
             batch: RecordBatch::new(),
         }
@@ -517,11 +493,7 @@ impl TraceSource for FilteredTraceSource<'_> {
         while self.pos < records.len() && self.batch.len() < FILTER_CHUNK {
             let r = records[self.pos];
             self.pos += 1;
-            let matches = match self.filter {
-                Filter::User => r.is_ref() && !r.is_kernel(),
-                Filter::Pid(p) => r.is_ref() && r.pid() == p,
-            };
-            if matches {
+            if r.is_ref() && !r.is_kernel() {
                 self.batch.push(r);
             }
         }
@@ -535,26 +507,21 @@ impl TraceSource for FilteredTraceSource<'_> {
 
 /// A [`TraceSource`] over an on-disk segment file. Restartable —
 /// [`TraceSource::rewind`] (and each [`TraceSource::stream`] call)
-/// reopens the file. [`TraceSource::next_batch`] decodes one segment
-/// per batch, straight into the batch (decode-once).
+/// reopens the file. [`TraceSource::next_batch`] lends the reader's
+/// batch, one decoded segment per batch (decode-once).
 #[derive(Debug)]
 pub struct SegmentFileSource {
     path: PathBuf,
     /// Open reader of the in-progress pull pass (`None` before the
     /// first `next_batch` and after a rewind).
     reader: Option<SegmentReader<BufReader<File>>>,
-    batch: RecordBatch,
 }
 
 impl Clone for SegmentFileSource {
     /// Clones the configuration; the clone starts a fresh pass at the
     /// beginning of the file.
     fn clone(&self) -> SegmentFileSource {
-        SegmentFileSource {
-            path: self.path.clone(),
-            reader: None,
-            batch: RecordBatch::new(),
-        }
+        SegmentFileSource::new(self.path.clone())
     }
 }
 
@@ -564,7 +531,6 @@ impl SegmentFileSource {
         SegmentFileSource {
             path: path.into(),
             reader: None,
-            batch: RecordBatch::new(),
         }
     }
 
@@ -580,17 +546,7 @@ impl SegmentFileSource {
     ///
     /// Any [`TraceStreamError`].
     pub fn read_to_trace(&self) -> Result<Trace, TraceStreamError> {
-        let mut rd = SegmentReader::open(&self.path)?;
-        let mut trace = Trace::new();
-        let mut first = true;
-        while let Some((_h, records)) = rd.next_segment()? {
-            if !first {
-                trace.begin_segment();
-            }
-            first = false;
-            trace.extend(records.iter().copied());
-        }
-        Ok(trace)
+        SegmentReader::open(&self.path)?.into_trace()
     }
 }
 
@@ -608,10 +564,10 @@ impl TraceSource for SegmentFileSource {
         // One batch per segment (a segment is the decode unit); skip
         // empty segments so `None` keeps meaning end-of-stream.
         loop {
-            match rd.next_segment_into(&mut self.batch)? {
+            match rd.next_segment()? {
                 None => return Ok(None),
-                Some(_) if self.batch.is_empty() => continue,
-                Some(_) => return Ok(Some(&self.batch)),
+                Some((_, [])) => continue,
+                Some(_) => return Ok(Some(&rd.batch)),
             }
         }
     }
@@ -678,16 +634,8 @@ mod tests {
             t.user_refs().collect::<Vec<_>>()
         );
         assert_eq!(
-            collect(&mut t.pid_source(2)),
-            t.pid_refs(2).collect::<Vec<_>>()
-        );
-        assert_eq!(
             collect_batched(&mut t.user_source()),
             t.user_refs().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            collect_batched(&mut t.pid_source(2)),
-            t.pid_refs(2).collect::<Vec<_>>()
         );
     }
 

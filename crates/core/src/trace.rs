@@ -26,16 +26,6 @@ impl Trace {
         }
     }
 
-    /// An empty trace with record storage preallocated — the extraction
-    /// path knows the exact record count up front.
-    pub fn with_capacity(records: usize) -> Trace {
-        Trace {
-            records: Vec::with_capacity(records),
-            segment_starts: vec![0],
-            ref_count: 0,
-        }
-    }
-
     /// Number of records (markers included).
     pub fn len(&self) -> usize {
         self.records.len()
@@ -71,12 +61,15 @@ impl Trace {
         self.segment_starts.len()
     }
 
-    /// Opens a new segment at the current end of the trace, without
-    /// inserting a [`RecordKind::SegmentMark`] — used when rebuilding a
-    /// trace whose records (marks included) already exist, e.g. decoding
-    /// the archival segment format.
-    pub(crate) fn begin_segment(&mut self) {
-        self.segment_starts.push(self.records.len());
+    /// Appends `records` as the trace's next segment, as they are (marks
+    /// included, none added) — how a capture session and the segment
+    /// reader rebuild a trace from finished segments. The `first` segment
+    /// fills the implicit first segment, even when it is empty.
+    pub(crate) fn push_segment(&mut self, records: &[TraceRecord], first: bool) {
+        if !first {
+            self.segment_starts.push(self.records.len());
+        }
+        self.extend(records.iter().copied());
     }
 
     /// Iterates over the record slice of each segment, in order.
@@ -114,23 +107,12 @@ impl Trace {
     }
 
     /// Iterates over user-mode references only — what a pre-ATUM
-    /// user-level tracer would have seen. Allocation-free; see
-    /// [`Trace::user_only`] for an owning form.
+    /// user-level tracer would have seen. Allocation-free.
     pub fn user_refs(&self) -> impl Iterator<Item = TraceRecord> + '_ {
         self.records
             .iter()
             .copied()
             .filter(|r| r.is_ref() && !r.is_kernel())
-    }
-
-    /// Iterates over one process's references only (kernel references
-    /// stamped with that pid included). Allocation-free; see
-    /// [`Trace::pid_only`] for an owning form.
-    pub fn pid_refs(&self, pid: u8) -> impl Iterator<Item = TraceRecord> + '_ {
-        self.records
-            .iter()
-            .copied()
-            .filter(move |r| r.is_ref() && r.pid() == pid)
     }
 
     /// A [`TraceSource`](crate::stream::TraceSource) over the whole
@@ -144,27 +126,7 @@ impl Trace {
     /// [`Trace::user_refs`] in chunks — the streaming form the analysis
     /// passes consume.
     pub fn user_source(&self) -> crate::stream::FilteredTraceSource<'_> {
-        crate::stream::FilteredTraceSource::user(self)
-    }
-
-    /// A [`TraceSource`](crate::stream::TraceSource) yielding
-    /// [`Trace::pid_refs`] in chunks.
-    pub fn pid_source(&self, pid: u8) -> crate::stream::FilteredTraceSource<'_> {
-        crate::stream::FilteredTraceSource::pid(self, pid)
-    }
-
-    /// A new trace containing only user-mode references, for callers
-    /// that need ownership ([`Trace::user_refs`] is the allocation-free
-    /// form).
-    pub fn user_only(&self) -> Trace {
-        self.user_refs().collect()
-    }
-
-    /// A new trace containing only references from one process, for
-    /// callers that need ownership ([`Trace::pid_refs`] is the
-    /// allocation-free form).
-    pub fn pid_only(&self, pid: u8) -> Trace {
-        self.pid_refs(pid).collect()
+        crate::stream::FilteredTraceSource::new(self)
     }
 
     /// Computes summary statistics.
@@ -238,9 +200,7 @@ mod tests {
         t.push(rec(RecordKind::CtxSwitch, 0x9000, 2, true));
         assert_eq!(t.len(), 4);
         assert_eq!(t.ref_count(), 3);
-        assert_eq!(t.user_only().len(), 2);
-        assert_eq!(t.pid_only(1).len(), 3);
-        assert_eq!(t.pid_only(2).len(), 0, "markers excluded");
+        assert_eq!(t.user_refs().count(), 2, "kernel refs and markers excluded");
     }
 
     #[test]
@@ -295,9 +255,11 @@ mod tests {
                 .into_iter()
                 .collect(),
         );
+        t.push_segment(&[rec(RecordKind::Read, 0x400, 1, false)], false);
         assert_eq!(t.ref_count(), t.refs().count());
-        assert_eq!(t.user_only().ref_count(), t.user_only().refs().count());
-        assert_eq!(t.pid_only(1).ref_count(), t.pid_only(1).refs().count());
+        let user: Trace = t.user_refs().collect();
+        assert_eq!(user.ref_count(), user.refs().count());
+        assert_eq!(Trace::from(t.records().to_vec()).ref_count(), t.ref_count());
     }
 
     #[test]
@@ -317,23 +279,6 @@ mod tests {
         assert_eq!(flat, t.records());
         // The mark terminating segment 1 sits at the tail of its slice.
         assert_eq!(slices[0].last().unwrap().kind(), RecordKind::SegmentMark);
-    }
-
-    #[test]
-    fn filtered_iterators_match_owning_forms() {
-        let mut t = Trace::new();
-        t.push(rec(RecordKind::IFetch, 0x100, 1, false));
-        t.push(rec(RecordKind::Write, 0x300, 1, true));
-        t.push(rec(RecordKind::Read, 0x200, 2, false));
-        t.push(rec(RecordKind::CtxSwitch, 0x9000, 2, true));
-        assert_eq!(
-            t.user_refs().collect::<Vec<_>>(),
-            t.user_only().records().to_vec()
-        );
-        assert_eq!(
-            t.pid_refs(1).collect::<Vec<_>>(),
-            t.pid_only(1).records().to_vec()
-        );
     }
 
     #[test]

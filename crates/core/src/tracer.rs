@@ -220,17 +220,14 @@ impl Tracer {
     /// read fails; [`TracerError::CorruptRecord`] if a record does not
     /// decode.
     pub fn extract(&self, m: &Machine) -> Result<Trace, TracerError> {
-        let bytes = self.checked_buffer(m)?;
-        let mut trace = Trace::with_capacity(bytes.len() / 8);
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            trace.push(decode_record(chunk, i)?);
-        }
-        Ok(trace)
+        let mut records = Vec::new();
+        self.extract_into(m, &mut records)?;
+        Ok(Trace::from(records))
     }
 
     /// Reads the buffered records into a caller-owned vector (cleared
-    /// first) — the streaming drain path's allocation-free form: the
-    /// capture loop reuses one vector across every drain.
+    /// first) — the allocation-free form: the capture loop reuses one
+    /// vector across every drain.
     ///
     /// # Errors
     ///
@@ -259,20 +256,9 @@ impl Tracer {
         Ok(m.memory().slice(self.base, ptr - self.base)?)
     }
 
-    /// Extracts the buffer, resets the write pointer and clears the FULL
-    /// flag — the console's drain operation during stitched captures.
-    ///
-    /// # Errors
-    ///
-    /// As [`Tracer::extract`].
-    pub fn drain(&self, m: &mut Machine) -> Result<Trace, TracerError> {
-        let t = self.extract(m)?;
-        self.reset_buffer(m);
-        Ok(t)
-    }
-
     /// Drains into a caller-owned vector (cleared first), resetting the
-    /// write pointer and FULL flag — the streaming capture loop's drain.
+    /// write pointer and FULL flag — the console's drain operation during
+    /// stitched captures.
     ///
     /// # Errors
     ///

@@ -337,6 +337,28 @@ fn capture_session_respects_max_drains() {
 }
 
 #[test]
+fn scribbled_meta_is_a_corrupt_record() {
+    let mut m = load("start: movl data, r1\n halt\ndata: .long 7");
+    let tracer = Tracer::attach(&mut m).unwrap();
+    tracer.set_enabled(&mut m, true);
+    assert_eq!(m.run(1_000_000), RunExit::Halted);
+    let good = tracer.extract(&m).unwrap();
+    assert!(good.len() > 2);
+    // Scribble the second record's meta longword: once with a stray bit
+    // outside every field, once with a size the microcode never writes.
+    let offset = 8;
+    let meta = good.records()[1].meta;
+    let base = m.memory().layout().reserved_base();
+    for bad in [meta | 1, meta & !(7 << 16) | 3 << 16] {
+        m.write_phys(base + offset + 4, &bad.to_le_bytes()).unwrap();
+        assert_eq!(
+            tracer.extract(&m).unwrap_err(),
+            atum_core::TracerError::CorruptRecord { offset, meta: bad }
+        );
+    }
+}
+
+#[test]
 fn tracer_rejects_too_small_region() {
     let mut m = load("start: halt");
     let base = m.memory().layout().reserved_base();

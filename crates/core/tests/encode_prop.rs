@@ -40,6 +40,26 @@ fn record() -> impl Strategy<Value = TraceRecord> {
         .prop_map(|(kind, addr, size, pid, kernel)| TraceRecord::new(kind, addr, size, pid, kernel))
 }
 
+/// Bits of a meta longword outside the kind (31:28), kernel (27), size
+/// (18:16) and pid (15:8) fields; the microcode never sets them.
+const STRAY_BITS: u32 = !(0xF << 28 | 1 << 27 | 0x7 << 16 | 0xFF << 8);
+
+/// A raw meta longword built from its fields — any kind code, kernel
+/// flag, size and pid, valid or not — plus stray bits: none, a random
+/// set, or a single one.
+fn raw_meta() -> impl Strategy<Value = u32> {
+    (
+        prop_oneof![3 => 1u32..7, 1 => 0u32..16],
+        any::<bool>(),
+        prop_oneof![3 => prop_oneof![Just(0u32), Just(1), Just(2), Just(4)], 1 => 0u32..8],
+        any::<u8>(),
+        prop_oneof![Just(0u32), any::<u32>(), (0u32..32).prop_map(|b| 1 << b)],
+    )
+        .prop_map(|(kind, kernel, size, pid, stray)| {
+            kind << 28 | (kernel as u32) << 27 | size << 16 | (pid as u32) << 8 | stray & STRAY_BITS
+        })
+}
+
 /// Bursty records: straight-line I-stream runs, PID/mode phases and the
 /// occasional marker — the shapes the run-length and pid-delta encoder
 /// paths actually take (pure `record()` noise almost never forms runs).
@@ -123,6 +143,16 @@ proptest! {
         let bytes = encode_trace(&trace);
         let back = decode_trace(&bytes).expect("decodes");
         prop_assert_eq!(back.records(), trace.records());
+    }
+
+    #[test]
+    fn accepted_raw_records_round_trip(addr in any::<u32>(), meta in raw_meta()) {
+        // A drained record is one `from_raw` accepts; the archive must
+        // keep every such record exactly.
+        if let Some(r) = TraceRecord::from_raw(addr, meta) {
+            let t: Trace = std::iter::once(r).collect();
+            prop_assert_eq!(decode_trace(&encode_trace(&t)).expect("decodes"), t);
+        }
     }
 
     #[test]
@@ -210,15 +240,10 @@ proptest! {
     }
 
     #[test]
-    fn filtered_sources_agree_with_filtered_copies(t in stitched_trace(), pid in any::<u8>()) {
+    fn filtered_sources_agree_with_filtered_copies(t in stitched_trace()) {
         let mut streamed = Vec::new();
         t.user_source().stream(&mut |b| streamed.extend_from_slice(b)).expect("stream");
-        let user = t.user_only();
-        prop_assert_eq!(&streamed, user.records());
-        streamed.clear();
-        t.pid_source(pid).stream(&mut |b| streamed.extend_from_slice(b)).expect("stream");
-        let only = t.pid_only(pid);
-        prop_assert_eq!(&streamed, only.records());
+        prop_assert_eq!(streamed, t.user_refs().collect::<Vec<_>>());
     }
 
     #[test]
@@ -235,19 +260,15 @@ proptest! {
     }
 
     #[test]
-    fn batched_iteration_matches_per_record(t in stitched_trace(), pid in any::<u8>()) {
+    fn batched_iteration_matches_per_record(t in stitched_trace()) {
         // The batch path over an in-memory source yields exactly the
         // per-record view, markers and empty segments included…
         prop_assert_eq!(collect_batches(&mut t.source()), t.records().to_vec());
-        // …and the filtered sources batch exactly their per-record
-        // iterator counterparts.
+        // …and the user-only source batches exactly its per-record
+        // iterator counterpart.
         prop_assert_eq!(
             collect_batches(&mut t.user_source()),
             t.user_refs().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            collect_batches(&mut t.pid_source(pid)),
-            t.pid_refs(pid).collect::<Vec<_>>()
         );
     }
 
@@ -269,9 +290,9 @@ proptest! {
     }
 
     #[test]
-    fn user_only_is_a_clean_subset(records in proptest::collection::vec(record(), 0..300)) {
+    fn user_refs_are_a_clean_subset(records in proptest::collection::vec(record(), 0..300)) {
         let trace: Trace = records.iter().copied().collect();
-        let user = trace.user_only();
+        let user: Trace = trace.user_refs().collect();
         prop_assert_eq!(user.stats().kernel_refs, 0);
         prop_assert_eq!(user.ref_count() as u64, trace.stats().user_refs);
         for r in user.iter() {

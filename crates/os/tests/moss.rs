@@ -2,7 +2,7 @@
 //! fault isolation — and the combination with the ATUM tracer that the
 //! whole reproduction exists for.
 
-use atum_core::Tracer;
+use atum_core::{Trace, Tracer};
 use atum_machine::{Machine, RunExit};
 use atum_os::{BootImage, KernelOptions, TbitMode};
 
@@ -187,7 +187,7 @@ fn traced_mix_captures_os_and_all_pids() {
     }
     // User-only view loses every kernel reference (what pre-ATUM tracers
     // missed) but keeps all user ones.
-    let user = trace.user_only();
+    let user: Trace = trace.user_refs().collect();
     assert_eq!(user.stats().kernel_refs, 0);
     assert_eq!(user.stats().user_refs, stats.user_refs);
 
