@@ -12,8 +12,8 @@ use crate::table::{Report, Table};
 use crate::Scale;
 use atum_baselines::{ArchExit, ArchSim, TbitTracer};
 use atum_cache::{
-    simulate_many_stream, simulate_split, simulate_stream, simulate_tlb_stream, Cache, CacheConfig,
-    SwitchPolicy, TlbConfig, WritePolicy,
+    simulate_many_stream, simulate_split, simulate_stream, Cache, CacheConfig, SwitchPolicy,
+    TlbConfig, WritePolicy,
 };
 use atum_core::{PatchStyle, RecordKind, Trace, TraceStats};
 use atum_workloads::Workload;
@@ -659,29 +659,29 @@ pub fn f5_tlb(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerError> {
         "tagged miss%",
         "user-only tagged miss%",
     ]);
-    for &e in &entries {
-        let flush = simulate_tlb_stream(
-            &mut run.trace.source(),
-            &TlbConfig::new(e, 2, SwitchPolicy::Flush),
-        )
+    let tlb = |e, switch| TlbConfig::new(e, 2, switch).cache_config();
+    // Each TLB is a cache of page-sized blocks, so one stack-engine
+    // traversal of the complete trace answers both switch policies, and
+    // one of the user-only view (streamed straight off the complete
+    // trace, no copy) its tagged column.
+    let complete: Vec<CacheConfig> = entries
+        .iter()
+        .flat_map(|&e| [tlb(e, SwitchPolicy::Flush), tlb(e, SwitchPolicy::PidTag)])
+        .collect();
+    let user: Vec<CacheConfig> = entries
+        .iter()
+        .map(|&e| tlb(e, SwitchPolicy::PidTag))
+        .collect();
+    let complete = simulate_many_stream(&mut run.trace.source(), &complete)
         .expect("in-memory source cannot fail");
-        let tag = simulate_tlb_stream(
-            &mut run.trace.source(),
-            &TlbConfig::new(e, 2, SwitchPolicy::PidTag),
-        )
+    let user = simulate_many_stream(&mut run.trace.user_source(), &user)
         .expect("in-memory source cannot fail");
-        // The user-only view streams straight off the complete trace —
-        // no per-entry copy.
-        let ut = simulate_tlb_stream(
-            &mut run.trace.user_source(),
-            &TlbConfig::new(e, 2, SwitchPolicy::PidTag),
-        )
-        .expect("in-memory source cannot fail");
+    for (i, &e) in entries.iter().enumerate() {
         t.row([
             e.to_string(),
-            pct(flush.miss_rate()),
-            pct(tag.miss_rate()),
-            pct(ut.miss_rate()),
+            pct(complete[2 * i].miss_rate()),
+            pct(complete[2 * i + 1].miss_rate()),
+            pct(user[i].miss_rate()),
         ]);
     }
     let mut r = Report::new(

@@ -123,23 +123,13 @@ pub fn capture_mix(
     quantum: u32,
     budget: u64,
 ) -> Result<CapturedRun, RunnerError> {
-    capture_mix_with_style(workloads, quantum, budget, atum_core::PatchStyle::Scratch)
-}
-
-/// As [`capture_mix`] with an explicit patch style.
-///
-/// # Errors
-///
-/// Any [`RunnerError`].
-pub fn capture_mix_with_style(
-    workloads: &[Workload],
-    quantum: u32,
-    budget: u64,
-    style: atum_core::PatchStyle,
-) -> Result<CapturedRun, RunnerError> {
-    let (capture, m, console) = traced(workloads, quantum, budget, style, |session, m| {
-        session.run(m).map(|c| (c.exit, c))
-    })?;
+    let (capture, m, console) = traced(
+        workloads,
+        quantum,
+        budget,
+        atum_core::PatchStyle::Scratch,
+        |session, m| session.run(m).map(|c| (c.exit, c)),
+    )?;
     Ok(CapturedRun {
         trace: capture.trace,
         cycles: m.cycles(),
@@ -150,9 +140,10 @@ pub fn capture_mix_with_style(
     })
 }
 
-/// As [`capture_mix_with_style`], but the trace is never built: returns
-/// its statistics, the microcycles elapsed and the drain count. For runs
-/// that read nothing else of the trace, at O(hidden buffer) memory.
+/// As [`capture_mix`] with an explicit patch style, but the trace is
+/// never built: returns its statistics, the microcycles elapsed and the
+/// drain count. For runs that read nothing else of the trace, at
+/// O(hidden buffer) memory.
 ///
 /// # Errors
 ///

@@ -783,7 +783,7 @@ pub fn trace_info(path: &str) -> Result<TraceInfoReport, atum_core::TraceStreamE
 
 /// [`trace_info`] plus a decode-only timing of the batched pull path
 /// (`mculist trace info --batch`): reads the file end to end through
-/// [`atum_core::SegmentFileSource::next_batch`] several times and
+/// [`atum_core::TraceSource::next_batch`] several times and
 /// reports the best pass — the ceiling any batch-fed analysis can
 /// reach on this file.
 ///

@@ -2,18 +2,6 @@
 
 use std::fmt;
 
-/// Replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Replacement {
-    /// Least recently used.
-    #[default]
-    Lru,
-    /// First in, first out.
-    Fifo,
-    /// Pseudo-random (deterministic xorshift seeded per cache).
-    Random,
-}
-
 /// Write policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WritePolicy {
@@ -48,13 +36,12 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// A validated cache configuration.
+/// A validated cache configuration (LRU replacement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     pub(crate) size: u32,
     pub(crate) block: u32,
     pub(crate) assoc: u32,
-    pub(crate) replacement: Replacement,
     pub(crate) write: WritePolicy,
     pub(crate) switch: SwitchPolicy,
 }
@@ -83,11 +70,6 @@ impl CacheConfig {
     /// Number of sets.
     pub fn sets(&self) -> u32 {
         self.size / (self.block * self.assoc)
-    }
-
-    /// Replacement policy.
-    pub fn replacement(&self) -> Replacement {
-        self.replacement
     }
 
     /// Write policy.
@@ -143,7 +125,6 @@ impl CacheConfig {
             size: self.size,
             block: self.block,
             assoc: self.assoc,
-            replacement: self.replacement,
             write: self.write,
             switch: self.switch,
         }
@@ -154,11 +135,10 @@ impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} KiB, {}-way, {} B blocks, {:?}/{:?}/{:?}",
+            "{} KiB, {}-way, {} B blocks, {:?}/{:?}",
             self.size / 1024,
             self.assoc,
             self.block,
-            self.replacement,
             self.write,
             self.switch
         )
@@ -171,7 +151,6 @@ pub struct CacheConfigBuilder {
     size: u32,
     block: u32,
     assoc: u32,
-    replacement: Replacement,
     write: WritePolicy,
     switch: SwitchPolicy,
 }
@@ -182,7 +161,6 @@ impl Default for CacheConfigBuilder {
             size: 16 * 1024,
             block: 16,
             assoc: 1,
-            replacement: Replacement::default(),
             write: WritePolicy::default(),
             switch: SwitchPolicy::default(),
         }
@@ -205,12 +183,6 @@ impl CacheConfigBuilder {
     /// Associativity (power of two; 1 = direct-mapped).
     pub fn assoc(mut self, ways: u32) -> CacheConfigBuilder {
         self.assoc = ways;
-        self
-    }
-
-    /// Replacement policy.
-    pub fn replacement(mut self, r: Replacement) -> CacheConfigBuilder {
-        self.replacement = r;
         self
     }
 
@@ -263,7 +235,6 @@ impl CacheConfigBuilder {
             size: self.size,
             block: self.block,
             assoc: self.assoc,
-            replacement: self.replacement,
             write: self.write,
             switch: self.switch,
         })

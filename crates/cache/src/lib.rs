@@ -3,7 +3,8 @@
 //! The analysis instrument of the reproduction: ATUM's contribution was
 //! the *traces*; their value was demonstrated by feeding them to memory-
 //! system simulators like these. This crate provides a set-associative
-//! cache model and a TLB model, both driven by any
+//! LRU cache model — a TLB is the same model over page-sized blocks
+//! ([`TlbConfig::cache_config`]) — driven by any
 //! [`atum_core::TraceSource`] (an in-memory [`atum_core::Trace`] through
 //! its `source()`, or an on-disk segment file), with the context-switch
 //! policies the paper's multiprogramming studies turn on:
@@ -43,12 +44,10 @@ mod split;
 mod stats;
 mod tlb;
 
-pub use config::{
-    CacheConfig, CacheConfigBuilder, ConfigError, Replacement, SwitchPolicy, WritePolicy,
-};
+pub use config::{CacheConfig, CacheConfigBuilder, ConfigError, SwitchPolicy, WritePolicy};
 pub use multi::{simulate_many_stream, stackable};
 pub use set_assoc::{AccessKind, Cache};
 pub use sim::{simulate_stream, simulate_tlb_stream};
 pub use split::{simulate_split, SplitStats};
 pub use stats::CacheStats;
-pub use tlb::{TlbConfig, TlbSim};
+pub use tlb::TlbConfig;

@@ -74,10 +74,9 @@
 //!
 //! Inclusion requires that every access reorder the recency order the
 //! same way in every configuration. That holds for LRU with
-//! write-allocate; it fails for FIFO and random replacement (no stack
-//! property) and for write-through-no-allocate (a write miss does not
-//! insert, and whether it misses depends on the configuration). Those
-//! configurations fall back to grouped per-configuration replay —
+//! write-allocate; it fails for write-through-no-allocate (a write miss
+//! does not insert, and whether it misses depends on the
+//! configuration), the one replay fallback: those configurations run on
 //! independent [`Cache`] models fed from the same single trace
 //! traversal.
 //!
@@ -89,16 +88,16 @@
 //! settlement at re-touch/purge/end, purge invalidation = resident
 //! lines within ways, first-touch history preserved across purges.
 
-use crate::config::{CacheConfig, Replacement, SwitchPolicy, WritePolicy};
+use crate::config::{CacheConfig, SwitchPolicy, WritePolicy};
 use crate::set_assoc::{AccessKind, Cache};
 use crate::stats::CacheStats;
 use atum_core::{RecordKind, TraceRecord, TraceSource, TraceStreamError};
 use std::collections::HashMap;
 
-/// Whether a configuration can join a shared-stack group (LRU +
-/// write-back; see the module docs for why the others cannot).
+/// Whether a configuration can join a shared-stack group (write-back;
+/// see the module docs for why write-through cannot).
 pub fn stackable(cfg: &CacheConfig) -> bool {
-    cfg.replacement() == Replacement::Lru && cfg.write_policy() == WritePolicy::WriteBackAllocate
+    cfg.write_policy() == WritePolicy::WriteBackAllocate
 }
 
 /// One set's slice of the recency index: a Fenwick tree over the set's
@@ -343,9 +342,9 @@ impl BlockTable {
     }
 }
 
-/// A shared-stack group: configurations with equal block size, switch
-/// policy, LRU replacement and write-back policy, evaluated together on
-/// the Fenwick recency index.
+/// A shared-stack group: write-back configurations with equal block
+/// size and switch policy, evaluated together on the Fenwick recency
+/// index.
 ///
 /// Counters that are provably identical across the group's members —
 /// access/kind totals, context switches, compulsory misses — are kept
@@ -893,7 +892,7 @@ impl MultiSim {
 /// Simulates every configuration in one traversal of `source`.
 ///
 /// Results are index-aligned with `cfgs` and identical to calling
-/// [`crate::sim::simulate_stream`] per configuration. LRU write-back
+/// [`crate::sim::simulate_stream`] per configuration. Write-back
 /// configurations sharing a block size and switch policy are evaluated
 /// by the stack-distance engine; the rest replay on independent
 /// [`Cache`] models driven from the same traversal. An in-memory trace
@@ -984,26 +983,6 @@ mod tests {
             for (cfg, got) in cfgs.iter().zip(many(&t, &cfgs)) {
                 assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
             }
-        }
-    }
-
-    #[test]
-    fn non_lru_configs_fall_back_and_still_match() {
-        let t = trace_with_switches();
-        let cfgs: Vec<CacheConfig> = [Replacement::Fifo, Replacement::Random, Replacement::Lru]
-            .into_iter()
-            .map(|r| {
-                CacheConfig::builder()
-                    .size(512)
-                    .block(16)
-                    .assoc(2)
-                    .replacement(r)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        for (cfg, got) in cfgs.iter().zip(many(&t, &cfgs)) {
-            assert_eq!(got, replay(&t, cfg), "mismatch under {cfg}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! The set-associative cache engine.
 
-use crate::config::{CacheConfig, Replacement, SwitchPolicy, WritePolicy};
+use crate::config::{CacheConfig, SwitchPolicy, WritePolicy};
 use crate::stats::CacheStats;
 use std::collections::HashSet;
 
@@ -39,8 +39,6 @@ pub struct Cache {
     lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
-    rng: u32,
-    fifo_ptr: Vec<u32>,
     seen_blocks: HashSet<u64>,
     current_pid: u8,
     /// `log2(block)`, `sets - 1` and `log2(sets)`: every size in a
@@ -57,11 +55,9 @@ impl Cache {
         let sets = cfg.sets();
         Cache {
             lines: vec![Line::default(); (sets * cfg.assoc()) as usize],
-            fifo_ptr: vec![0; sets as usize],
             cfg,
             stats: CacheStats::default(),
             tick: 0,
-            rng: 0x2545_F491,
             seen_blocks: HashSet::new(),
             current_pid: 0,
             block_shift: cfg.block().trailing_zeros(),
@@ -157,7 +153,7 @@ impl Cache {
         }
 
         // Choose a victim.
-        let victim = self.pick_victim(base, ways, set);
+        let victim = self.pick_victim(base, ways);
         let line = &mut self.lines[base + victim];
         if line.valid && line.dirty {
             self.stats.writebacks += 1;
@@ -172,48 +168,30 @@ impl Cache {
         false
     }
 
-    fn pick_victim(&mut self, base: usize, ways: usize, set: usize) -> usize {
+    fn pick_victim(&self, base: usize, ways: usize) -> usize {
         // Prefer an invalid way.
         for i in 0..ways {
             if !self.lines[base + i].valid {
                 return i;
             }
         }
-        match self.cfg.replacement() {
-            Replacement::Lru => {
-                let mut best = 0;
-                let mut best_stamp = u64::MAX;
-                for i in 0..ways {
-                    let s = self.lines[base + i].stamp;
-                    if s < best_stamp {
-                        best_stamp = s;
-                        best = i;
-                    }
-                }
-                best
-            }
-            Replacement::Fifo => {
-                let v = self.fifo_ptr[set] as usize % ways;
-                self.fifo_ptr[set] = self.fifo_ptr[set].wrapping_add(1);
-                v
-            }
-            Replacement::Random => {
-                // xorshift32
-                let mut x = self.rng;
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                self.rng = x;
-                (x as usize) % ways
+        let mut best = 0;
+        let mut best_stamp = u64::MAX;
+        for i in 0..ways {
+            let s = self.lines[base + i].stamp;
+            if s < best_stamp {
+                best_stamp = s;
+                best = i;
             }
         }
+        best
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheConfig, Replacement, SwitchPolicy, WritePolicy};
+    use crate::config::{CacheConfig, SwitchPolicy, WritePolicy};
 
     fn cache(size: u32, block: u32, assoc: u32) -> Cache {
         Cache::new(
@@ -274,25 +252,6 @@ mod tests {
         c.access(64, AccessKind::Read, 0); // evicts block at 16
         assert!(c.access(0, AccessKind::Read, 0), "block 0 survived");
         assert!(!c.access(16, AccessKind::Read, 0), "block 16 evicted");
-    }
-
-    #[test]
-    fn fifo_ignores_recency() {
-        let mut c = Cache::new(
-            CacheConfig::builder()
-                .size(64)
-                .block(16)
-                .assoc(4)
-                .replacement(Replacement::Fifo)
-                .build()
-                .unwrap(),
-        );
-        for a in [0u32, 16, 32, 48] {
-            c.access(a, AccessKind::Read, 0);
-        }
-        c.access(0, AccessKind::Read, 0); // hit; FIFO order unchanged
-        c.access(64, AccessKind::Read, 0); // evicts block 0 (first in)
-        assert!(!c.access(0, AccessKind::Read, 0), "FIFO evicted block 0");
     }
 
     #[test]

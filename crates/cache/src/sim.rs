@@ -3,7 +3,7 @@
 use crate::config::CacheConfig;
 use crate::set_assoc::{AccessKind, Cache};
 use crate::stats::CacheStats;
-use crate::tlb::{TlbConfig, TlbSim};
+use crate::tlb::TlbConfig;
 use atum_core::{RecordKind, TraceRecord, TraceSource, TraceStreamError};
 
 pub(crate) fn record_kind_to_access(kind: RecordKind) -> Option<AccessKind> {
@@ -21,17 +21,6 @@ fn cache_step(cache: &mut Cache, r: &TraceRecord) {
         kind => {
             if let Some(access) = record_kind_to_access(kind) {
                 cache.access(r.addr, access, r.pid());
-            }
-        }
-    }
-}
-
-fn tlb_step(tlb: &mut TlbSim, r: &TraceRecord) {
-    match r.kind() {
-        RecordKind::CtxSwitch => tlb.context_switch(r.pid()),
-        kind => {
-            if record_kind_to_access(kind).is_some() {
-                tlb.access(r.addr, r.pid());
             }
         }
     }
@@ -59,7 +48,10 @@ pub fn simulate_stream<S: TraceSource>(
     Ok(*cache.stats())
 }
 
-/// Runs any [`TraceSource`] through a TLB configuration.
+/// Runs any [`TraceSource`] through a TLB configuration: its
+/// [`TlbConfig::cache_config`] through [`simulate_stream`], so the
+/// statistics are those of a cache of page-sized blocks (accesses by
+/// kind and write-backs included).
 ///
 /// # Errors
 ///
@@ -68,13 +60,7 @@ pub fn simulate_tlb_stream<S: TraceSource>(
     source: &mut S,
     cfg: &TlbConfig,
 ) -> Result<CacheStats, TraceStreamError> {
-    let mut tlb = TlbSim::new(*cfg);
-    source.stream(&mut |batch| {
-        for r in batch {
-            tlb_step(&mut tlb, r);
-        }
-    })?;
-    Ok(*tlb.stats())
+    simulate_stream(source, &cfg.cache_config())
 }
 
 #[cfg(test)]

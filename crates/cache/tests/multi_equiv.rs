@@ -3,14 +3,13 @@
 //! — every [`CacheStats`](atum_cache::CacheStats) field must be
 //! identical for every configuration of a random sweep over a random
 //! access stream with context switches, under all switch policies and
-//! including the non-LRU / write-through configurations that take the
-//! grouped-replay fallback. Runs of repeated references put most
-//! accesses on the block last touched, which exercises the stack
-//! engine's MRU short-circuit.
+//! including the write-through configurations that take the replay
+//! fallback. Runs of repeated references put most accesses on the
+//! block last touched, which exercises the stack engine's MRU
+//! short-circuit.
 
 use atum_cache::{
-    simulate_many_stream, simulate_stream, CacheConfig, CacheStats, Replacement, SwitchPolicy,
-    WritePolicy,
+    simulate_many_stream, simulate_stream, CacheConfig, CacheStats, SwitchPolicy, WritePolicy,
 };
 use atum_core::{RecordKind, Trace, TraceRecord};
 use proptest::prelude::*;
@@ -111,7 +110,8 @@ fn size() -> impl Strategy<Value = u32> {
     prop_oneof![Just(256u32), Just(512), Just(1024), Just(2048), Just(8192)]
 }
 
-/// A stack-engine-eligible configuration: LRU + write-back-allocate.
+/// A stack-engine-eligible configuration: write-back-allocate, with
+/// 8–32 B blocks or 512 B ones (a TLB's page, as F5 sweeps it).
 /// A 32-way one (past the 16-way saturated arrays) has 1–32 sets, so a
 /// group holding one often has a Fenwick tree as its coarsest level (no
 /// MRU short-circuit).
@@ -120,7 +120,7 @@ fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
     let wide = (size(), Just(32u32));
     (
         prop_oneof![4 => narrow, 1 => wide],
-        prop_oneof![Just(8u32), Just(16), Just(32)],
+        prop_oneof![Just(8u32), Just(16), Just(32), Just(512)],
         switch_policy(),
     )
         .prop_filter_map("valid config", |((size, assoc), block, switch)| {
@@ -134,27 +134,21 @@ fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
         })
 }
 
-/// Any configuration, including fallback replacement/write policies.
+/// Any configuration, including the write-through fallback.
 fn any_config() -> impl Strategy<Value = CacheConfig> {
     (
         lru_writeback_config(),
-        prop_oneof![
-            Just(Replacement::Lru),
-            Just(Replacement::Fifo),
-            Just(Replacement::Random),
-        ],
         prop_oneof![
             Just(WritePolicy::WriteBackAllocate),
             Just(WritePolicy::WriteThroughNoAllocate),
         ],
     )
-        .prop_filter_map("valid config", |(base, repl, write)| {
+        .prop_filter_map("valid config", |(base, write)| {
             CacheConfig::builder()
                 .size(base.size())
                 .block(base.block())
                 .assoc(base.assoc())
                 .switch_policy(base.switch_policy())
-                .replacement(repl)
                 .write_policy(write)
                 .build()
                 .ok()

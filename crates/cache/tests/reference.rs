@@ -2,7 +2,7 @@
 //! naive reference model (association lists, no clever indexing), plus
 //! structural invariants on random access streams.
 
-use atum_cache::{AccessKind, Cache, CacheConfig, Replacement, SwitchPolicy};
+use atum_cache::{AccessKind, Cache, CacheConfig, SwitchPolicy};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -87,7 +87,6 @@ fn configs() -> impl Strategy<Value = CacheConfig> {
                 .size(size)
                 .block(block)
                 .assoc(assoc)
-                .replacement(Replacement::Lru)
                 .switch_policy(switch)
                 .build()
                 .ok()

@@ -196,12 +196,25 @@ impl<'t> CaptureSession<'t> {
     fn drive<E: From<TracerError>>(
         &self,
         m: &mut Machine,
+        sink: impl FnMut(&[TraceRecord], u64) -> Result<(), E>,
+    ) -> Result<(RunExit, u32), E> {
+        self.tracer.set_enabled(m, true);
+        let result = self.drain_until_done(m, sink);
+        // On every exit: a failed drain or sink must not leave the
+        // machine recording into a buffer nobody drains.
+        self.tracer.set_enabled(m, false);
+        result
+    }
+
+    /// [`CaptureSession::drive`]'s loop, run with capture enabled.
+    fn drain_until_done<E: From<TracerError>>(
+        &self,
+        m: &mut Machine,
         mut sink: impl FnMut(&[TraceRecord], u64) -> Result<(), E>,
     ) -> Result<(RunExit, u32), E> {
         // A full buffer plus its mark: the drains never reallocate.
         let mut sample = Vec::with_capacity(self.tracer.capacity_records() as usize + 1);
         let mut started = false;
-        self.tracer.set_enabled(m, true);
         let deadline = m.cycles().saturating_add(self.max_total_cycles);
         let mut drains = 0u32;
         loop {
@@ -219,7 +232,6 @@ impl<'t> CaptureSession<'t> {
                 sink(&sample, m.cycles())?;
             }
             if !full_drain {
-                self.tracer.set_enabled(m, false);
                 return Ok((exit, drains));
             }
             drains += 1;

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// An address trace: records in capture order, with the indices where
 /// stitched segments begin.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     records: Vec<TraceRecord>,
     segment_starts: Vec<usize>,
@@ -171,6 +171,13 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
+/// [`Trace::new`]: empty, with its implicit first segment.
+impl Default for Trace {
+    fn default() -> Trace {
+        Trace::new()
+    }
+}
+
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -285,5 +292,14 @@ mod tests {
     fn display() {
         let t = Trace::new();
         assert!(t.to_string().contains("0 records"));
+    }
+
+    #[test]
+    fn default_is_new_and_round_trips() {
+        let t = Trace::default();
+        assert_eq!(t, Trace::new());
+        assert_eq!(t.segments(), 1);
+        let back = crate::decode_trace(&crate::encode_trace(&t)).unwrap();
+        assert_eq!(back, t);
     }
 }

@@ -359,6 +359,23 @@ fn scribbled_meta_is_a_corrupt_record() {
 }
 
 #[test]
+fn failed_drain_leaves_capture_disabled() {
+    let mut m = load("start: movl data, r1\n halt\ndata: .long 7");
+    let tracer = Tracer::attach(&mut m).unwrap();
+    // A write pointer off every record boundary fails the first drain.
+    let base = m.memory().layout().reserved_base();
+    m.write_prv(atum_arch::PrivReg::Trptr, base + 3);
+    let err = CaptureSession::new(&tracer, 1_000_000)
+        .run(&mut m)
+        .unwrap_err();
+    assert!(
+        matches!(err, atum_core::TracerError::BadTracePointer { .. }),
+        "{err}"
+    );
+    assert!(!tracer.is_enabled(&m), "capture left on after the error");
+}
+
+#[test]
 fn tracer_rejects_too_small_region() {
     let mut m = load("start: halt");
     let base = m.memory().layout().reserved_base();

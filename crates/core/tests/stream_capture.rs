@@ -260,6 +260,7 @@ fn full_disk_mid_capture_keeps_every_whole_segment() {
             matches!(&err, CaptureStreamError::Io(e) if e.kind() == io::ErrorKind::StorageFull),
             "room {room}: {err}"
         );
+        assert!(!tracer.is_enabled(&m), "room {room}: capture left on");
         drop(w);
         assert_eq!(disk.data.len(), room);
 
