@@ -1118,19 +1118,6 @@ pub fn run_selected(
     })
 }
 
-/// Runs every experiment at a scale on `jobs` threads.
-///
-/// # Errors
-///
-/// The first [`RunnerError`] in report order.
-pub fn run_all(scale: Scale, jobs: usize) -> Result<Vec<Report>, RunnerError> {
-    let ids: Vec<String> = ALL_IDS.iter().map(|s| s.to_string()).collect();
-    run_selected(scale, &ids, jobs)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

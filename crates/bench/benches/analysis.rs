@@ -2,12 +2,13 @@
 //! (`simulate_many_stream`) against per-configuration replay
 //! (`simulate_stream` once per configuration, the cache oracle).
 //!
-//! Captures the standard mix, replicates it to a few million records,
-//! then runs three sweep families — the F1-style direct-mapped size
-//! sweep, an associativity mix, and a purge-on-switch family — both
-//! ways. The result sets must be identical per family, and the stack
-//! engine's rate on the F1 family must be at least [`MIN_GAIN`]× replay
-//! (the CI floor gate). Rates are recorded machine-readably in
+//! Captures the standard mix, replicates it until its raw size passes
+//! [`RECORD_BUDGET`] (564,965 records at quick scale), then runs three
+//! sweep families — the F1-style direct-mapped size sweep, an
+//! associativity mix, and a purge-on-switch family — both ways. The
+//! result sets must be identical per family, and the stack engine's
+//! rate on the F1 family must be at least [`MIN_GAIN`]× replay (the CI
+//! floor gate). Rates are recorded machine-readably in
 //! `BENCH_analysis.json` at the workspace root.
 //!
 //! ```text
@@ -19,8 +20,9 @@ use atum_cache::{simulate_many_stream, simulate_stream, CacheConfig, CacheStats,
 use atum_core::{RecordKind, Trace};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-/// The raw-record budget the replicated trace must exceed — big enough
-/// that per-reference work dominates each pass's constant costs.
+/// The raw size, in bytes at 8 B per record, the replicated trace must
+/// exceed — big enough that per-reference work dominates each pass's
+/// constant costs.
 const RECORD_BUDGET: u64 = 4 << 20;
 
 /// Best-of timing rounds per variant (interleaved so host drift cancels
@@ -160,22 +162,22 @@ fn analysis(_c: &mut Criterion) {
 
         // Timing: interleave the variants inside each round.
         let mut t_replay = f64::MAX;
-        let mut t_fen = f64::MAX;
+        let mut t_stack = f64::MAX;
         for _ in 0..ROUNDS {
             let (t, _) = best_of(1, || replay(&big, &fam.cfgs));
             t_replay = t_replay.min(t);
             let (t, _) = best_of(1, || stack_engine(&big, &fam.cfgs));
-            t_fen = t_fen.min(t);
+            t_stack = t_stack.min(t);
         }
         let replay_rate = refs / t_replay;
-        let fen_rate = refs / t_fen;
-        let gain = t_replay / t_fen;
+        let stack_rate = refs / t_stack;
+        let gain = t_replay / t_stack;
         if fam.name == "f1_size_sweep" {
             f1_gain = gain;
         }
         println!(
             "bench analysis[{}]: {} configs  replay {replay_rate:.3e} refs/s  \
-             fenwick {fen_rate:.3e} refs/s  ({gain:.2}x over replay)",
+             stack {stack_rate:.3e} refs/s  ({gain:.2}x over replay)",
             fam.name,
             fam.cfgs.len(),
         );
@@ -185,7 +187,7 @@ fn analysis(_c: &mut Criterion) {
         rows.push_str(&format!(
             "    {{\n      \"family\": \"{}\",\n      \"configs\": {},\n      \
              \"replay_refs_per_sec\": {replay_rate:.1},\n      \
-             \"fenwick_refs_per_sec\": {fen_rate:.1},\n      \
+             \"stack_refs_per_sec\": {stack_rate:.1},\n      \
              \"gain_over_replay\": {gain:.3},\n      \
              \"results_identical\": true\n    }}",
             fam.name,

@@ -16,13 +16,26 @@
 //!
 //! `verify`, `cost` and `trace info` accept `--format json` for
 //! machine-readable output; `verify` accepts `--pass <name>` to run a
-//! single verifier pass.
+//! single verifier pass. An unknown flag, a flag the command does not
+//! take, another `--format` value or a stray argument is a usage error
+//! (exit 1, nothing on stdout).
 
 use atum_bench::mculist::{cost_report, patches_report, trace_info, trace_info_batch, verify_pass};
 use atum_core::PatchSet;
 use atum_mclint::Pass;
 use atum_ucode::stock;
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+usage: mculist [entries | patches | all | verify | cost | cost-static | <symbol>]
+               [--format json] [--pass <name>]
+       mculist trace info <file.atrace> [--batch] [--format json]";
+
+/// Reports a malformed command line (with the usage text) and fails.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n{USAGE}");
+    ExitCode::FAILURE
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,30 +46,30 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
-        if a == "--format=json"
-            || a == "--format" && args.get(i + 1).map(String::as_str) == Some("json")
-        {
-            json = true;
-            if a == "--format" {
+        // `--flag value` and `--flag=value` alike.
+        let (flag, inline) = match a.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f, Some(v)),
+            _ => (a, None),
+        };
+        let mut value = || {
+            inline.or_else(|| {
                 i += 1;
-            }
-        } else if a == "--batch" {
-            batch = true;
-        } else if let Some(v) = a.strip_prefix("--pass=") {
-            pass_name = Some(v.to_string());
-        } else if a == "--pass" {
-            match args.get(i + 1) {
-                Some(v) => {
-                    pass_name = Some(v.clone());
-                    i += 1;
-                }
-                None => {
-                    eprintln!("--pass needs a pass name");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if !a.starts_with("--") {
-            positional.push(args[i].clone());
+                args.get(i).map(String::as_str)
+            })
+        };
+        match flag {
+            "--format" => match value() {
+                Some("json") => json = true,
+                Some(v) => return usage_error(&format!("unknown format '{v}' (expected 'json')")),
+                None => return usage_error("--format needs a value"),
+            },
+            "--pass" => match value() {
+                Some(v) => pass_name = Some(v.to_string()),
+                None => return usage_error("--pass needs a pass name"),
+            },
+            "--batch" if inline.is_none() => batch = true,
+            _ if a.starts_with("--") => return usage_error(&format!("unknown flag '{a}'")),
+            _ => positional.push(a.to_string()),
         }
         i += 1;
     }
@@ -81,8 +94,20 @@ fn main() -> ExitCode {
         .first()
         .cloned()
         .unwrap_or_else(|| "entries".to_string());
+    if pass.is_some() && arg != "verify" {
+        return usage_error("--pass applies to verify only");
+    }
+    if batch && arg != "trace" {
+        return usage_error("--batch applies to trace info only");
+    }
+    if json && !matches!(arg.as_str(), "verify" | "cost" | "cost-static" | "trace") {
+        return usage_error(&format!("'{arg}' has no --format json output"));
+    }
     if arg == "trace" {
         return run_trace(&positional[1..], json, batch);
+    }
+    if let Some(extra) = positional.get(1) {
+        return usage_error(&format!("unexpected argument '{extra}'"));
     }
     let mut cs = stock::build();
     match arg.as_str() {
@@ -173,10 +198,7 @@ fn run_trace(rest: &[String], json: bool, batch: bool) -> ExitCode {
     let (action, path) = match rest {
         [a, p] => (a.as_str(), p.as_str()),
         [p] => ("info", p.as_str()),
-        _ => {
-            eprintln!("usage: mculist trace info <file.atrace> [--batch] [--format json]");
-            return ExitCode::FAILURE;
-        }
+        _ => return usage_error("trace takes one file"),
     };
     if action != "info" {
         eprintln!("unknown trace action '{action}' (expected 'info')");

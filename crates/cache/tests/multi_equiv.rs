@@ -111,23 +111,28 @@ fn size() -> impl Strategy<Value = u32> {
 }
 
 /// A stack-engine-eligible configuration: write-back-allocate, with
-/// 8–32 B blocks or 512 B ones (a TLB's page, as F5 sweeps it).
-/// A 32-way one (past the 16-way saturated arrays) has 1–32 sets, so a
-/// group holding one often has a Fenwick tree as its coarsest level (no
-/// MRU short-circuit).
+/// 8–32 B blocks or 512 B ones (a TLB's page, as F5 sweeps it). Its
+/// ways are 1–8, 32, or (`None`) every block in one set: fully
+/// associative, up to 1,024 ways. The wide arms give levels arrays of
+/// 32 to 1,024 keys, and a group holding one often has a wide level as
+/// its coarsest, which takes the MRU short-circuit like any other.
 fn lru_writeback_config() -> impl Strategy<Value = CacheConfig> {
-    let narrow = (size(), prop_oneof![Just(1u32), Just(2), Just(4), Just(8)]);
-    let wide = (size(), Just(32u32));
+    let narrow = (
+        size(),
+        prop_oneof![Just(1u32), Just(2), Just(4), Just(8)].prop_map(Some),
+    );
+    let wide = (size(), Just(Some(32u32)));
+    let full = (size(), Just(None));
     (
-        prop_oneof![4 => narrow, 1 => wide],
+        prop_oneof![4 => narrow, 1 => wide, 1 => full],
         prop_oneof![Just(8u32), Just(16), Just(32), Just(512)],
         switch_policy(),
     )
-        .prop_filter_map("valid config", |((size, assoc), block, switch)| {
+        .prop_filter_map("valid config", |((size, ways), block, switch)| {
             CacheConfig::builder()
                 .size(size)
                 .block(block)
-                .assoc(assoc)
+                .assoc(ways.unwrap_or(size / block))
                 .switch_policy(switch)
                 .build()
                 .ok()

@@ -177,18 +177,6 @@ impl BootImageBuilder {
         self
     }
 
-    /// Adds several user programs.
-    pub fn user_programs<I, S>(mut self, sources: I) -> BootImageBuilder
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        for s in sources {
-            self.programs.push(s.as_ref().to_string());
-        }
-        self
-    }
-
     /// Overrides the physical memory layout (default [`MemLayout::small`]).
     pub fn memory_layout(mut self, layout: MemLayout) -> BootImageBuilder {
         self.layout = layout;

@@ -149,25 +149,10 @@ impl MicroAsm {
         })
     }
 
-    /// Virtual read at a fixed size.
-    pub fn read_sized(&mut self, class: RefClass, size: DataSize) -> &mut Self {
-        self.op(MicroOp::Read {
-            class,
-            size: SizeSel::Fixed(size),
-        })
-    }
-
     /// Virtual write at the latched operand size.
     pub fn write(&mut self) -> &mut Self {
         self.op(MicroOp::Write {
             size: SizeSel::OSize,
-        })
-    }
-
-    /// Virtual write at a fixed size.
-    pub fn write_sized(&mut self, size: DataSize) -> &mut Self {
-        self.op(MicroOp::Write {
-            size: SizeSel::Fixed(size),
         })
     }
 
@@ -187,11 +172,6 @@ impl MicroAsm {
     pub fn call(&mut self, label: &str) -> &mut Self {
         self.ops.push(Pending::Call(label.to_string()));
         self
-    }
-
-    /// Jump through an entry slot.
-    pub fn jmp_entry(&mut self, e: Entry) -> &mut Self {
-        self.op(MicroOp::Jump(Target::Entry(e)))
     }
 
     /// Call through an entry slot.
