@@ -5,17 +5,20 @@
 //! render step over finished runs. [`run_selected`] performs the
 //! distinct runs of every selected experiment once, in one job pool,
 //! then renders the reports. A run keeps only what its reports print,
-//! except the standard-mix capture, whose trace F1–F6 and E1–E4 walk.
+//! except the standard-mix capture, which keeps its trace as the v2
+//! bytes it streamed; F1–F6 and E1–E4 decode them as they walk it.
 
 use crate::runner::{capture_mix, capture_mix_stats, run_untraced, CapturedRun, RunnerError};
 use crate::table::{Report, Table};
 use crate::Scale;
 use atum_baselines::{ArchExit, ArchSim, TbitTracer};
 use atum_cache::{
-    simulate_many_stream, simulate_split, simulate_stream, Cache, CacheConfig, SwitchPolicy,
-    TlbConfig, WritePolicy,
+    simulate_many_stream, simulate_split, Cache, CacheConfig, SwitchPolicy, TlbConfig, WritePolicy,
 };
-use atum_core::{PatchStyle, RecordKind, Trace, TraceStats};
+use atum_core::{
+    PatchStyle, RecordKind, SegmentHeader, SegmentReader, TraceRecord, TraceSource, TraceStats,
+    TraceStreamError, UserRefs,
+};
 use atum_workloads::Workload;
 
 /// Budget generous enough for every experiment run.
@@ -129,8 +132,9 @@ enum Run {
 
 /// What a finished run keeps for the render step.
 enum Kept {
-    /// The standard-mix capture at the scale's quantum.
-    Trace(CapturedRun),
+    /// The standard-mix capture at the scale's quantum, its trace as v2
+    /// bytes.
+    Mix(CapturedRun),
     /// A T2 row: the trace reduced to its statistics and drain count.
     Stats(TraceStats, u32),
     /// Simulated cycles and references (the hardware's count when
@@ -159,15 +163,15 @@ impl Run {
     }
 
     fn perform(self, scale: Scale) -> Result<Kept, RunnerError> {
-        // Only the standard mix keeps its trace; every other traced run
-        // counts its drained samples and never builds one.
+        // Only the standard mix keeps its trace, as v2 bytes; every other
+        // traced run counts its drained samples and keeps no trace.
         let stats = |workloads: &[Workload], q| {
             capture_mix_stats(workloads, q, BUDGET, PatchStyle::Scratch)
                 .map(|(stats, _, drains)| Kept::Stats(stats, drains))
         };
         let probe = [t1_workload(scale)];
         Ok(match self {
-            Run::Mix(q) if q == quantum(scale) => Kept::Trace(capture_standard_mix(scale)?),
+            Run::Mix(q) if q == quantum(scale) => Kept::Mix(capture_standard_mix(scale)?),
             Run::Mix(q) => stats(&mix(scale), q)?,
             Run::Solo(i) => stats(&t2_suite(scale)[i..=i], quantum(scale))?,
             Run::Probe(None) => {
@@ -275,17 +279,18 @@ impl<'a> Finished<'a> {
         match self.shared {
             Some(run) => Ok(run),
             None => match self.get(Run::Mix(quantum(self.scale)))? {
-                Kept::Trace(run) => Ok(run),
-                _ => unreachable!("the standard mix keeps its trace"),
+                Kept::Mix(run) => Ok(run),
+                _ => unreachable!("the standard mix keeps its capture"),
             },
         }
     }
 
-    /// A T2 row's statistics and drain count.
+    /// A T2 row's statistics and drain count. The standard mix's are
+    /// taken in one pass over its kept bytes.
     fn stats(&self, run: Run) -> Result<(TraceStats, u32), RunnerError> {
         if run == Run::Mix(quantum(self.scale)) {
             let mix = self.mix()?;
-            return Ok((mix.trace.stats(), mix.drains));
+            return Ok((TraceStats::of(&mut mix.source())?, mix.drains));
         }
         match self.get(run)? {
             Kept::Stats(stats, drains) => Ok((stats.clone(), *drains)),
@@ -469,12 +474,10 @@ pub fn f1_os_vs_user(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         .expect("config");
     let sizes = cache_sizes(scale);
     let cfgs: Vec<CacheConfig> = sizes.iter().map(|&s| base.with_size(s)).collect();
-    // One pass per trace evaluates the whole size sweep; the user-only
-    // pass streams through a filtered view instead of copying the trace.
-    let full =
-        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail");
-    let uo = simulate_many_stream(&mut run.trace.user_source(), &cfgs)
-        .expect("in-memory source cannot fail");
+    // One pass per trace view evaluates the whole size sweep; the
+    // user-only pass filters the same decoded batches.
+    let full = simulate_many_stream(&mut run.source(), &cfgs)?;
+    let uo = simulate_many_stream(&mut UserRefs::new(run.source()), &cfgs)?;
 
     let mut t = Table::new(["size", "complete miss%", "user-only miss%", "gap (pp)"]);
     for (i, &size) in sizes.iter().enumerate() {
@@ -523,8 +526,7 @@ pub fn f2_switch_policy(scale: Scale, run: &CapturedRun) -> Result<Report, Runne
     }
     // One traversal: the engine groups the sweep by switch policy into
     // three shared stacks.
-    let stats =
-        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail");
+    let stats = simulate_many_stream(&mut run.source(), &cfgs)?;
 
     let mut t = Table::new(["size", "flush miss%", "pid-tag miss%", "naive miss%"]);
     for (i, &size) in sizes.iter().enumerate() {
@@ -567,17 +569,18 @@ pub fn f3_block_size(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         .switch_policy(SwitchPolicy::PidTag)
         .build()
         .expect("config");
-    // One pass per cache size; every block size is its own group, so
-    // each replays directly.
-    let [r8, r64] = [base8, base8.with_size(64 << 10)].map(|base| {
-        let cfgs: Vec<CacheConfig> = blocks.iter().map(|&b| base.with_block(b)).collect();
-        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail")
-    });
+    // One traversal for both cache sizes: the two sizes of a block
+    // size share its stack group.
+    let cfgs: Vec<CacheConfig> = blocks
+        .iter()
+        .flat_map(|&b| [base8.with_block(b), base8.with_size(64 << 10).with_block(b)])
+        .collect();
+    let stats = simulate_many_stream(&mut run.source(), &cfgs)?;
     for (i, &b) in blocks.iter().enumerate() {
         t.row([
             format!("{b}B"),
-            pct(r8[i].miss_rate()),
-            pct(r64[i].miss_rate()),
+            pct(stats[2 * i].miss_rate()),
+            pct(stats[2 * i + 1].miss_rate()),
         ]);
     }
     let mut r = Report::new("F3", "miss rate vs block size");
@@ -618,8 +621,7 @@ pub fn f4_associativity(scale: Scale, run: &CapturedRun) -> Result<Report, Runne
             );
         }
     }
-    let stats =
-        simulate_many_stream(&mut run.trace.source(), &cfgs).expect("in-memory source cannot fail");
+    let stats = simulate_many_stream(&mut run.source(), &cfgs)?;
     for (i, &w) in ways.iter().enumerate() {
         t.row([
             format!("{w}"),
@@ -662,8 +664,7 @@ pub fn f5_tlb(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerError> {
     let tlb = |e, switch| TlbConfig::new(e, 2, switch).cache_config();
     // Each TLB is a cache of page-sized blocks, so one stack-engine
     // traversal of the complete trace answers both switch policies, and
-    // one of the user-only view (streamed straight off the complete
-    // trace, no copy) its tagged column.
+    // one of the user-only view its tagged column.
     let complete: Vec<CacheConfig> = entries
         .iter()
         .flat_map(|&e| [tlb(e, SwitchPolicy::Flush), tlb(e, SwitchPolicy::PidTag)])
@@ -672,10 +673,8 @@ pub fn f5_tlb(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerError> {
         .iter()
         .map(|&e| tlb(e, SwitchPolicy::PidTag))
         .collect();
-    let complete = simulate_many_stream(&mut run.trace.source(), &complete)
-        .expect("in-memory source cannot fail");
-    let user = simulate_many_stream(&mut run.trace.user_source(), &user)
-        .expect("in-memory source cannot fail");
+    let complete = simulate_many_stream(&mut run.source(), &complete)?;
+    let user = simulate_many_stream(&mut UserRefs::new(run.source()), &user)?;
     for (i, &e) in entries.iter().enumerate() {
         t.row([
             e.to_string(),
@@ -728,19 +727,6 @@ pub fn f6_organisation(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
                 .expect("config")
         })
         .collect();
-    let unified_stats = simulate_many_stream(&mut run.trace.source(), &unified_cfgs)
-        .expect("in-memory source cannot fail");
-    for (i, &b) in budgets.iter().enumerate() {
-        let half = unified_cfgs[i].with_size(b / 2);
-        let sp = simulate_split(&run.trace, &half, &half);
-        t.row([
-            format!("{}K", b / 1024),
-            pct(unified_stats[i].miss_rate()),
-            pct(sp.icache.miss_rate()),
-            pct(sp.dcache.miss_rate()),
-            pct(sp.miss_rate()),
-        ]);
-    }
 
     // Write-policy traffic at one size.
     let size = match scale {
@@ -763,11 +749,28 @@ pub fn f6_organisation(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
         .write_policy(WritePolicy::WriteThroughNoAllocate)
         .build()
         .expect("config");
-    // Write-through takes the grouped-replay fallback; write-back rides
-    // the stack engine — still one trace traversal for both.
-    let wstats = simulate_many_stream(&mut run.trace.source(), &[wb, wt])
-        .expect("in-memory source cannot fail");
-    let (swb, swt) = (wstats[0], wstats[1]);
+    // One traversal answers the unified budgets and both write policies
+    // (write-through takes the grouped-replay fallback, the rest ride
+    // the stack engine), and one more every split pair.
+    let cfgs = [&unified_cfgs[..], &[wb, wt]].concat();
+    let stats = simulate_many_stream(&mut run.source(), &cfgs)?;
+    let pairs: Vec<(CacheConfig, CacheConfig)> = budgets
+        .iter()
+        .zip(&unified_cfgs)
+        .map(|(&b, cfg)| (cfg.with_size(b / 2), cfg.with_size(b / 2)))
+        .collect();
+    let split = simulate_split(&mut run.source(), &pairs)?;
+    for (i, &b) in budgets.iter().enumerate() {
+        let sp = split[i];
+        t.row([
+            format!("{}K", b / 1024),
+            pct(stats[i].miss_rate()),
+            pct(sp.icache.miss_rate()),
+            pct(sp.dcache.miss_rate()),
+            pct(sp.miss_rate()),
+        ]);
+    }
+    let (swb, swt) = (stats[budgets.len()], stats[budgets.len() + 1]);
     let mut wtab = Table::new(["policy", "miss%", "memory write traffic (events)"]);
     wtab.row([
         "write-back + allocate".to_string(),
@@ -794,30 +797,59 @@ pub fn f6_organisation(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
 
 // ── E1: cold-start / sampling bias ────────────────────────────────────
 
-/// Simulates the trace in discontiguous samples: every other window of
-/// `sample` references is kept, and the cache starts cold per window.
-fn sampled_miss_rate(trace: &Trace, cfg: &CacheConfig, sample: usize) -> f64 {
-    let mut refs = trace.refs().peekable();
-    let mut accesses = 0u64;
-    let mut misses = 0u64;
-    while refs.peek().is_some() {
-        let mut cache = Cache::new(*cfg);
-        for r in refs.by_ref().take(sample) {
-            let kind = match r.kind() {
-                RecordKind::IFetch => atum_cache::AccessKind::IFetch,
-                RecordKind::Write => atum_cache::AccessKind::Write,
-                _ => atum_cache::AccessKind::Read,
-            };
-            cache.access(r.addr, kind, r.pid());
+/// Simulates the trace in discontiguous samples, one reference at a
+/// time: every other window of `window` references is kept, and the
+/// cache starts cold per window.
+struct Sampler {
+    window: usize,
+    /// References seen so far, kept or skipped.
+    seen: usize,
+    cache: Cache,
+    accesses: u64,
+    misses: u64,
+}
+
+impl Sampler {
+    fn new(cfg: CacheConfig, window: usize) -> Sampler {
+        Sampler {
+            window,
+            seen: 0,
+            cache: Cache::new(cfg),
+            accesses: 0,
+            misses: 0,
         }
-        accesses += cache.stats().accesses;
-        misses += cache.stats().misses;
-        refs.by_ref().take(sample).for_each(drop); // skip a window: the samples are discontiguous
     }
-    if accesses == 0 {
-        0.0
-    } else {
-        misses as f64 / accesses as f64
+
+    /// Takes the trace's next reference.
+    fn step(&mut self, r: &TraceRecord) {
+        let phase = self.seen % (2 * self.window);
+        self.seen += 1;
+        // The second window of each pair is skipped: the samples are
+        // discontiguous.
+        if phase < self.window {
+            self.cache.step(r);
+            if phase + 1 == self.window {
+                self.end_window();
+            }
+        }
+    }
+
+    /// Counts the window's accesses and misses; the next window starts
+    /// from a cold cache.
+    fn end_window(&mut self) {
+        let stats = self.cache.stats();
+        self.accesses += stats.accesses;
+        self.misses += stats.misses;
+        self.cache = Cache::new(*self.cache.config());
+    }
+
+    fn miss_rate(mut self) -> f64 {
+        self.end_window();
+        if self.accesses == 0 {
+            0.0
+        } else {
+            self.misses as f64 / self.accesses as f64
+        }
     }
 }
 
@@ -839,9 +871,21 @@ pub fn e1_cold_start(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         .switch_policy(SwitchPolicy::PidTag)
         .build()
         .expect("config");
-    let continuous = simulate_stream(&mut run.trace.source(), &cfg)
-        .expect("in-memory source cannot fail")
-        .miss_rate();
+    // One traversal feeds the continuous cache every record and each
+    // sampler every reference.
+    let mut continuous = Cache::new(cfg);
+    let mut samplers: Vec<Sampler> = samples.iter().map(|&s| Sampler::new(cfg, s)).collect();
+    run.source().stream(&mut |batch| {
+        for r in batch {
+            continuous.step(r);
+        }
+        for sampler in &mut samplers {
+            for r in batch.iter().filter(|r| r.is_ref()) {
+                sampler.step(r);
+            }
+        }
+    })?;
+    let continuous = continuous.stats().miss_rate();
 
     let mut t = Table::new([
         "sample refs",
@@ -849,8 +893,8 @@ pub fn e1_cold_start(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         "continuous miss%",
         "bias (pp)",
     ]);
-    for &s in &samples {
-        let m = sampled_miss_rate(&run.trace, &cfg, s);
+    for (&s, sampler) in samples.iter().zip(samplers) {
+        let m = sampler.miss_rate();
         t.row([
             s.to_string(),
             pct(m),
@@ -873,6 +917,19 @@ pub fn e1_cold_start(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
 
 // ── E2: buffer capacity & compaction ──────────────────────────────────
 
+/// The size `encode_trace` gives the trace that `bytes` decode to: an
+/// in-memory trace has no capture clock, so each segment's cycle stamp
+/// becomes a one-byte 0. One walk over the segment headers; no payload
+/// is decoded.
+fn unstamped_len(bytes: &[u8]) -> Result<u64, TraceStreamError> {
+    let mut rd = SegmentReader::new(bytes)?;
+    let mut len = bytes.len() as u64;
+    while let Some(h) = rd.next_header()? {
+        len -= h.encoded_len() - SegmentHeader { cycle: 0, ..h }.encoded_len();
+    }
+    Ok(len)
+}
+
 /// E2 — records per MiB of hidden buffer, raw vs host-compacted.
 ///
 /// # Errors
@@ -880,8 +937,9 @@ pub fn e1_cold_start(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
 /// Any [`RunnerError`].
 pub fn e2_compaction(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerError> {
     let _ = scale;
-    let raw_bytes = run.trace.len() * 8;
-    let encoded = atum_core::encode_trace(&run.trace);
+    let records = run.stream.records;
+    let raw_bytes = records * 8;
+    let encoded = unstamped_len(&run.bytes)?;
     let mut t = Table::new(["form", "bytes", "bytes/record", "records per MiB"]);
     t.row([
         "in-buffer (microcode)".to_string(),
@@ -889,22 +947,22 @@ pub fn e2_compaction(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerEr
         "8.00".to_string(),
         format!("{}", (1 << 20) / 8),
     ]);
-    let bpr = encoded.len() as f64 / run.trace.len().max(1) as f64;
+    let bpr = encoded as f64 / records.max(1) as f64;
     t.row([
         "archived (host-compacted)".to_string(),
-        encoded.len().to_string(),
+        encoded.to_string(),
         format!("{bpr:.2}"),
         format!("{}", ((1 << 20) as f64 / bpr) as u64),
     ]);
     let mut r = Report::new("E2", "trace buffer capacity and compaction");
     r.table(
-        &format!("{} records captured from the standard mix", run.trace.len()),
+        &format!("{records} records captured from the standard mix"),
         t,
     );
     r.note(format!(
         "compaction {:.1}x: the microcode writes fat records fast; the host \
          compacts at extraction, exactly the paper's division of labour",
-        raw_bytes as f64 / encoded.len().max(1) as f64
+        raw_bytes as f64 / encoded.max(1) as f64
     ));
     Ok(r)
 }
@@ -929,22 +987,24 @@ pub fn e3_os_breakdown(scale: Scale, run: &CapturedRun) -> Result<Report, Runner
     }
     let mut counts = [0u64; 5];
     let mut cat = Cat::Boot;
-    for r in run.trace.iter() {
-        match r.kind() {
-            RecordKind::Interrupt => {
-                cat = match r.addr {
-                    0xC0 => Cat::Timer,
-                    0x40 => Cat::Syscall,
-                    _ => Cat::Fault,
-                };
+    run.source().stream(&mut |batch| {
+        for r in batch {
+            match r.kind() {
+                RecordKind::Interrupt => {
+                    cat = match r.addr {
+                        0xC0 => Cat::Timer,
+                        0x40 => Cat::Syscall,
+                        _ => Cat::Fault,
+                    };
+                }
+                RecordKind::CtxSwitch => cat = Cat::CtxSwitch,
+                k if k.is_ref() && r.is_kernel() => {
+                    counts[cat as usize] += 1;
+                }
+                _ => {}
             }
-            RecordKind::CtxSwitch => cat = Cat::CtxSwitch,
-            k if k.is_ref() && r.is_kernel() => {
-                counts[cat as usize] += 1;
-            }
-            _ => {}
         }
-    }
+    })?;
     let total: u64 = counts.iter().sum();
     let mut t = Table::new(["component", "kernel refs", "share"]);
     for (name, idx) in [
@@ -986,10 +1046,9 @@ pub fn e4_working_set(scale: Scale, run: &CapturedRun) -> Result<Report, RunnerE
         "user-only mean pages",
     ]);
     // Every window size is measured in a single pass per trace view.
-    let full = crate::working_set::working_set_curve_stream(&mut run.trace.source(), &windows)
-        .expect("in-memory source cannot fail");
-    let user = crate::working_set::working_set_curve_stream(&mut run.trace.user_source(), &windows)
-        .expect("in-memory source cannot fail");
+    let full = crate::working_set::working_set_curve_stream(&mut run.source(), &windows)?;
+    let user =
+        crate::working_set::working_set_curve_stream(&mut UserRefs::new(run.source()), &windows)?;
     for (i, &w) in windows.iter().enumerate() {
         t.row([
             w.to_string(),
@@ -1125,10 +1184,33 @@ mod tests {
     #[test]
     fn quick_mix_captures() {
         let run = capture_standard_mix(Scale::Quick).unwrap();
-        assert!(run.trace.ref_count() > 10_000);
-        let s = run.trace.stats();
+        let s = TraceStats::of(&mut run.source()).unwrap();
+        assert!(s.total_refs() > 10_000);
         assert!(s.os_fraction() > 0.02);
         assert!(s.ctx_switches >= 3);
+    }
+
+    #[test]
+    fn kept_bytes_decode_to_the_stitched_trace() {
+        let run = capture_standard_mix(Scale::Quick).unwrap();
+        let (trace, _, _) = crate::runner::traced(
+            &mix(Scale::Quick),
+            quantum(Scale::Quick),
+            BUDGET,
+            PatchStyle::Scratch,
+            |session, m| session.run(m).map(|c| (c.exit, c.trace)),
+        )
+        .unwrap();
+        // Segment for segment, the kept bytes hold exactly the records
+        // `CaptureSession::run` stitches for the same mix and quantum.
+        let mut rd = SegmentReader::new(&run.bytes[..]).unwrap();
+        let mut segments = trace.segment_slices();
+        while let Some((_, records)) = rd.next_segment().unwrap() {
+            assert_eq!(Some(records), segments.next());
+        }
+        assert_eq!(segments.next(), None);
+        assert_eq!(run.stream.records, trace.len() as u64);
+        assert_eq!(run.stream.segments, trace.segments() as u64);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Capture helpers: boot a workload set under MOSS, run with or without
 //! the tracer attached, collect results.
 
-use atum_core::{CaptureSession, Trace, TraceStats, Tracer, TracerError};
+use atum_core::{
+    CaptureSession, SegmentSliceSource, SegmentWriter, StreamStats, TraceStats, TraceStreamError,
+    Tracer,
+};
 use atum_machine::{Machine, RefCounts, RunExit};
 use atum_os::BootImage;
 use atum_workloads::Workload;
@@ -25,6 +28,8 @@ pub enum RunnerError {
     },
     /// The experiment id is not one of `experiments::ALL_IDS`.
     UnknownExperiment(String),
+    /// A captured trace's v2 bytes could not be written or read back.
+    Trace(String),
 }
 
 impl fmt::Display for RunnerError {
@@ -40,17 +45,30 @@ impl fmt::Display for RunnerError {
                 )
             }
             RunnerError::UnknownExperiment(id) => write!(f, "unknown experiment id '{id}'"),
+            RunnerError::Trace(e) => write!(f, "trace: {e}"),
         }
     }
 }
 
 impl std::error::Error for RunnerError {}
 
-/// Results of a traced run.
+impl From<TraceStreamError> for RunnerError {
+    fn from(e: TraceStreamError) -> RunnerError {
+        RunnerError::Trace(e.to_string())
+    }
+}
+
+/// Results of a traced run. The trace is kept as the compact v2 bytes
+/// the capture streamed, not as records: the host keeps only the
+/// compacted form, and every reader decodes it through
+/// [`CapturedRun::source`].
 #[derive(Debug)]
 pub struct CapturedRun {
-    /// The captured complete-system trace.
-    pub trace: Trace,
+    /// The captured complete-system trace as a v2 segment stream, one
+    /// segment per drained sample, each stamped with its drain's cycle.
+    pub bytes: Vec<u8>,
+    /// The segment writer's totals for `bytes`.
+    pub stream: StreamStats,
     /// Microcycles elapsed.
     pub cycles: u64,
     /// Instructions executed.
@@ -61,6 +79,14 @@ pub struct CapturedRun {
     pub counts: RefCounts,
     /// Buffer drains performed during capture.
     pub drains: u32,
+}
+
+impl CapturedRun {
+    /// The captured trace as a restartable [`atum_core::TraceSource`]
+    /// over the kept bytes, decoding one segment per batch.
+    pub fn source(&self) -> SegmentSliceSource<'_> {
+        SegmentSliceSource::new(&self.bytes)
+    }
 }
 
 fn build(workloads: &[Workload], quantum: u32) -> Result<BootImage, RunnerError> {
@@ -113,7 +139,8 @@ pub fn run_untraced(
 }
 
 /// Boots a mix under MOSS with the ATUM tracer attached and captures the
-/// complete-system trace (stitching drains as needed).
+/// complete-system trace (stitching drains as needed), streaming each
+/// drained segment into the run's kept bytes as it is drained.
 ///
 /// # Errors
 ///
@@ -123,15 +150,19 @@ pub fn capture_mix(
     quantum: u32,
     budget: u64,
 ) -> Result<CapturedRun, RunnerError> {
+    let mut bytes = Vec::new();
+    let mut w = SegmentWriter::new(&mut bytes).map_err(|e| RunnerError::Trace(e.to_string()))?;
     let (capture, m, console) = traced(
         workloads,
         quantum,
         budget,
         atum_core::PatchStyle::Scratch,
-        |session, m| session.run(m).map(|c| (c.exit, c)),
+        |session, m| session.run_streaming(m, &mut w).map(|c| (c.exit, c)),
     )?;
+    let stream = w.finish().map_err(|e| RunnerError::Trace(e.to_string()))?;
     Ok(CapturedRun {
-        trace: capture.trace,
+        bytes,
+        stream,
         cycles: m.cycles(),
         insns: m.insns(),
         console,
@@ -163,12 +194,12 @@ pub fn capture_mix_stats(
 /// Boots a mix with the tracer attached, runs `capture` over it,
 /// requires a halt and verifies the checksums; returns the capture, the
 /// machine and its console output.
-fn traced<C>(
+pub(crate) fn traced<C, E: fmt::Display>(
     workloads: &[Workload],
     quantum: u32,
     budget: u64,
     style: atum_core::PatchStyle,
-    capture: impl FnOnce(&CaptureSession<'_>, &mut Machine) -> Result<(RunExit, C), TracerError>,
+    capture: impl FnOnce(&CaptureSession<'_>, &mut Machine) -> Result<(RunExit, C), E>,
 ) -> Result<(C, Machine, String), RunnerError> {
     let image = build(workloads, quantum)?;
     let mut m = Machine::new(image.memory_layout());
@@ -208,7 +239,10 @@ mod tests {
             cap.insns
         );
         assert!(cap.cycles > cycles, "tracing costs cycles");
-        assert!(cap.trace.ref_count() > 0);
+        let stats = TraceStats::of(&mut cap.source()).unwrap();
+        assert!(stats.total_refs() > 0);
+        assert_eq!(stats.records, cap.stream.records);
+        assert_eq!(cap.stream.encoded_bytes, cap.bytes.len() as u64);
     }
 
     #[test]

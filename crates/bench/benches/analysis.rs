@@ -17,7 +17,7 @@
 
 use atum_analysis::{experiments, Scale};
 use atum_cache::{simulate_many_stream, simulate_stream, CacheConfig, CacheStats, SwitchPolicy};
-use atum_core::{RecordKind, Trace};
+use atum_core::{decode_trace, RecordKind, Trace};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// The raw size, in bytes at 8 B per record, the replicated trace must
@@ -141,10 +141,11 @@ fn analysis(_c: &mut Criterion) {
     }
 
     let run = experiments::capture_standard_mix(Scale::Quick).expect("capture standard mix");
+    let mix = decode_trace(&run.bytes).expect("kept bytes decode");
     let mut big = Trace::new();
     let mut replicas = 0u32;
     while (big.len() as u64) <= RECORD_BUDGET / 8 {
-        stitch_replica(&mut big, &run.trace);
+        stitch_replica(&mut big, &mix);
         replicas += 1;
     }
     let refs = big.ref_count() as f64;

@@ -1,8 +1,10 @@
 //! Out-of-core trace streaming benchmark: captures the standard mix,
 //! replicates it onto disk past a 16 MiB in-memory budget, then runs the
-//! same stackable cache sweep (`simulate_many_stream`) over two sources:
-//! the in-memory trace (`Trace::source`) and the segment file. The two
-//! result sets must be identical, and the streamed sweep must run within
+//! same stackable cache sweep (`simulate_many_stream`) over three
+//! sources: the in-memory trace (`Trace::source`), the segment file,
+//! and the file's v2 bytes held in memory (`SegmentSliceSource`, the
+//! form `experiments` keeps the standard mix in). The three result sets
+//! must be identical, and the streamed sweep must run within
 //! [`MAX_STREAMED_SLOWDOWN`]× of the in-memory one. The timings and the
 //! file's compression ratio are recorded machine-readably in
 //! `BENCH_trace.json` at the workspace root.
@@ -13,7 +15,9 @@
 
 use atum_analysis::{experiments, Scale};
 use atum_cache::{simulate_many_stream, CacheConfig};
-use atum_core::{RecordKind, SegmentFileSource, SegmentWriter, Trace};
+use atum_core::{
+    decode_trace, RecordKind, SegmentFileSource, SegmentSliceSource, SegmentWriter, Trace,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// The in-memory budget the on-disk trace must exceed: the sweep below
@@ -81,10 +85,11 @@ fn trace_stream(_c: &mut Criterion) {
     // One real capture of the standard mix; replicate it until the raw
     // record size crosses the in-memory budget.
     let run = experiments::capture_standard_mix(Scale::Quick).expect("capture standard mix");
+    let mix = decode_trace(&run.bytes).expect("kept bytes decode");
     let mut big = Trace::new();
     let mut replicas = 0u32;
     while (big.len() as u64) * 8 <= MEMORY_BUDGET {
-        stitch_replica(&mut big, &run.trace);
+        stitch_replica(&mut big, &mix);
         replicas += 1;
     }
 
@@ -108,15 +113,19 @@ fn trace_stream(_c: &mut Criterion) {
     );
 
     let cfgs = sweep_configs();
+    let bytes = std::fs::read(path).expect("read trace file");
 
-    // Correctness first: both paths must produce identical stats.
+    // Correctness first: every path must produce identical stats.
     let baseline = simulate_many_stream(&mut big.source(), &cfgs).expect("in-memory source");
     let seq = simulate_many_stream(&mut SegmentFileSource::new(path), &cfgs).expect("stream");
     assert_eq!(baseline, seq, "streamed sweep diverged");
+    let kept = simulate_many_stream(&mut SegmentSliceSource::new(&bytes), &cfgs).expect("bytes");
+    assert_eq!(baseline, kept, "sweep over in-memory v2 bytes diverged");
 
     // Timing: interleave the variants inside each round.
     let mut t_mem = f64::MAX;
     let mut t_seq = f64::MAX;
+    let mut t_bytes = f64::MAX;
     for _ in 0..ROUNDS {
         let (t, _) = best_of(1, || {
             simulate_many_stream(&mut big.source(), &cfgs).expect("in-memory source")
@@ -126,17 +135,25 @@ fn trace_stream(_c: &mut Criterion) {
             simulate_many_stream(&mut SegmentFileSource::new(path), &cfgs).expect("stream")
         });
         t_seq = t_seq.min(t);
+        let (t, _) = best_of(1, || {
+            simulate_many_stream(&mut SegmentSliceSource::new(&bytes), &cfgs).expect("bytes")
+        });
+        t_bytes = t_bytes.min(t);
     }
 
     let refs = big.ref_count() as f64;
     let mem_rate = refs / t_mem;
     let seq_rate = refs / t_seq;
+    let bytes_rate = refs / t_bytes;
     let slowdown = t_seq / t_mem;
+    let bytes_slowdown = t_bytes / t_mem;
     println!(
         "bench trace_stream: {} records in {} segments ({} replicas of the standard mix)\n\
          bench trace_stream: {} encoded bytes vs {} raw ({:.2}x compression)\n\
          bench trace_stream: in-memory {mem_rate:.3e} refs/s  streamed {seq_rate:.3e} refs/s  \
-         (streamed {slowdown:.3}x of in-memory)",
+         (streamed {slowdown:.3}x of in-memory)\n\
+         bench trace_stream: in-memory v2 bytes {bytes_rate:.3e} refs/s  \
+         ({bytes_slowdown:.3}x of in-memory)",
         stats.records,
         stats.segments,
         replicas,
@@ -161,7 +178,9 @@ fn trace_stream(_c: &mut Criterion) {
          \"results_identical\": true,\n  \
          \"in_memory_refs_per_sec\": {mem_rate:.1},\n  \
          \"streamed_refs_per_sec\": {seq_rate:.1},\n  \
-         \"streamed_slowdown\": {slowdown:.3}\n}}\n",
+         \"streamed_slowdown\": {slowdown:.3},\n  \
+         \"in_memory_bytes_refs_per_sec\": {bytes_rate:.1},\n  \
+         \"in_memory_bytes_slowdown\": {bytes_slowdown:.3}\n}}\n",
         stats.records,
         stats.segments,
         stats.raw_bytes(),

@@ -11,11 +11,23 @@
 //! heap — or `mix` for the standard mix. `-q` sets the scheduling quantum in
 //! microcycles, `-o` writes the compact trace file, `--dump N` prints the
 //! first N records.
+//!
+//! The capture streams: each drained sample is encoded into the `-o`
+//! file as it is drained (into memory without `-o`), each segment
+//! stamped with its drain's cycle, and the statistics and `--dump`
+//! records come from one decode pass over what was written. The `-o`
+//! file is created before the machine runs, so an unwritable path fails
+//! at once. A closed stdout (`| head`) ends the program quietly with
+//! success.
 
-use atum_core::{CaptureSession, Tracer};
+use atum_core::{
+    CaptureSession, CaptureStreamError, RecordBatch, SegmentFileSource, SegmentSliceSource,
+    SegmentWriter, StreamedCapture, TraceSource, TraceStats, TraceStreamError, Tracer,
+};
 use atum_machine::{Machine, RunExit};
 use atum_os::BootImage;
 use atum_workloads::Workload;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn preset(name: &str) -> Option<Workload> {
@@ -82,6 +94,57 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Captures the booted machine into `w`, then flushes it.
+fn capture<W: Write>(
+    tracer: &Tracer,
+    m: &mut Machine,
+    mut w: SegmentWriter<W>,
+) -> Result<StreamedCapture, CaptureStreamError> {
+    let captured = CaptureSession::new(tracer, u64::MAX / 2).run_streaming(m, &mut w)?;
+    w.finish()?;
+    Ok(captured)
+}
+
+/// Passes a source's batches through, printing the first `left` records
+/// to `out` as they go by. A failed print ends the pass as its
+/// [`TraceStreamError::Io`].
+struct Dump<'o, S> {
+    inner: S,
+    left: usize,
+    out: &'o mut dyn Write,
+}
+
+impl<S: TraceSource> TraceSource for Dump<'_, S> {
+    fn rewind(&mut self) -> Result<(), TraceStreamError> {
+        self.inner.rewind()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<&RecordBatch>, TraceStreamError> {
+        let batch = self.inner.next_batch()?;
+        if let Some(b) = batch {
+            for r in b.records().iter().take(self.left) {
+                writeln!(self.out, "{r}")?;
+            }
+            self.left -= b.len().min(self.left);
+        }
+        Ok(batch)
+    }
+}
+
+/// The statistics of what `source` holds, printing its first `dump`
+/// records to `out` in the same pass.
+fn scan(
+    source: impl TraceSource,
+    dump: usize,
+    out: &mut dyn Write,
+) -> Result<TraceStats, TraceStreamError> {
+    TraceStats::of(&mut Dump {
+        inner: source,
+        left: dump,
+        out,
+    })
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -89,6 +152,18 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
+    };
+    // Create the output before anything runs: an unwritable path fails
+    // at once, not after the whole capture.
+    let file = match &args.out {
+        None => None,
+        Some(path) => match SegmentWriter::create(path) {
+            Ok(w) => Some(w),
+            Err(e) => {
+                eprintln!("create {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
     };
 
     let mut builder = BootImage::builder().quantum(args.quantum);
@@ -115,15 +190,23 @@ fn main() -> ExitCode {
         }
     };
     tracer.set_pid(&mut machine, 0);
-    let capture = match CaptureSession::new(&tracer, u64::MAX / 2).run(&mut machine) {
+    // Without `-o` the compact bytes stay in memory for the decode pass.
+    let mut bytes = Vec::new();
+    let captured = match file {
+        Some(w) => capture(&tracer, &mut machine, w),
+        None => SegmentWriter::new(&mut bytes)
+            .map_err(CaptureStreamError::Io)
+            .and_then(|w| capture(&tracer, &mut machine, w)),
+    };
+    let captured = match captured {
         Ok(c) => c,
         Err(e) => {
             eprintln!("capture: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if capture.exit != RunExit::Halted {
-        eprintln!("machine did not halt: {}", capture.exit);
+    if captured.exit != RunExit::Halted {
+        eprintln!("machine did not halt: {}", captured.exit);
         return ExitCode::FAILURE;
     }
 
@@ -148,26 +231,31 @@ fn main() -> ExitCode {
         "cycles: {}  instructions: {}  drains: {}",
         machine.cycles(),
         machine.insns(),
-        capture.drains
+        captured.drains
     );
-    eprintln!("{}", capture.trace.stats());
 
-    if args.dump > 0 {
-        for r in capture.trace.iter().take(args.dump) {
-            println!("{r}");
+    atum_bench::with_stdout(|out| {
+        let scanned = match &args.out {
+            Some(path) => scan(SegmentFileSource::new(path), args.dump, out),
+            None => scan(SegmentSliceSource::new(&bytes), args.dump, out),
+        };
+        let stats = match scanned {
+            Ok(s) => s,
+            Err(TraceStreamError::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => return Err(e),
+            Err(e) => {
+                eprintln!("read back: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        };
+        eprintln!("{stats}");
+        if let Some(path) = &args.out {
+            let s = captured.stats;
+            eprintln!(
+                "wrote {path}: {} bytes ({:.2} bytes/record)",
+                s.encoded_bytes,
+                s.encoded_bytes as f64 / s.records.max(1) as f64
+            );
         }
-    }
-    if let Some(path) = &args.out {
-        let bytes = atum_core::encode_trace(&capture.trace);
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "wrote {path}: {} bytes ({:.2} bytes/record)",
-            bytes.len(),
-            bytes.len() as f64 / capture.trace.len().max(1) as f64
-        );
-    }
-    ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
+    })
 }

@@ -15,18 +15,21 @@
 //! once (the standard mix is captured once for every experiment that
 //! analyses it), then the reports. Output is byte-identical for every
 //! N. Every id is checked before anything runs: an unknown one exits
-//! nonzero, lists the valid ids and prints no report.
+//! nonzero, lists the valid ids and prints no report. A closed stdout
+//! (`| head`) ends the program quietly with success.
 
 use atum_analysis::{experiments, Report, RunnerError, Scale};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-fn print_report(r: &Report, csv: bool) {
-    println!("{r}\n");
+fn print_report(out: &mut dyn Write, r: &Report, csv: bool) -> io::Result<()> {
+    writeln!(out, "{r}\n")?;
     if csv {
         for (caption, table) in &r.tables {
-            println!("csv: {} — {caption}\n{}", r.id, table.to_csv());
+            writeln!(out, "csv: {} — {caption}\n{}", r.id, table.to_csv())?;
         }
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -74,19 +77,22 @@ fn main() -> ExitCode {
         "# ATUM reproduction — experiment harness ({:?} scale, {} jobs)",
         scale, jobs
     );
-    let mut ok = true;
-    for (id, result) in experiments::run_selected(scale, &ids, jobs) {
-        match result {
-            Ok(r) => print_report(&r, csv),
-            Err(e) => {
-                eprintln!("{id}: {e}");
-                ok = false;
+    let reports = experiments::run_selected(scale, &ids, jobs);
+    atum_bench::with_stdout(|out| {
+        let mut ok = true;
+        for (id, result) in reports {
+            match result {
+                Ok(r) => print_report(out, &r, csv)?,
+                Err(e) => {
+                    eprintln!("{id}: {e}");
+                    ok = false;
+                }
             }
         }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+        Ok(if ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        })
+    })
 }

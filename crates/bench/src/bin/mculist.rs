@@ -18,12 +18,14 @@
 //! machine-readable output; `verify` accepts `--pass <name>` to run a
 //! single verifier pass. An unknown flag, a flag the command does not
 //! take, another `--format` value or a stray argument is a usage error
-//! (exit 1, nothing on stdout).
+//! (exit 1, nothing on stdout). A closed stdout (`| head`) ends the
+//! program quietly with success.
 
 use atum_bench::mculist::{cost_report, patches_report, trace_info, trace_info_batch, verify_pass};
 use atum_core::PatchSet;
 use atum_mclint::Pass;
 use atum_ucode::stock;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -32,12 +34,17 @@ usage: mculist [entries | patches | all | verify | cost | cost-static | <symbol>
        mculist trace info <file.atrace> [--batch] [--format json]";
 
 /// Reports a malformed command line (with the usage text) and fails.
-fn usage_error(msg: &str) -> ExitCode {
+fn usage_error(msg: &str) -> io::Result<ExitCode> {
     eprintln!("{msg}\n{USAGE}");
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 fn main() -> ExitCode {
+    atum_bench::with_stdout(run)
+}
+
+/// The command line's work, writing its report to `out`.
+fn run(out: &mut dyn Write) -> io::Result<ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
     let mut batch = false;
@@ -86,7 +93,7 @@ fn main() -> ExitCode {
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
     };
@@ -104,7 +111,7 @@ fn main() -> ExitCode {
         return usage_error(&format!("'{arg}' has no --format json output"));
     }
     if arg == "trace" {
-        return run_trace(&positional[1..], json, batch);
+        return run_trace(out, &positional[1..], json, batch);
     }
     if let Some(extra) = positional.get(1) {
         return usage_error(&format!("unexpected argument '{extra}'"));
@@ -112,25 +119,29 @@ fn main() -> ExitCode {
     let mut cs = stock::build();
     match arg.as_str() {
         "entries" => {
-            println!("stock entry table:\n{}", cs.entry_summary());
+            writeln!(out, "stock entry table:\n{}", cs.entry_summary())?;
             PatchSet::install(&mut cs).expect("install");
-            println!("after installing the ATUM patches:\n{}", cs.entry_summary());
+            writeln!(
+                out,
+                "after installing the ATUM patches:\n{}",
+                cs.entry_summary()
+            )?;
         }
         "patches" => {
-            print!("{}", patches_report());
+            write!(out, "{}", patches_report())?;
         }
         "all" => {
-            println!("{}", cs.listing(0, cs.len()));
+            writeln!(out, "{}", cs.listing(0, cs.len()))?;
         }
         "verify" => {
             let v = verify_pass(pass);
             if json {
-                print!("{}", v.render_json());
+                write!(out, "{}", v.render_json())?;
             } else {
-                print!("{}", v.render());
+                write!(out, "{}", v.render())?;
             }
             if v.findings > 0 {
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         // The deterministic half of `cost` alone (no BENCH_capture.json
@@ -140,23 +151,23 @@ fn main() -> ExitCode {
         "cost-static" => {
             let c = cost_report();
             if json {
-                print!("{}", c.json_static);
+                write!(out, "{}", c.json_static)?;
             } else {
-                print!("{}", c.static_report);
+                write!(out, "{}", c.static_report)?;
             }
             if c.findings > 0 {
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         "cost" => {
             let c = cost_report();
             if json {
-                print!("{}", c.json);
+                write!(out, "{}", c.json)?;
             } else {
-                print!("{}{}", c.static_report, c.bench_report);
+                write!(out, "{}{}", c.static_report, c.bench_report)?;
             }
             if c.findings > 0 || c.errors > 0 {
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         sym => {
@@ -164,11 +175,11 @@ fn main() -> ExitCode {
             if cs.symbol(sym).is_none() {
                 if let Err(e) = PatchSet::install(&mut cs) {
                     eprintln!("cannot install patches to resolve '{sym}': {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
             match cs.listing_of(sym) {
-                Some(l) => println!("{l}"),
+                Some(l) => writeln!(out, "{l}")?,
                 None => {
                     let mut names: Vec<&String> = cs.symbols().keys().collect();
                     names.sort();
@@ -183,18 +194,23 @@ fn main() -> ExitCode {
                                 .join("  ")
                         );
                     }
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mculist trace info <file>`: dump the per-segment headers and the
 /// compression statistics of an on-disk segment trace. `--batch` also
 /// times a decode-only pass through the batched pull reader.
-fn run_trace(rest: &[String], json: bool, batch: bool) -> ExitCode {
+fn run_trace(
+    out: &mut dyn Write,
+    rest: &[String],
+    json: bool,
+    batch: bool,
+) -> io::Result<ExitCode> {
     let (action, path) = match rest {
         [a, p] => (a.as_str(), p.as_str()),
         [p] => ("info", p.as_str()),
@@ -202,7 +218,7 @@ fn run_trace(rest: &[String], json: bool, batch: bool) -> ExitCode {
     };
     if action != "info" {
         eprintln!("unknown trace action '{action}' (expected 'info')");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let result = if batch {
         trace_info_batch(path)
@@ -212,15 +228,15 @@ fn run_trace(rest: &[String], json: bool, batch: bool) -> ExitCode {
     match result {
         Ok(report) => {
             if json {
-                print!("{}", report.render_json());
+                write!(out, "{}", report.render_json())?;
             } else {
-                print!("{}", report.render());
+                write!(out, "{}", report.render())?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("cannot inspect '{path}': {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }

@@ -1,5 +1,6 @@
 //! The `capture` binary end to end: the file it writes decodes to the
-//! trace it reports and dumps, and an unknown workload is rejected.
+//! trace it reports and dumps, and an unknown workload or an unwritable
+//! output path is rejected before the capture runs.
 
 use std::process::Command;
 
@@ -47,4 +48,22 @@ fn unknown_workload_is_rejected() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown workload 'nosuch'"), "{stderr}");
+}
+
+#[test]
+fn unwritable_output_fails_before_the_capture() {
+    let path = std::env::temp_dir()
+        .join(format!("atum-no-such-dir-{}", std::process::id()))
+        .join("x.atrace");
+    let out = Command::new(env!("CARGO_BIN_EXE_capture"))
+        .arg("matrix")
+        .arg("-o")
+        .arg(&path)
+        .output()
+        .expect("run capture");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&*path.to_string_lossy()), "{stderr}");
+    assert!(!stderr.contains("cycles:"), "the capture ran: {stderr}");
+    assert!(out.stdout.is_empty());
 }

@@ -15,12 +15,17 @@ pub(crate) fn record_kind_to_access(kind: RecordKind) -> Option<AccessKind> {
     }
 }
 
-fn cache_step(cache: &mut Cache, r: &TraceRecord) {
-    match r.kind() {
-        RecordKind::CtxSwitch => cache.context_switch(r.pid()),
-        kind => {
-            if let Some(access) = record_kind_to_access(kind) {
-                cache.access(r.addr, access, r.pid());
+impl Cache {
+    /// Applies one trace record, as [`simulate_stream`] does to each: a
+    /// context-switch marker switches, an I/D reference accesses, and
+    /// any other marker does nothing.
+    pub fn step(&mut self, r: &TraceRecord) {
+        match r.kind() {
+            RecordKind::CtxSwitch => self.context_switch(r.pid()),
+            kind => {
+                if let Some(access) = record_kind_to_access(kind) {
+                    self.access(r.addr, access, r.pid());
+                }
             }
         }
     }
@@ -42,7 +47,7 @@ pub fn simulate_stream<S: TraceSource>(
     let mut cache = Cache::new(*cfg);
     source.stream(&mut |batch| {
         for r in batch {
-            cache_step(&mut cache, r);
+            cache.step(r);
         }
     })?;
     Ok(*cache.stats())

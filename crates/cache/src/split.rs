@@ -8,7 +8,7 @@
 use crate::config::CacheConfig;
 use crate::set_assoc::{AccessKind, Cache};
 use crate::stats::CacheStats;
-use atum_core::{RecordKind, Trace};
+use atum_core::{RecordKind, TraceRecord, TraceSource, TraceStreamError};
 
 /// Combined statistics of a split simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,38 +36,63 @@ impl SplitStats {
     }
 }
 
-/// Runs a trace through a split I/D pair.
-pub fn simulate_split(trace: &Trace, icfg: &CacheConfig, dcfg: &CacheConfig) -> SplitStats {
-    let mut icache = Cache::new(*icfg);
-    let mut dcache = Cache::new(*dcfg);
-    for r in trace.iter() {
-        match r.kind() {
-            RecordKind::CtxSwitch => {
-                icache.context_switch(r.pid());
-                dcache.context_switch(r.pid());
-            }
-            RecordKind::IFetch => {
-                icache.access(r.addr, AccessKind::IFetch, r.pid());
-            }
-            RecordKind::Read => {
-                dcache.access(r.addr, AccessKind::Read, r.pid());
-            }
-            RecordKind::Write => {
-                dcache.access(r.addr, AccessKind::Write, r.pid());
-            }
-            _ => {}
+/// Routes one record to a split pair: I-fetches to `icache`, data
+/// references to `dcache`, context switches to both.
+fn split_step(icache: &mut Cache, dcache: &mut Cache, r: &TraceRecord) {
+    match r.kind() {
+        RecordKind::CtxSwitch => {
+            icache.context_switch(r.pid());
+            dcache.context_switch(r.pid());
         }
+        RecordKind::IFetch => {
+            icache.access(r.addr, AccessKind::IFetch, r.pid());
+        }
+        RecordKind::Read => {
+            dcache.access(r.addr, AccessKind::Read, r.pid());
+        }
+        RecordKind::Write => {
+            dcache.access(r.addr, AccessKind::Write, r.pid());
+        }
+        _ => {}
     }
-    SplitStats {
-        icache: *icache.stats(),
-        dcache: *dcache.stats(),
-    }
+}
+
+/// Runs `source` through every split I/D pair of `pairs` (each an
+/// `(icache, dcache)` configuration) in one traversal. Results are
+/// index-aligned with `pairs`, and each is what a traversal with that
+/// pair alone gives.
+///
+/// # Errors
+///
+/// Any [`TraceStreamError`] from the source.
+pub fn simulate_split<S: TraceSource>(
+    source: &mut S,
+    pairs: &[(CacheConfig, CacheConfig)],
+) -> Result<Vec<SplitStats>, TraceStreamError> {
+    let mut caches: Vec<(Cache, Cache)> = pairs
+        .iter()
+        .map(|(icfg, dcfg)| (Cache::new(*icfg), Cache::new(*dcfg)))
+        .collect();
+    source.stream(&mut |batch| {
+        for (icache, dcache) in &mut caches {
+            for r in batch {
+                split_step(icache, dcache, r);
+            }
+        }
+    })?;
+    Ok(caches
+        .iter()
+        .map(|(icache, dcache)| SplitStats {
+            icache: *icache.stats(),
+            dcache: *dcache.stats(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atum_core::TraceRecord;
+    use atum_core::Trace;
 
     fn mixed_trace() -> Trace {
         let mut t = Trace::new();
@@ -90,11 +115,16 @@ mod tests {
         t
     }
 
+    /// One split pair over an in-memory trace.
+    fn split(t: &Trace, icfg: &CacheConfig, dcfg: &CacheConfig) -> SplitStats {
+        simulate_split(&mut t.source(), &[(*icfg, *dcfg)]).unwrap()[0]
+    }
+
     #[test]
     fn split_routes_by_kind() {
         let t = mixed_trace();
         let cfg = CacheConfig::builder().size(1024).block(16).build().unwrap();
-        let s = simulate_split(&t, &cfg, &cfg);
+        let s = split(&t, &cfg, &cfg);
         assert_eq!(s.icache.accesses, 512);
         assert_eq!(s.dcache.accesses, 512);
         assert_eq!(s.icache.ifetch_accesses, 512);
@@ -119,7 +149,7 @@ mod tests {
             .build()
             .unwrap();
         let u = crate::sim::simulate_stream(&mut t.source(), &unified).unwrap();
-        let s = simulate_split(&t, &half, &half);
+        let s = split(&t, &half, &half);
         // The 64-entry (1 KiB footprint) I-loop fits a 256 B I-cache
         // poorly, but the point is structural: the split simulation runs
         // and produces comparable totals.
@@ -134,8 +164,62 @@ mod tests {
     #[test]
     fn empty_trace_split() {
         let cfg = CacheConfig::builder().build().unwrap();
-        let s = simulate_split(&Trace::new(), &cfg, &cfg);
+        let s = split(&Trace::new(), &cfg, &cfg);
         assert_eq!(s.miss_rate(), 0.0);
         assert_eq!(s.misses(), 0);
+        assert!(simulate_split(&mut Trace::new().source(), &[])
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn many_pairs_match_one_run_per_pair() {
+        // Switches under every policy, writes and two processes, so
+        // flushes, tags and write-backs all differ between the pairs.
+        let mut t = Trace::new();
+        for round in 0..40u32 {
+            let pid = (round % 2 + 1) as u8;
+            t.push(TraceRecord::new(RecordKind::CtxSwitch, 0, 0, pid, true));
+            for i in 0..96u32 {
+                t.push(TraceRecord::new(
+                    RecordKind::IFetch,
+                    0x1000 + (i * 4 + round * 64) % 4096,
+                    4,
+                    pid,
+                    i % 16 == 0,
+                ));
+                let kind = if i % 3 == 0 {
+                    RecordKind::Write
+                } else {
+                    RecordKind::Read
+                };
+                t.push(TraceRecord::new(
+                    kind,
+                    0x8000 + (i * 24) % 3072,
+                    4,
+                    pid,
+                    false,
+                ));
+            }
+        }
+        let mut pairs = Vec::new();
+        for (size, assoc, switch) in [
+            (256u32, 1u32, crate::SwitchPolicy::Flush),
+            (1024, 2, crate::SwitchPolicy::PidTag),
+            (4096, 4, crate::SwitchPolicy::Ignore),
+        ] {
+            let cfg = CacheConfig::builder()
+                .size(size)
+                .block(16)
+                .assoc(assoc)
+                .switch_policy(switch)
+                .build()
+                .unwrap();
+            pairs.push((cfg, cfg.with_size(size * 2)));
+        }
+        let many = simulate_split(&mut t.source(), &pairs).unwrap();
+        let one: Vec<SplitStats> = pairs.iter().map(|(i, d)| split(&t, i, d)).collect();
+        assert_eq!(many, one);
+        assert!(many[0] != many[1] && many[1] != many[2]);
     }
 }

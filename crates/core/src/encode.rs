@@ -115,6 +115,15 @@ pub struct SegmentHeader {
     pub kernel: bool,
 }
 
+impl SegmentHeader {
+    /// Bytes the header occupies in a segment stream.
+    pub fn encoded_len(&self) -> u64 {
+        let mut out = Vec::with_capacity(32);
+        push_segment_header(&mut out, self);
+        out.len() as u64
+    }
+}
+
 fn size_code(size: u32) -> u8 {
     match size {
         1 => 0,
@@ -524,6 +533,17 @@ mod tests {
             decode_trace(&bytes).unwrap_err(),
             DecodeTraceError::BadSegment
         );
+    }
+
+    #[test]
+    fn headers_and_payloads_tile_the_stream() {
+        let bytes = encode_trace(&stitched_trace());
+        let mut rd = SegmentReader::new(&bytes[..]).unwrap();
+        let mut len = (MAGIC.len() + 1) as u64;
+        while let Some(h) = rd.next_header().unwrap() {
+            len += h.encoded_len() + h.payload_len;
+        }
+        assert_eq!(len, bytes.len() as u64);
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use record::{RecordKind, TraceRecord};
 pub use stats::TraceStats;
 pub use stitch::{Capture, CaptureSession, CaptureStreamError, StatsCapture, StreamedCapture};
 pub use stream::{
-    FilteredTraceSource, MemTraceSource, SegmentFileSource, SegmentReader, SegmentWriter,
-    StreamStats, TraceSource, TraceStreamError,
+    MemTraceSource, SegmentFileSource, SegmentReader, SegmentSliceSource, SegmentWriter,
+    StreamStats, TraceSource, TraceStreamError, UserRefs,
 };
 pub use trace::Trace;
 pub use tracer::{Tracer, TracerError};

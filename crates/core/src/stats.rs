@@ -3,7 +3,7 @@
 //! distinct pages touched.
 
 use crate::record::{RecordKind, TraceRecord};
-use crate::trace::Trace;
+use crate::stream::{TraceSource, TraceStreamError};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
@@ -35,11 +35,16 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics over a trace.
-    pub fn of(trace: &Trace) -> TraceStats {
+    /// Computes the statistics of every record `source` yields, in one
+    /// pass from its beginning.
+    ///
+    /// # Errors
+    ///
+    /// Any [`TraceStreamError`] from the source.
+    pub fn of(source: &mut impl TraceSource) -> Result<TraceStats, TraceStreamError> {
         let mut acc = StatsAccumulator::new();
-        acc.add(trace.records());
-        acc.finish()
+        source.stream(&mut |batch| acc.add(batch))?;
+        Ok(acc.finish())
     }
 
     /// Total memory references.
@@ -77,7 +82,7 @@ impl TraceStats {
 
 /// [`TraceStats`] gathered one record slice at a time, for a trace that
 /// is never held whole: the slices' concatenation gets exactly the
-/// statistics [`TraceStats::of`] gives the whole trace.
+/// statistics the whole trace has.
 pub(crate) struct StatsAccumulator {
     s: TraceStats,
     pages: HashSet<u32>,
@@ -182,6 +187,7 @@ impl fmt::Display for TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
 
     #[test]
     fn counts_and_fractions() {

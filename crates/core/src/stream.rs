@@ -7,19 +7,21 @@
 //! ways:
 //!
 //! * [`SegmentWriter`] appends segments incrementally — the capture
-//!   drain path writes each drained sample straight to disk and reuses
-//!   its record buffer, so a capture's resident cost is one buffer, not
-//!   the whole trace;
-//! * [`SegmentReader`] walks a file one segment at a time with reusable
-//!   payload/record buffers — O(segment) memory however large the file;
-//! * [`SegmentFileSource`] is a restartable [`TraceSource`] over a
-//!   file, decoding one segment per batch.
+//!   drain path writes each drained sample straight to disk (or to a
+//!   byte vector) and reuses its record buffer, so a capture's resident
+//!   cost is one buffer plus the compact bytes, not the whole trace;
+//! * [`SegmentReader`] walks a stream one segment at a time with
+//!   reusable payload/record buffers — O(segment) memory however large
+//!   the file;
+//! * [`SegmentFileSource`] and [`SegmentSliceSource`] are restartable
+//!   [`TraceSource`]s over a file and over v2 bytes in memory, decoding
+//!   one segment per batch through the same reader loop.
 //!
 //! [`TraceSource`] is the seam between capture and analysis: an
-//! in-memory [`Trace`], an allocation-free filtered view of one, or an
-//! on-disk segment file all stream the same way, and
-//! `simulate_many_stream` / `working_set_stream` in the downstream
-//! crates take any of them.
+//! in-memory [`Trace`], v2 bytes in memory and an on-disk segment file
+//! all stream the same way, [`UserRefs`] narrows any of them to its
+//! user-mode references, and `simulate_many_stream` /
+//! `working_set_stream` in the downstream crates take any of them.
 //!
 //! The trait is **pull-based**: `rewind` resets to the start and
 //! `next_batch` yields decode-once [`RecordBatch`]es, which is what the
@@ -332,6 +334,22 @@ impl<R: Read> SegmentReader<R> {
         })
     }
 
+    /// Reads the next segment's header and skips its payload without
+    /// decoding it, or `None` at clean end-of-stream.
+    ///
+    /// # Errors
+    ///
+    /// Any [`TraceStreamError`]; a payload shorter than its header
+    /// advertises is [`DecodeTraceError::Truncated`].
+    pub fn next_header(&mut self) -> Result<Option<SegmentHeader>, TraceStreamError> {
+        let h = match read_segment_header_r(&mut self.r)? {
+            None => return Ok(None),
+            Some(h) => h,
+        };
+        read_payload(&mut self.r, h.payload_len, &mut self.payload)?;
+        Ok(Some(h))
+    }
+
     /// Decodes the next segment, or `None` at clean end-of-stream. The
     /// returned slice is the reader's batch, valid until the next call.
     ///
@@ -341,14 +359,25 @@ impl<R: Read> SegmentReader<R> {
     pub fn next_segment(
         &mut self,
     ) -> Result<Option<(SegmentHeader, &[TraceRecord])>, TraceStreamError> {
-        let h = match read_segment_header_r(&mut self.r)? {
-            None => return Ok(None),
-            Some(h) => h,
+        let Some(h) = self.next_header()? else {
+            return Ok(None);
         };
-        read_payload(&mut self.r, h.payload_len, &mut self.payload)?;
         self.batch.clear();
         decode_segment_payload(&self.payload, &h, &mut self.batch.records)?;
         Ok(Some((h, self.batch.records())))
+    }
+
+    /// The segment sources' `next_batch`: the next non-empty segment as
+    /// the reader's batch (a segment is the decode unit), skipping empty
+    /// segments so that `None` keeps meaning end-of-stream.
+    fn next_batch(&mut self) -> Result<Option<&RecordBatch>, TraceStreamError> {
+        loop {
+            match self.next_segment()? {
+                None => return Ok(None),
+                Some((_, [])) => continue,
+                Some(_) => return Ok(Some(&self.batch)),
+            }
+        }
     }
 
     /// Decodes the rest of the stream into an in-memory [`Trace`], one
@@ -365,9 +394,9 @@ impl<R: Read> SegmentReader<R> {
 }
 
 /// A record stream: the seam between capture and analysis. In-memory
-/// traces, filtered views of them, and on-disk segment files all
-/// implement it, so the streaming analysis passes are agnostic to where
-/// records live.
+/// traces, v2 bytes in memory, on-disk segment files and the user-only
+/// view of any of them all implement it, so the streaming analysis
+/// passes are agnostic to where records live.
 ///
 /// The required API is pull-based: [`TraceSource::rewind`] resets to
 /// the beginning and [`TraceSource::next_batch`] yields the records, in
@@ -457,51 +486,80 @@ impl TraceSource for MemTraceSource<'_> {
     }
 }
 
-/// Chunk size for filtered in-memory sources: large enough to amortise
-/// the per-batch dispatch, small enough to stay cache-resident.
-const FILTER_CHUNK: usize = 4096;
+/// A [`TraceSource`] over a v2 segment stream held in memory — the
+/// form a capture keeps once it has compacted its trace. Restartable
+/// without copying: [`TraceSource::rewind`] starts the next pass at the
+/// first segment, and [`TraceSource::next_batch`] lends one decoded
+/// segment per batch, exactly as [`SegmentFileSource`] does for a file.
+#[derive(Debug)]
+pub struct SegmentSliceSource<'a> {
+    bytes: &'a [u8],
+    /// Reader of the in-progress pull pass (`None` before the first
+    /// `next_batch` and after a rewind).
+    reader: Option<SegmentReader<&'a [u8]>>,
+}
 
-/// An allocation-light user-only view of an in-memory trace, yielding
-/// only its user-mode references (in fixed-size batches) — what a
-/// pre-ATUM user-level tracer would have seen. Built by
-/// [`Trace::user_source`].
-pub struct FilteredTraceSource<'a> {
-    trace: &'a Trace,
-    pos: usize,
+impl<'a> SegmentSliceSource<'a> {
+    /// A source over `bytes`, which hold a whole v2 stream (file header
+    /// included), as [`SegmentWriter`] writes it.
+    pub fn new(bytes: &'a [u8]) -> SegmentSliceSource<'a> {
+        SegmentSliceSource {
+            bytes,
+            reader: None,
+        }
+    }
+}
+
+impl TraceSource for SegmentSliceSource<'_> {
+    fn rewind(&mut self) -> Result<(), TraceStreamError> {
+        self.reader = None;
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<&RecordBatch>, TraceStreamError> {
+        let rd = match self.reader.take() {
+            Some(rd) => rd,
+            None => SegmentReader::new(self.bytes)?,
+        };
+        self.reader.insert(rd).next_batch()
+    }
+}
+
+/// The user-only view of any source: only the I/D references made in
+/// user mode, in order — what a pre-ATUM user-level tracer would have
+/// seen. Each batch is the user references of one or more of the
+/// inner source's batches; an empty batch is never yielded.
+#[derive(Debug)]
+pub struct UserRefs<S> {
+    inner: S,
     batch: RecordBatch,
 }
 
-impl<'a> FilteredTraceSource<'a> {
-    pub(crate) fn new(trace: &'a Trace) -> FilteredTraceSource<'a> {
-        FilteredTraceSource {
-            trace,
-            pos: 0,
+impl<S: TraceSource> UserRefs<S> {
+    /// The user-only view of `inner`.
+    pub fn new(inner: S) -> UserRefs<S> {
+        UserRefs {
+            inner,
             batch: RecordBatch::new(),
         }
     }
 }
 
-impl TraceSource for FilteredTraceSource<'_> {
+impl<S: TraceSource> TraceSource for UserRefs<S> {
     fn rewind(&mut self) -> Result<(), TraceStreamError> {
-        self.pos = 0;
-        Ok(())
+        self.inner.rewind()
     }
 
     fn next_batch(&mut self) -> Result<Option<&RecordBatch>, TraceStreamError> {
-        let records = self.trace.records();
         self.batch.clear();
-        while self.pos < records.len() && self.batch.len() < FILTER_CHUNK {
-            let r = records[self.pos];
-            self.pos += 1;
-            if r.is_ref() && !r.is_kernel() {
-                self.batch.push(r);
+        while let Some(b) = self.inner.next_batch()? {
+            let user = b.records().iter().filter(|r| r.is_ref() && !r.is_kernel());
+            self.batch.records.extend(user);
+            if !self.batch.is_empty() {
+                return Ok(Some(&self.batch));
             }
         }
-        if self.batch.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(&self.batch))
-        }
+        Ok(None)
     }
 }
 
@@ -538,16 +596,6 @@ impl SegmentFileSource {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Decodes the whole file into an in-memory [`Trace`], restoring
-    /// segment boundaries (each file segment becomes a trace segment).
-    ///
-    /// # Errors
-    ///
-    /// Any [`TraceStreamError`].
-    pub fn read_to_trace(&self) -> Result<Trace, TraceStreamError> {
-        SegmentReader::open(&self.path)?.into_trace()
-    }
 }
 
 impl TraceSource for SegmentFileSource {
@@ -557,19 +605,11 @@ impl TraceSource for SegmentFileSource {
     }
 
     fn next_batch(&mut self) -> Result<Option<&RecordBatch>, TraceStreamError> {
-        if self.reader.is_none() {
-            self.reader = Some(SegmentReader::open(&self.path)?);
-        }
-        let rd = self.reader.as_mut().expect("reader just opened");
-        // One batch per segment (a segment is the decode unit); skip
-        // empty segments so `None` keeps meaning end-of-stream.
-        loop {
-            match rd.next_segment()? {
-                None => return Ok(None),
-                Some((_, [])) => continue,
-                Some(_) => return Ok(Some(&rd.batch)),
-            }
-        }
+        let rd = match self.reader.take() {
+            Some(rd) => rd,
+            None => SegmentReader::open(&self.path)?,
+        };
+        self.reader.insert(rd).next_batch()
     }
 }
 
@@ -628,15 +668,32 @@ mod tests {
 
     #[test]
     fn filtered_sources_match_iterators() {
-        let t = mixed_trace();
-        assert_eq!(
-            collect(&mut t.user_source()),
-            t.user_refs().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            collect_batched(&mut t.user_source()),
-            t.user_refs().collect::<Vec<_>>()
-        );
+        let mut t = mixed_trace();
+        t.stitch(mixed_trace());
+        let bytes = crate::encode::encode_trace(&t);
+        let want: Vec<TraceRecord> = t.user_refs().collect();
+        assert_eq!(collect(&mut UserRefs::new(t.source())), want);
+        assert_eq!(collect_batched(&mut UserRefs::new(t.source())), want);
+        let mut over_bytes = UserRefs::new(SegmentSliceSource::new(&bytes));
+        assert_eq!(collect(&mut over_bytes), want);
+        assert_eq!(collect_batched(&mut over_bytes), want);
+    }
+
+    #[test]
+    fn user_refs_skip_batches_with_no_user_reference() {
+        // A kernel-only first segment: the view's first batch is the
+        // second segment's user references, never an empty batch.
+        let mut t: Trace = mixed_trace()
+            .iter()
+            .filter(|r| r.is_kernel())
+            .copied()
+            .collect();
+        t.stitch(mixed_trace());
+        let bytes = crate::encode::encode_trace(&t);
+        let mut src = UserRefs::new(SegmentSliceSource::new(&bytes));
+        let first = src.next_batch().unwrap().unwrap().records().to_vec();
+        assert_eq!(first, t.user_refs().collect::<Vec<_>>());
+        assert!(src.next_batch().unwrap().is_none());
     }
 
     #[test]
@@ -648,13 +705,18 @@ mod tests {
         assert!(src.next_batch().unwrap().is_some());
         assert_eq!(collect_batched(&mut src), t.records());
 
-        let mut f = t.user_source();
+        let mut f = UserRefs::new(t.source());
         assert!(f.next_batch().unwrap().is_some());
         assert_eq!(
             collect_batched(&mut f),
             t.user_refs().collect::<Vec<_>>(),
             "filtered source rewinds cleanly"
         );
+
+        let bytes = crate::encode::encode_trace(&t);
+        let mut b = SegmentSliceSource::new(&bytes);
+        assert!(b.next_batch().unwrap().is_some());
+        assert_eq!(collect_batched(&mut b), t.records(), "byte source rewinds");
     }
 
     #[test]
@@ -714,7 +776,8 @@ mod tests {
         assert!(src.next_batch().unwrap().is_some());
         assert_eq!(collect_batched(&mut src), seq);
         assert_eq!(collect_batched(&mut src.clone()), seq);
-        assert_eq!(SegmentFileSource::new(&path).read_to_trace().unwrap(), t);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(crate::encode::decode_trace(&bytes).unwrap(), t);
         std::fs::remove_file(&path).ok();
     }
 

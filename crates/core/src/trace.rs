@@ -1,7 +1,7 @@
 //! In-memory traces: a record sequence with segment boundaries.
 
 use crate::record::{RecordKind, TraceRecord};
-use crate::stats::TraceStats;
+use crate::stats::{StatsAccumulator, TraceStats};
 use std::fmt;
 
 /// An address trace: records in capture order, with the indices where
@@ -107,7 +107,9 @@ impl Trace {
     }
 
     /// Iterates over user-mode references only — what a pre-ATUM
-    /// user-level tracer would have seen. Allocation-free.
+    /// user-level tracer would have seen. Allocation-free; its streaming
+    /// form is [`UserRefs`](crate::stream::UserRefs) over
+    /// [`Trace::source`].
     pub fn user_refs(&self) -> impl Iterator<Item = TraceRecord> + '_ {
         self.records
             .iter()
@@ -122,16 +124,12 @@ impl Trace {
         crate::stream::MemTraceSource::new(self)
     }
 
-    /// A [`TraceSource`](crate::stream::TraceSource) yielding
-    /// [`Trace::user_refs`] in chunks — the streaming form the analysis
-    /// passes consume.
-    pub fn user_source(&self) -> crate::stream::FilteredTraceSource<'_> {
-        crate::stream::FilteredTraceSource::new(self)
-    }
-
-    /// Computes summary statistics.
+    /// Computes summary statistics: what
+    /// [`TraceStats::of`] gives [`Trace::source`].
     pub fn stats(&self) -> TraceStats {
-        TraceStats::of(self)
+        let mut acc = StatsAccumulator::new();
+        acc.add(&self.records);
+        acc.finish()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property tests on the trace record format and the archival encoding.
 
 use atum_core::{
-    decode_trace, encode_trace, RecordKind, SegmentFileSource, SegmentReader, SegmentWriter, Trace,
-    TraceRecord, TraceSource,
+    decode_trace, encode_trace, RecordKind, SegmentFileSource, SegmentReader, SegmentSliceSource,
+    SegmentWriter, Trace, TraceRecord, TraceSource, UserRefs,
 };
 use proptest::prelude::*;
 
@@ -20,6 +20,26 @@ fn collect_batches<S: TraceSource + ?Sized>(source: &mut S) -> Vec<TraceRecord> 
         out.extend(batch.iter());
     }
     out
+}
+
+/// Every batch of one pass over `source`, as it was lent.
+fn batches<S: TraceSource>(source: &mut S) -> Vec<Vec<TraceRecord>> {
+    let mut out = Vec::new();
+    while let Some(batch) = source.next_batch().expect("batch") {
+        out.push(batch.records().to_vec());
+    }
+    out
+}
+
+/// The batches a segment source must lend for `bytes`: the non-empty
+/// segments of the trace `decode_trace` rebuilds, one per batch.
+fn decoded_batches(bytes: &[u8]) -> Vec<Vec<TraceRecord>> {
+    let trace = decode_trace(bytes).expect("decodes");
+    trace
+        .segment_slices()
+        .filter(|s| !s.is_empty())
+        .map(<[TraceRecord]>::to_vec)
+        .collect()
 }
 
 fn record() -> impl Strategy<Value = TraceRecord> {
@@ -241,9 +261,16 @@ proptest! {
 
     #[test]
     fn filtered_sources_agree_with_filtered_copies(t in stitched_trace()) {
+        let want: Vec<TraceRecord> = t.user_refs().collect();
         let mut streamed = Vec::new();
-        t.user_source().stream(&mut |b| streamed.extend_from_slice(b)).expect("stream");
-        prop_assert_eq!(streamed, t.user_refs().collect::<Vec<_>>());
+        UserRefs::new(t.source()).stream(&mut |b| streamed.extend_from_slice(b)).expect("stream");
+        prop_assert_eq!(&streamed, &want);
+        let bytes = encode_trace(&t);
+        streamed.clear();
+        UserRefs::new(SegmentSliceSource::new(&bytes))
+            .stream(&mut |b| streamed.extend_from_slice(b))
+            .expect("stream");
+        prop_assert_eq!(&streamed, &want);
     }
 
     #[test]
@@ -264,12 +291,30 @@ proptest! {
         // The batch path over an in-memory source yields exactly the
         // per-record view, markers and empty segments included…
         prop_assert_eq!(collect_batches(&mut t.source()), t.records().to_vec());
-        // …and the user-only source batches exactly its per-record
-        // iterator counterpart.
+        // …and the user-only view batches exactly its per-record
+        // iterator counterpart, over the trace and over its bytes.
+        let want: Vec<TraceRecord> = t.user_refs().collect();
+        prop_assert_eq!(collect_batches(&mut UserRefs::new(t.source())), want.clone());
+        let bytes = encode_trace(&t);
         prop_assert_eq!(
-            collect_batches(&mut t.user_source()),
-            t.user_refs().collect::<Vec<_>>()
+            collect_batches(&mut UserRefs::new(SegmentSliceSource::new(&bytes))),
+            want
         );
+    }
+
+    #[test]
+    fn byte_file_and_decoded_sources_agree_batch_for_batch(t in stitched_trace(), case in any::<u32>()) {
+        let bytes = encode_trace(&t);
+        let path = std::env::temp_dir().join(format!(
+            "atum-slice-prop-{}-{case}.atrace",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).expect("write");
+        let from_file = batches(&mut SegmentFileSource::new(&path));
+        let _ = std::fs::remove_file(&path);
+        let from_bytes = batches(&mut SegmentSliceSource::new(&bytes));
+        prop_assert_eq!(&from_bytes, &decoded_batches(&bytes));
+        prop_assert_eq!(&from_file, &from_bytes);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property test: `TraceStats::of` equals the plain per-record loop it
-//! replaced, which hashes every reference's page and counts pids in a
+//! replaced, over an in-memory trace and over its v2 bytes, which hashes every reference's page and counts pids in a
 //! map. The fast form skips the hashing when a reference repeats its
 //! stream's last page, so the traces here interleave I- and D-stream
 //! runs over a few shared pages, with markers and mode and pid changes
 //! in between.
 
-use atum_core::{RecordKind, Trace, TraceRecord, TraceStats};
+use atum_core::{encode_trace, RecordKind, SegmentSliceSource, Trace, TraceRecord, TraceStats};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 
@@ -84,6 +84,10 @@ proptest! {
 
     #[test]
     fn stats_match_the_plain_loop(t in trace()) {
-        prop_assert_eq!(TraceStats::of(&t), plain_stats(&t));
+        let want = plain_stats(&t);
+        prop_assert_eq!(TraceStats::of(&mut t.source()).expect("in memory"), want.clone());
+        let bytes = encode_trace(&t);
+        prop_assert_eq!(TraceStats::of(&mut SegmentSliceSource::new(&bytes)).expect("decodes"), want.clone());
+        prop_assert_eq!(t.stats(), want);
     }
 }

@@ -7,7 +7,8 @@
 
 use atum_core::{
     decode_trace, encode_trace, CaptureSession, CaptureStreamError, DecodeTraceError, RecordKind,
-    SegmentFileSource, SegmentReader, SegmentWriter, Trace, TraceRecord, TraceStreamError, Tracer,
+    SegmentFileSource, SegmentReader, SegmentSliceSource, SegmentWriter, Trace, TraceRecord,
+    TraceSource, TraceStreamError, Tracer,
 };
 use atum_machine::{Machine, MemLayout, RunExit};
 use std::io::{self, Write};
@@ -66,7 +67,7 @@ fn streamed_capture_file_decodes_to_the_stitched_trace() {
 
     // The file decodes to exactly what stitching produced: same records
     // (marks included), same segment boundaries.
-    let back = SegmentFileSource::new(&path).read_to_trace().unwrap();
+    let back = decode_trace(&std::fs::read(&path).unwrap()).unwrap();
     assert_eq!(back, cap.trace);
 
     // Segment headers carry the capture clock: strictly increasing
@@ -378,4 +379,30 @@ fn golden_segment_file_is_byte_stable() {
     );
     // And the pinned bytes still decode to the pinned trace.
     assert_eq!(decode_trace(&golden).unwrap(), golden_trace());
+}
+
+/// Every batch of one pass over `source`, as it was lent.
+fn batches<S: TraceSource>(source: &mut S) -> Vec<Vec<TraceRecord>> {
+    let mut out = Vec::new();
+    while let Some(batch) = source.next_batch().unwrap() {
+        out.push(batch.records().to_vec());
+    }
+    out
+}
+
+#[test]
+fn golden_file_reads_the_same_through_every_source() {
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_v2.atrace");
+    let golden = std::fs::read(golden_path).unwrap();
+    // One batch per non-empty segment of the trace `decode_trace`
+    // rebuilds, from the file and from its bytes in memory alike.
+    let decoded: Vec<Vec<TraceRecord>> = decode_trace(&golden)
+        .unwrap()
+        .segment_slices()
+        .filter(|s| !s.is_empty())
+        .map(<[TraceRecord]>::to_vec)
+        .collect();
+    assert_eq!(decoded.len(), 2);
+    assert_eq!(batches(&mut SegmentSliceSource::new(&golden)), decoded);
+    assert_eq!(batches(&mut SegmentFileSource::new(golden_path)), decoded);
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use atum::cache::{simulate_many_stream, CacheConfig, SwitchPolicy};
-use atum::core::{CaptureSession, Tracer};
+use atum::core::{CaptureSession, Tracer, UserRefs};
 use atum::machine::Machine;
 use atum::os::BootImage;
 
@@ -48,7 +48,8 @@ fn main() {
     let base = CacheConfig::builder().block(16).assoc(1).build().unwrap();
     let cfgs: Vec<CacheConfig> = sizes.iter().map(|&s| base.with_size(s)).collect();
     let full = simulate_many_stream(&mut trace.source(), &cfgs).expect("in-memory source");
-    let user = simulate_many_stream(&mut trace.user_source(), &cfgs).expect("in-memory source");
+    let user =
+        simulate_many_stream(&mut UserRefs::new(trace.source()), &cfgs).expect("in-memory source");
     for (i, size) in sizes.iter().enumerate() {
         println!(
             "{:>7}K {:>11.2}% {:>11.2}%",

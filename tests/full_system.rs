@@ -3,7 +3,7 @@
 //! cache simulators — the invariants the reproduction's claims rest on.
 
 use atum::cache::{simulate_stream, CacheConfig, SwitchPolicy};
-use atum::core::{CaptureSession, RecordKind, Trace, Tracer};
+use atum::core::{CaptureSession, RecordKind, Trace, Tracer, UserRefs};
 use atum::machine::{Machine, RunExit};
 use atum::os::BootImage;
 
@@ -105,7 +105,7 @@ fn os_inclusion_changes_cache_results() {
         .build()
         .unwrap();
     let full = simulate_stream(&mut trace.source(), &cfg).unwrap();
-    let user_only = simulate_stream(&mut trace.user_source(), &cfg).unwrap();
+    let user_only = simulate_stream(&mut UserRefs::new(trace.source()), &cfg).unwrap();
     assert!(full.accesses > user_only.accesses);
     assert!(
         full.misses > user_only.misses,
