@@ -28,9 +28,11 @@ const MEMORY_BUDGET: u64 = 16 << 20;
 /// in-memory sweep's time (decode is the only extra work).
 const MAX_STREAMED_SLOWDOWN: f64 = 1.25;
 
-/// Best-of timing rounds per variant (interleaved so host drift cancels
-/// in the ratios).
-const ROUNDS: usize = 3;
+/// Timed rounds per variant, after one untimed warm-up round. Each round
+/// runs every variant once, in an order that rotates from round to
+/// round, and each variant keeps its best time, so one transient host
+/// stall cannot decide the ratio.
+const ROUNDS: usize = 5;
 
 /// Re-stitches one copy of `src` onto `big`, segment by segment, so the
 /// replica keeps `src`'s per-drain segment boundaries (a plain
@@ -65,16 +67,11 @@ fn sweep_configs() -> Vec<CacheConfig> {
     cfgs
 }
 
-fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::MAX;
-    let mut last = None;
-    for _ in 0..rounds {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(out);
-    }
-    (best, last.expect("rounds >= 1"))
+/// Seconds one call of `f` takes.
+fn time<T>(f: impl FnOnce() -> T) -> f64 {
+    let t0 = std::time::Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_secs_f64()
 }
 
 fn trace_stream(_c: &mut Criterion) {
@@ -122,24 +119,30 @@ fn trace_stream(_c: &mut Criterion) {
     let kept = simulate_many_stream(&mut SegmentSliceSource::new(&bytes), &cfgs).expect("bytes");
     assert_eq!(baseline, kept, "sweep over in-memory v2 bytes diverged");
 
-    // Timing: interleave the variants inside each round.
-    let mut t_mem = f64::MAX;
-    let mut t_seq = f64::MAX;
-    let mut t_bytes = f64::MAX;
-    for _ in 0..ROUNDS {
-        let (t, _) = best_of(1, || {
-            simulate_many_stream(&mut big.source(), &cfgs).expect("in-memory source")
-        });
-        t_mem = t_mem.min(t);
-        let (t, _) = best_of(1, || {
-            simulate_many_stream(&mut SegmentFileSource::new(path), &cfgs).expect("stream")
-        });
-        t_seq = t_seq.min(t);
-        let (t, _) = best_of(1, || {
-            simulate_many_stream(&mut SegmentSliceSource::new(&bytes), &cfgs).expect("bytes")
-        });
-        t_bytes = t_bytes.min(t);
+    // Timing: one warm-up round, then ROUNDS interleaved rounds; every
+    // leg runs once per round and keeps its best time.
+    let legs: [&dyn Fn() -> f64; 3] = [
+        &|| time(|| simulate_many_stream(&mut big.source(), &cfgs).expect("in-memory source")),
+        &|| {
+            time(|| simulate_many_stream(&mut SegmentFileSource::new(path), &cfgs).expect("stream"))
+        },
+        &|| {
+            time(|| {
+                simulate_many_stream(&mut SegmentSliceSource::new(&bytes), &cfgs).expect("bytes")
+            })
+        },
+    ];
+    let mut best = [f64::MAX; 3];
+    for round in 0..=ROUNDS {
+        for i in 0..legs.len() {
+            let leg = (round + i) % legs.len();
+            let t = legs[leg]();
+            if round > 0 {
+                best[leg] = best[leg].min(t);
+            }
+        }
     }
+    let [t_mem, t_seq, t_bytes] = best;
 
     let refs = big.ref_count() as f64;
     let mem_rate = refs / t_mem;

@@ -6,7 +6,9 @@
 //! trace bytes. This suite runs randomized programs on both engines in
 //! lockstep and compares them at **every instruction boundary**, both
 //! untraced and under each ATUM patch style (where the trace-buffer
-//! bytes are compared raw, exactly as the microcode wrote them).
+//! bytes are compared raw, exactly as the microcode wrote them). The
+//! cycle-slice tests instead stop both engines on small cycle budgets,
+//! which end inside micro-routines, and resume them from there.
 
 use atum_core::PatchStyle;
 use atum_machine::{EngineTier, Machine, MemLayout, RunExit};
@@ -223,8 +225,60 @@ fn lockstep(src: &str, style: Option<PatchStyle>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Advances both engines by the same cycle budgets and compares
+/// everything observable after each slice. A budget of a few dozen
+/// cycles ends `run` inside a micro-routine, so each resume starts with
+/// the micro-PC, micro-stack and micro-flags the last slice left behind.
+/// Returns the number of slices up to the halt.
+fn cycle_slices(
+    img: &atum_asm::Image,
+    start: u32,
+    style: Option<PatchStyle>,
+    mut budget: impl FnMut() -> u64,
+) -> Result<usize, String> {
+    let mut refm = load(img, style, EngineTier::Reference);
+    let mut fast = load(img, style, EngineTier::Fast);
+    for m in [&mut refm, &mut fast] {
+        m.set_pc(start);
+    }
+    for slice in 0..1_000_000 {
+        let k = budget();
+        let exit = refm.run(k);
+        let fast_exit = fast.run(k);
+        if fast_exit != exit {
+            return Err(format!(
+                "exit {fast_exit:?} vs {exit:?} at slice {slice} (budget {k})"
+            ));
+        }
+        if let Some(d) = divergence(&fast, &refm, style.is_some()) {
+            return Err(format!("{d} at slice {slice} (budget {k})"));
+        }
+        match exit {
+            RunExit::CycleLimit => continue,
+            RunExit::Halted => return Ok(slice + 1),
+            other => return Err(format!("unexpected exit {other:?} at slice {slice}")),
+        }
+    }
+    Err("no halt within 1,000,000 slices".into())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn engines_agree_under_cycle_slices(
+        src in program(),
+        budgets in proptest::collection::vec(1u64..65, 1..32),
+    ) {
+        let img = atum_asm::assemble(&format!(".org {ORG:#x}\n{src}\n"))
+            .expect("generated program assembles");
+        for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
+            let mut next = budgets.iter().copied().cycle();
+            if let Err(d) = cycle_slices(&img, ORG, style, || next.next().unwrap_or(1)) {
+                return Err(TestCaseError::fail(format!("{style:?}: {d} after:\n{src}")));
+            }
+        }
+    }
 
     #[test]
     fn engines_agree_untraced(src in program()) {
@@ -242,17 +296,44 @@ proptest! {
     }
 }
 
+/// The bench workload (pointer-chasing), with its system calls replaced
+/// so it runs bare.
+fn bench_program(steps: u32) -> atum_asm::Image {
+    let w = atum_workloads::list_chase("bench", 64, steps);
+    let src = w
+        .source
+        .replace("chmk    #1", "nop")
+        .replace("chmk    #0", "halt");
+    atum_asm::assemble(&format!(".org {ORG:#x}\n{src}\n")).expect("bench program")
+}
+
+/// The bench workload on both engines, untraced and under both patch
+/// styles, advanced by cycle budgets in 1..=97 from a fixed-seed
+/// xorshift generator.
+#[test]
+fn bench_workload_cycle_slices() {
+    let img = bench_program(300);
+    let start = img.symbol("start").unwrap();
+    for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let budget = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            1 + x % 97
+        };
+        let slices =
+            cycle_slices(&img, start, style, budget).unwrap_or_else(|d| panic!("{style:?}: {d}"));
+        assert!(slices > 1_000, "{style:?}: only {slices} slices");
+    }
+}
+
 /// The bench workload (pointer-chasing with ATUM attached) run in
 /// lockstep chunks on both engines — a deterministic deep case covering
 /// the exact capture path the benchmarks measure.
 #[test]
 fn bench_workload_lockstep() {
-    let w = atum_workloads::list_chase("bench", 64, 500);
-    let src = w
-        .source
-        .replace("chmk    #1", "nop")
-        .replace("chmk    #0", "halt");
-    let img = atum_asm::assemble(&format!(".org {ORG:#x}\n{src}\n")).expect("bench program");
+    let img = bench_program(500);
     for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
         let mut refm = load(&img, style, EngineTier::Reference);
         let mut fast = load(&img, style, EngineTier::Fast);

@@ -32,7 +32,7 @@
 
 use crate::fast::{DecOp, Dst, Src};
 use crate::mmu::{self, AccessKind};
-use crate::regs::slots;
+use crate::regs::{latch_slot, slots, UFlags};
 use crate::Machine;
 use atum_arch::exc::{ArithKind, ScbVector, IPL_TIMER};
 use atum_arch::mem::PAGE_OFFSET_MASK;
@@ -237,6 +237,23 @@ impl Machine {
         if self.insns >= insn_target {
             return None;
         }
+        // A plain register-file slot, masked so the index needs no bounds
+        // check.
+        macro_rules! slot {
+            ($i:expr) => {
+                self.regs.file[($i & slots::MASK) as usize]
+            };
+        }
+        // A specialized longword ALU form: the closed-form result goes to
+        // a plain slot and its flags replace the loop-local micro-flags
+        // in full.
+        macro_rules! alu_long {
+            ($dst:expr, $res:expr) => {{
+                let (r, f) = $res;
+                uf = f;
+                slot!($dst) = r;
+            }};
+        }
         // One predecoded micro-op: deadline check, fetch, execute. Factored
         // as a macro so the loop below can instantiate it twice — two
         // dispatch sites give the branch predictor two contexts for the
@@ -253,19 +270,13 @@ impl Machine {
             upc += 1;
             cycles += cost::BASE;
             match op {
-                DecOp::MovSS { src, dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] =
-                        self.regs.file[(src & slots::MASK) as usize];
-                }
-                DecOp::MovIS { imm, dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] = imm;
-                }
+                DecOp::MovSS { src, dst } => slot!(dst) = slot!(src),
+                DecOp::MovIS { imm, dst } => slot!(dst) = imm,
                 DecOp::MovGIS { dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] =
-                        self.regs.file[(self.regs.file[slots::REGNUM] & 0xF) as usize];
+                    slot!(dst) = self.regs.file[(self.regs.file[slots::REGNUM] & 0xF) as usize];
                 }
                 DecOp::MovSGI { src } => {
-                    let v = self.regs.file[(src & slots::MASK) as usize];
+                    let v = slot!(src);
                     let n = (self.regs.file[slots::REGNUM] & 0xF) as u8;
                     self.log_gpr(n);
                     self.regs.file[n as usize] = v;
@@ -273,12 +284,10 @@ impl Machine {
                         self.regs.file[slots::IBCNT] = 0;
                     }
                 }
-                DecOp::MovSMF { src, dst } => {
-                    self.regs.file[(dst & slots::MASK) as usize] =
-                        self.regs.file[(src & slots::MASK) as usize] & 0xF;
-                }
+                DecOp::MovSMF { src, dst } => slot!(dst) = slot!(src) & 0xF,
+                DecOp::MovSMFF { src, dst } => slot!(dst) = slot!(src) & 0xFF,
                 DecOp::MovSG { src, gpr } => {
-                    let v = self.regs.file[(src & slots::MASK) as usize];
+                    let v = slot!(src);
                     let n = gpr & 0xF;
                     self.log_gpr(n);
                     self.regs.file[n as usize] = v;
@@ -294,8 +303,7 @@ impl Machine {
                     cc,
                     size,
                 } => {
-                    let av = self.regs.file[(a & slots::MASK) as usize];
-                    let bv = self.regs.file[(b & slots::MASK) as usize];
+                    let (av, bv) = (slot!(a), slot!(b));
                     self.alu_to_slot(op, av, bv, dst, cc, size, &mut uf);
                 }
                 DecOp::AluIS {
@@ -306,7 +314,7 @@ impl Machine {
                     cc,
                     size,
                 } => {
-                    let bv = self.regs.file[(b & slots::MASK) as usize];
+                    let bv = slot!(b);
                     self.alu_to_slot(op, imm, bv, dst, cc, size, &mut uf);
                 }
                 DecOp::AluSI {
@@ -317,8 +325,32 @@ impl Machine {
                     cc,
                     size,
                 } => {
-                    let av = self.regs.file[(a & slots::MASK) as usize];
+                    let av = slot!(a);
                     self.alu_to_slot(op, av, imm, dst, cc, size, &mut uf);
+                }
+                DecOp::AddSI { a, imm, dst } => alu_long!(dst, add_l(slot!(a), imm)),
+                DecOp::SubSI { a, imm, dst } => alu_long!(dst, sub_l(slot!(a), imm)),
+                DecOp::RSubSI { a, imm, dst } => alu_long!(dst, sub_l(imm, slot!(a))),
+                DecOp::AndSI { a, imm, dst } => alu_long!(dst, logic_l(slot!(a) & imm)),
+                DecOp::AndSIMF { a, imm, dst } => {
+                    // Flags from the unmasked result; the latch keeps the
+                    // low nibble, as `wdst` does for `Dst::MaskedF`.
+                    let (r, f) = logic_l(slot!(a) & imm);
+                    uf = f;
+                    slot!(dst) = r & 0xF;
+                }
+                DecOp::OrSI { a, imm, dst } => alu_long!(dst, logic_l(slot!(a) | imm)),
+                DecOp::PassIS { b, dst, .. } => alu_long!(dst, logic_l(slot!(b))),
+                DecOp::LslIS { imm, b, dst } => alu_long!(dst, logic_l(lsl_l(imm, slot!(b)))),
+                DecOp::LsrIS { imm, b, dst } => alu_long!(dst, logic_l(lsr_l(imm, slot!(b)))),
+                DecOp::BicRIS { imm, b, dst } => alu_long!(dst, logic_l(slot!(b) & !imm)),
+                DecOp::SubSS { a, b, dst } => alu_long!(dst, sub_l(slot!(a), slot!(b))),
+                DecOp::OrSS { a, b, dst } => alu_long!(dst, logic_l(slot!(a) | slot!(b))),
+                DecOp::LslSS { a, b, dst } => {
+                    alu_long!(dst, logic_l(lsl_l(slot!(a), slot!(b))))
+                }
+                DecOp::LsrSS { a, b, dst } => {
+                    alu_long!(dst, logic_l(lsr_l(slot!(a), slot!(b))))
                 }
                 DecOp::Mov { src, dst } => {
                     let v = self.src(src);
@@ -467,6 +499,16 @@ impl Machine {
                         upc = t;
                     }
                 }
+                DecOp::JumpUCarry(t) => {
+                    if uf.c {
+                        upc = t;
+                    }
+                }
+                DecOp::JumpUserMode(t) => {
+                    if !self.regs.psl.is_kernel() {
+                        upc = t;
+                    }
+                }
                 DecOp::JumpIf { cond, target } => {
                     // `cond` against the loop-local micro-flags; the PSL
                     // conditions read `self` directly (the PSL is not
@@ -549,16 +591,12 @@ impl Machine {
                 }
                 DecOp::WritePrK { reg, src } => {
                     let v = self.src(src);
-                    if !self.write_prv_plain(reg, v) {
-                        sync!();
-                        self.write_prv_internal(reg, v);
-                    }
+                    sync!();
+                    self.write_prv_internal(reg, v);
                 }
                 DecOp::WritePrKI { reg, imm } => {
-                    if !self.write_prv_plain(reg, imm) {
-                        sync!();
-                        self.write_prv_internal(reg, imm);
-                    }
+                    sync!();
+                    self.write_prv_internal(reg, imm);
                 }
                 DecOp::WritePr { num, src } => {
                     let n = self.src(num);
@@ -1447,31 +1485,20 @@ impl Machine {
         Ok(self.read_prv_fixed(reg))
     }
 
-    /// The side-effect-free subset of [`Machine::write_prv_internal`]:
-    /// plain latch stores that touch neither the cycle counter, the
-    /// timer, the console nor any translation structure. Returns `false`
-    /// when the register needs the full path (with the loop counters
-    /// published first — ICCS/ICR arm the timer from `cycles`).
-    #[inline(always)]
-    fn write_prv_plain(&mut self, reg: PrivReg, v: u32) -> bool {
-        match reg {
-            PrivReg::Ksp => self.prv.ksp = v,
-            PrivReg::Usp => self.prv.usp = v,
-            PrivReg::Pcbb => self.prv.pcbb = v,
-            PrivReg::Scbb => self.prv.scbb = v,
-            PrivReg::Trctl => self.prv.trctl = v,
-            PrivReg::Trbase => self.prv.trbase = v,
-            PrivReg::Trptr => self.prv.trptr = v,
-            PrivReg::Trlim => self.prv.trlim = v,
-            _ => return false,
-        }
-        true
-    }
-
     pub(crate) fn write_prv_internal(&mut self, reg: PrivReg, v: u32) {
         match reg {
-            PrivReg::Ksp => self.prv.ksp = v,
-            PrivReg::Usp => self.prv.usp = v,
+            PrivReg::Ksp
+            | PrivReg::Usp
+            | PrivReg::Pcbb
+            | PrivReg::Scbb
+            | PrivReg::Trctl
+            | PrivReg::Trbase
+            | PrivReg::Trptr
+            | PrivReg::Trlim => {
+                if let Some(slot) = latch_slot(reg) {
+                    self.regs.file[slot] = v;
+                }
+            }
             PrivReg::P0br => {
                 self.prv.p0br = v;
                 self.xc.flush_all();
@@ -1496,8 +1523,6 @@ impl Machine {
                 self.prv.slr = v;
                 self.xc.flush_all();
             }
-            PrivReg::Pcbb => self.prv.pcbb = v,
-            PrivReg::Scbb => self.prv.scbb = v,
             PrivReg::Ipl => self.regs.psl.set_ipl((v & 31) as u8),
             PrivReg::Sirr => {
                 if (1..=15).contains(&v) {
@@ -1524,10 +1549,6 @@ impl Machine {
             }
             PrivReg::Txdb => self.console_out.push(v as u8),
             PrivReg::Txcs | PrivReg::Rxdb | PrivReg::Rxcs => {}
-            PrivReg::Trctl => self.prv.trctl = v,
-            PrivReg::Trbase => self.prv.trbase = v,
-            PrivReg::Trptr => self.prv.trptr = v,
-            PrivReg::Trlim => self.prv.trlim = v,
             PrivReg::Mapen => {
                 self.prv.mapen = v & 1;
                 self.xc.flush_all();
@@ -1633,6 +1654,55 @@ pub(crate) fn alu_exec(op: AluOp, a: u32, b: u32, size: DataSize) -> (u32, AluFl
     f.z = result & mask == 0;
     f.n = result & sign != 0;
     (result, f)
+}
+
+// ── Closed forms of the specialized longword ALU words ──────────────
+//
+// Each equals `alu_exec(op, a, b, DataSize::Long)`, result and all five
+// micro-flags; `fast_alu_tests` checks every specialized form against it.
+
+/// The micro-flags of a longword result.
+#[inline(always)]
+fn flags_l(r: u32, c: bool, v: bool) -> UFlags {
+    UFlags {
+        z: r == 0,
+        n: (r as i32) < 0,
+        c,
+        v,
+        divz: false,
+    }
+}
+
+/// `a + b` at `Long`.
+#[inline(always)]
+fn add_l(a: u32, b: u32) -> (u32, UFlags) {
+    let (r, c) = a.overflowing_add(b);
+    (r, flags_l(r, c, (a ^ r) & (b ^ r) & 0x8000_0000 != 0))
+}
+
+/// `a - b` at `Long`, with the VAX borrow (`c = b > a`).
+#[inline(always)]
+fn sub_l(a: u32, b: u32) -> (u32, UFlags) {
+    let r = a.wrapping_sub(b);
+    (r, flags_l(r, b > a, (a ^ b) & (a ^ r) & 0x8000_0000 != 0))
+}
+
+/// A longword logic, pass or shift result: no carry, no overflow.
+#[inline(always)]
+fn logic_l(r: u32) -> (u32, UFlags) {
+    (r, flags_l(r, false, false))
+}
+
+/// `b << count`, 0 for counts of 32 or more.
+#[inline(always)]
+fn lsl_l(count: u32, b: u32) -> u32 {
+    b.checked_shl(count).unwrap_or(0)
+}
+
+/// `b >> count`, 0 for counts of 32 or more.
+#[inline(always)]
+fn lsr_l(count: u32, b: u32) -> u32 {
+    b.checked_shr(count).unwrap_or(0)
 }
 
 #[inline(always)]
@@ -1761,5 +1831,125 @@ mod alu_tests {
         assert_eq!(run(AluOp::Lsr, 40, 0xFFFF_FFFF).0, 0);
         assert_eq!(run(AluOp::Lsl, 4, 1).0, 16);
         assert_eq!(run(AluOp::Lsr, 4, 16).0, 1);
+    }
+}
+
+#[cfg(test)]
+mod fast_alu_tests {
+    //! Every no-CC longword ALU word over slots and immediates, run on the
+    //! fast engine, against `alu_exec`: the operation-named forms of
+    //! `FastImage::build` and the generic forms alike, over a grid that
+    //! crosses the carry, sign and shift-count edges.
+    use super::*;
+    use crate::{EngineTier, MemLayout};
+    use atum_ucode::ControlStore;
+
+    const GRID: [u32; 14] = [
+        0,
+        1,
+        2,
+        3,
+        8,
+        31,
+        32,
+        33,
+        63,
+        64,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        0xFFFF_FFFE,
+        0xFFFF_FFFF,
+    ];
+
+    /// The operand shapes: slot/immediate sources, and the destination.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        SlotImm,
+        ImmSlot,
+        SlotSlot,
+        SlotImmToRegNum,
+    }
+
+    fn flags(f: AluFlags) -> (bool, bool, bool, bool, bool) {
+        (f.z, f.n, f.c, f.v, f.divz)
+    }
+
+    #[test]
+    fn no_cc_longword_forms_match_alu_exec() {
+        let ops = [
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::RSub,
+            AluOp::And,
+            AluOp::Or,
+            AluOp::Xor,
+            AluOp::BicR,
+            AluOp::Pass,
+            AluOp::Lsl,
+            AluOp::Lsr,
+        ];
+        let shapes = [
+            Shape::SlotImm,
+            Shape::ImmSlot,
+            Shape::SlotSlot,
+            Shape::SlotImmToRegNum,
+        ];
+        let (t0, t1) = (MicroReg::T(0), MicroReg::T(1));
+        for op in ops {
+            for shape in shapes {
+                let word = |imm: u32| {
+                    let (a, b, dst) = match shape {
+                        Shape::SlotImm => (t0, MicroReg::Imm(imm), MicroReg::T(2)),
+                        Shape::ImmSlot => (MicroReg::Imm(imm), t1, MicroReg::T(2)),
+                        Shape::SlotSlot => (t0, t1, MicroReg::T(2)),
+                        Shape::SlotImmToRegNum => (t0, MicroReg::Imm(imm), MicroReg::RegNum),
+                    };
+                    MicroOp::Alu {
+                        op,
+                        a,
+                        b,
+                        dst,
+                        cc: CcEffect::None,
+                        size: DataSize::Long,
+                    }
+                };
+                // One word per immediate (the slot-slot shape ignores it).
+                let mut cs = ControlStore::new();
+                cs.append_routine("grid", GRID.iter().map(|&v| word(v)).collect());
+                let mut m = Machine::with_control_store(MemLayout::small(), cs);
+                m.set_engine_tier(EngineTier::Fast);
+                let dst = match shape {
+                    Shape::SlotImmToRegNum => slots::REGNUM,
+                    _ => slots::T0 + 2,
+                };
+                for (w, &imm) in GRID.iter().enumerate() {
+                    for &x in &GRID {
+                        let (a, b) = match shape {
+                            Shape::SlotImm | Shape::SlotImmToRegNum => (x, imm),
+                            Shape::ImmSlot => (imm, x),
+                            Shape::SlotSlot => (x, imm),
+                        };
+                        m.regs.file[slots::T0] = a;
+                        m.regs.file[slots::T0 + 1] = b;
+                        m.upc = w as u32;
+                        // A one-cycle budget runs exactly this word.
+                        assert_eq!(m.run(1), RunExit::CycleLimit);
+                        let (r, f) = alu_exec(op, a, b, DataSize::Long);
+                        let r = match shape {
+                            Shape::SlotImmToRegNum => r & 0xF,
+                            _ => r,
+                        };
+                        let u = m.regs.uflags;
+                        let got = (m.regs.file[dst], (u.z, u.n, u.c, u.v, u.divz));
+                        assert_eq!(
+                            got,
+                            (r, flags(f)),
+                            "{op:?} {shape:?} a={a:#x} b={b:#x} lowered as {:?}",
+                            m.fast.ops[w]
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,9 +5,13 @@
 //! indices into the unified register file (see [`crate::regs::slots`]),
 //! `Target::Entry` indirections become absolute control-store addresses,
 //! size selectors become `Option<DataSize>`, and constant privileged
-//! register numbers become resolved [`PrivReg`]s. The image also snapshots
-//! the opcode and specifier dispatch tables so a dispatch is a flat array
-//! load.
+//! register numbers become resolved [`PrivReg`]s, or plain slot moves
+//! for the latches that live in the register file. The hot micro-op
+//! shapes get variants of their own, so that each runs as one match arm
+//! with no nested selector match: longword ALU words with no
+//! condition-code effect carry their operation in the variant (see
+//! [`DecOp::AddSI`]). The image also snapshots the opcode and specifier
+//! dispatch tables so a dispatch is a flat array load.
 //!
 //! The image is keyed on [`ControlStore::version`]: any mutation of the
 //! store (a WCS append, an entry or dispatch repoint) moves the counter
@@ -25,7 +29,7 @@ use atum_ucode::{
     SpecTable, Target,
 };
 
-use crate::regs::slots;
+use crate::regs::{latch_slot, slots};
 
 /// A pre-resolved source operand.
 ///
@@ -106,12 +110,154 @@ pub enum DecOp {
         /// Destination slot (the RegNum latch).
         dst: u8,
     },
+    /// Slot → an 8-bit latch (`Spec`/`OpReg`; the opcode and specifier
+    /// loads).
+    MovSMFF {
+        /// Source slot.
+        src: u8,
+        /// Destination slot (the 8-bit latch).
+        dst: u8,
+    },
     /// Slot → fixed GPR.
     MovSG {
         /// Source slot.
         src: u8,
         /// Destination GPR number.
         gpr: u8,
+    },
+    /// Longword `Add` of a slot and an immediate into a plain slot, with
+    /// no condition-code effect. This and the variants below it up to
+    /// [`DecOp::LsrSS`] carry the ALU operation in the variant: the arm
+    /// computes the result and all five micro-flags in closed form. They
+    /// cover every (operation, operand shape) pair of the no-CC longword
+    /// words that the fetch, specifier, transfer and ATUM hook routines
+    /// use (`S` = slot, `I` = immediate, in operand order); every other
+    /// ALU word keeps a generic form.
+    AddSI {
+        /// First input slot.
+        a: u8,
+        /// Immediate second input.
+        imm: u32,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Sub` (`a - b`), slot and immediate (see [`DecOp::AddSI`]).
+    SubSI {
+        /// First input slot.
+        a: u8,
+        /// Immediate second input.
+        imm: u32,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `RSub` (`b - a`), slot and immediate (see [`DecOp::AddSI`]).
+    RSubSI {
+        /// First input slot.
+        a: u8,
+        /// Immediate second input.
+        imm: u32,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `And`, slot and immediate (see [`DecOp::AddSI`]).
+    AndSI {
+        /// First input slot.
+        a: u8,
+        /// Immediate second input.
+        imm: u32,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `And`, slot and immediate, into the 4-bit `RegNum` latch
+    /// (the specifier crack): the flags come from the unmasked result.
+    AndSIMF {
+        /// First input slot.
+        a: u8,
+        /// Immediate second input.
+        imm: u32,
+        /// Destination slot (the `RegNum` latch).
+        dst: u8,
+    },
+    /// Longword `Or`, slot and immediate (see [`DecOp::AddSI`]).
+    OrSI {
+        /// First input slot.
+        a: u8,
+        /// Immediate second input.
+        imm: u32,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Pass` of a slot (the micro-`test`; see [`DecOp::AddSI`]).
+    PassIS {
+        /// Immediate first input (unused by `Pass`).
+        imm: u32,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Lsl` by an immediate count (see [`DecOp::AddSI`]).
+    LslIS {
+        /// Immediate shift count.
+        imm: u32,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Lsr` by an immediate count (see [`DecOp::AddSI`]).
+    LsrIS {
+        /// Immediate shift count.
+        imm: u32,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `BicR` (`b & !a`), immediate mask (see [`DecOp::AddSI`]).
+    BicRIS {
+        /// Immediate first input (the bits to clear).
+        imm: u32,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Sub` (`a - b`) of two slots (see [`DecOp::AddSI`]).
+    SubSS {
+        /// First input slot.
+        a: u8,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Or` of two slots (see [`DecOp::AddSI`]).
+    OrSS {
+        /// First input slot.
+        a: u8,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Lsl`, count in slot `a` (see [`DecOp::AddSI`]).
+    LslSS {
+        /// Shift-count slot.
+        a: u8,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
+    },
+    /// Longword `Lsr`, count in slot `a` (see [`DecOp::AddSI`]).
+    LsrSS {
+        /// Shift-count slot.
+        a: u8,
+        /// Second input slot.
+        b: u8,
+        /// Destination slot.
+        dst: u8,
     },
     /// ALU with both sources and the destination in plain slots.
     AluSS {
@@ -257,14 +403,19 @@ pub enum DecOp {
     /// Unconditional jump to a resolved control-store address.
     Jump(u32),
     /// `JumpIf` on `UZero`, specialized so the flag test inlines into the
-    /// dispatch arm (with [`DecOp::JumpUNotZero`] and
-    /// [`DecOp::JumpRegNumIsPc`], the conditions that dominate the stock
-    /// decode loop).
+    /// dispatch arm (with the four variants below, the conditions that
+    /// dominate the stock decode loop and the ATUM logger).
     JumpUZero(u32),
     /// `JumpIf` on `UNotZero` (specialized; see [`DecOp::JumpUZero`]).
     JumpUNotZero(u32),
     /// `JumpIf` on `RegNumIsPc` (specialized; see [`DecOp::JumpUZero`]).
     JumpRegNumIsPc(u32),
+    /// `JumpIf` on `UCarry` (the logger's buffer-full test; see
+    /// [`DecOp::JumpUZero`]).
+    JumpUCarry(u32),
+    /// `JumpIf` on `UserMode` (the logger's kernel-bit test; see
+    /// [`DecOp::JumpUZero`]).
+    JumpUserMode(u32),
     /// Conditional jump (the conditions not specialized above).
     JumpIf {
         /// Condition.
@@ -286,7 +437,9 @@ pub enum DecOp {
     AdvancePc,
     /// Raise a fault/trap from microcode.
     Fault(FaultKind),
-    /// Privileged read with the register number known at decode time.
+    /// Privileged read with the register number known at decode time,
+    /// for the registers that are not slot latches (IPL, the console, the
+    /// clock and the mapping registers).
     ReadPrK {
         /// The resolved privileged register.
         reg: PrivReg,
@@ -304,7 +457,8 @@ pub enum DecOp {
     /// faults `ReservedOperand` when executed, exactly like the reference
     /// path.
     ReadPrBad,
-    /// Privileged write with the register number known at decode time.
+    /// Privileged write with the register number known at decode time
+    /// (not a slot latch; see [`DecOp::ReadPrK`]).
     WritePrK {
         /// The resolved privileged register.
         reg: PrivReg,
@@ -459,18 +613,125 @@ fn dec_dst(r: MicroReg) -> Dst {
     }
 }
 
+/// Lowers a move; also the form of a constant-numbered `ReadPr`/`WritePr`
+/// of a latch that lives in a slot.
+fn dec_mov(src: Result<Src, u32>, dst: Dst) -> DecOp {
+    match (src, dst) {
+        (Ok(Src::Slot(src)), Dst::Slot(dst)) => DecOp::MovSS { src, dst },
+        (Err(imm), Dst::Slot(dst)) => DecOp::MovIS { imm, dst },
+        (Ok(Src::GprIdx), Dst::Slot(dst)) => DecOp::MovGIS { dst },
+        (Ok(Src::Slot(src)), Dst::GprIdx) => DecOp::MovSGI { src },
+        (Ok(Src::Slot(src)), Dst::MaskedF(dst)) => DecOp::MovSMF { src, dst },
+        (Ok(Src::Slot(src)), Dst::MaskedFF(dst)) => DecOp::MovSMFF { src, dst },
+        (Ok(Src::Slot(src)), Dst::Gpr(gpr)) => DecOp::MovSG { src, gpr },
+        (Ok(src), dst) => DecOp::Mov { src, dst },
+        (Err(imm), dst) => DecOp::MovID { imm, dst },
+    }
+}
+
+/// The specialized form of a longword, no-CC ALU word (see
+/// [`DecOp::AddSI`]), or `None` when its (operation, shape) pair has none.
+fn dec_alu_long(op: AluOp, a: Result<Src, u32>, b: Result<Src, u32>, dst: Dst) -> Option<DecOp> {
+    use AluOp::*;
+    Some(match (op, a, b, dst) {
+        (Add, Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::AddSI { a, imm, dst },
+        (Sub, Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::SubSI { a, imm, dst },
+        (RSub, Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::RSubSI { a, imm, dst },
+        (And, Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::AndSI { a, imm, dst },
+        (And, Ok(Src::Slot(a)), Err(imm), Dst::MaskedF(dst)) => DecOp::AndSIMF { a, imm, dst },
+        (Or, Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::OrSI { a, imm, dst },
+        (Pass, Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::PassIS { imm, b, dst },
+        (Lsl, Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::LslIS { imm, b, dst },
+        (Lsr, Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::LsrIS { imm, b, dst },
+        (BicR, Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::BicRIS { imm, b, dst },
+        (Sub, Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::SubSS { a, b, dst },
+        (Or, Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::OrSS { a, b, dst },
+        (Lsl, Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::LslSS { a, b, dst },
+        (Lsr, Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::LsrSS { a, b, dst },
+        _ => return None,
+    })
+}
+
+/// Lowers an ALU word to its generic form (or folds it when both
+/// operands are constant).
+fn dec_alu(
+    op: AluOp,
+    a: Result<Src, u32>,
+    b: Result<Src, u32>,
+    dst: Dst,
+    cc: CcEffect,
+    size: DataSize,
+) -> DecOp {
+    match (a, b, dst) {
+        (Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluSS {
+            op,
+            a,
+            b,
+            dst,
+            cc,
+            size,
+        },
+        (Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluIS {
+            op,
+            imm,
+            b,
+            dst,
+            cc,
+            size,
+        },
+        (Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::AluSI {
+            op,
+            a,
+            imm,
+            dst,
+            cc,
+            size,
+        },
+        (Ok(a), Ok(b), dst) => DecOp::Alu {
+            op,
+            a,
+            b,
+            dst,
+            cc,
+            size,
+        },
+        (Err(imm), Ok(b), dst) => DecOp::AluID {
+            op,
+            imm,
+            b,
+            dst,
+            cc,
+            size,
+        },
+        (Ok(a), Err(imm), dst) => DecOp::AluDI {
+            op,
+            a,
+            imm,
+            dst,
+            cc,
+            size,
+        },
+        (Err(av), Err(bv), dst) => {
+            // Both operands constant: fold the whole ALU op now.
+            let (result, f) = crate::engine::alu_exec(op, av, bv, size);
+            let fbits = f.z as u8
+                | (f.n as u8) << 1
+                | (f.c as u8) << 2
+                | (f.v as u8) << 3
+                | (f.divz as u8) << 4;
+            DecOp::AluConst {
+                result,
+                fbits,
+                cc,
+                dst,
+            }
+        }
+    }
+}
+
 fn dec_op(op: MicroOp, cs: &ControlStore) -> DecOp {
     match op {
-        MicroOp::Mov { src, dst } => match (dec_src(src), dec_dst(dst)) {
-            (Ok(Src::Slot(src)), Dst::Slot(dst)) => DecOp::MovSS { src, dst },
-            (Err(imm), Dst::Slot(dst)) => DecOp::MovIS { imm, dst },
-            (Ok(Src::GprIdx), Dst::Slot(dst)) => DecOp::MovGIS { dst },
-            (Ok(Src::Slot(src)), Dst::GprIdx) => DecOp::MovSGI { src },
-            (Ok(Src::Slot(src)), Dst::MaskedF(dst)) => DecOp::MovSMF { src, dst },
-            (Ok(Src::Slot(src)), Dst::Gpr(gpr)) => DecOp::MovSG { src, gpr },
-            (Ok(src), dst) => DecOp::Mov { src, dst },
-            (Err(imm), dst) => DecOp::MovID { imm, dst },
-        },
+        MicroOp::Mov { src, dst } => dec_mov(dec_src(src), dec_dst(dst)),
         MicroOp::Alu {
             op,
             a,
@@ -478,71 +739,15 @@ fn dec_op(op: MicroOp, cs: &ControlStore) -> DecOp {
             dst,
             cc,
             size,
-        } => match (dec_src(a), dec_src(b), dec_dst(dst)) {
-            (Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluSS {
-                op,
-                a,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluIS {
-                op,
-                imm,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::AluSI {
-                op,
-                a,
-                imm,
-                dst,
-                cc,
-                size,
-            },
-            (Ok(a), Ok(b), dst) => DecOp::Alu {
-                op,
-                a,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Err(imm), Ok(b), dst) => DecOp::AluID {
-                op,
-                imm,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Ok(a), Err(imm), dst) => DecOp::AluDI {
-                op,
-                a,
-                imm,
-                dst,
-                cc,
-                size,
-            },
-            (Err(av), Err(bv), dst) => {
-                // Both operands constant: fold the whole ALU op now.
-                let (result, f) = crate::engine::alu_exec(op, av, bv, size);
-                let fbits = f.z as u8
-                    | (f.n as u8) << 1
-                    | (f.c as u8) << 2
-                    | (f.v as u8) << 3
-                    | (f.divz as u8) << 4;
-                DecOp::AluConst {
-                    result,
-                    fbits,
-                    cc,
-                    dst,
+        } => {
+            let (a, b, dst) = (dec_src(a), dec_src(b), dec_dst(dst));
+            if cc == CcEffect::None && size == DataSize::Long {
+                if let Some(special) = dec_alu_long(op, a, b, dst) {
+                    return special;
                 }
             }
-        },
+            dec_alu(op, a, b, dst, cc, size)
+        }
         MicroOp::SetSize(s) => DecOp::SetSize(s),
         MicroOp::SetSizeDyn(r) => match dec_src(r) {
             Ok(src) => DecOp::SetSizeDyn(src),
@@ -569,6 +774,8 @@ fn dec_op(op: MicroOp, cs: &ControlStore) -> DecOp {
                 MicroCond::UZero => DecOp::JumpUZero(target),
                 MicroCond::UNotZero => DecOp::JumpUNotZero(target),
                 MicroCond::RegNumIsPc => DecOp::JumpRegNumIsPc(target),
+                MicroCond::UCarry => DecOp::JumpUCarry(target),
+                MicroCond::UserMode => DecOp::JumpUserMode(target),
                 cond => DecOp::JumpIf { cond, target },
             }
         }
@@ -580,13 +787,18 @@ fn dec_op(op: MicroOp, cs: &ControlStore) -> DecOp {
         MicroOp::AdvancePc => DecOp::AdvancePc,
         MicroOp::Fault(kind) => DecOp::Fault(kind),
         // A constant register number that actually names a register
-        // resolves at decode time; an invalid constant still faults
-        // ReservedOperand at run time, exactly like the reference path.
+        // resolves at decode time: a latch that lives in a slot becomes a
+        // plain move, any other register its `*PrK*` form. An invalid
+        // constant still faults ReservedOperand at run time, exactly like
+        // the reference path.
         MicroOp::ReadPr { num, dst } => match dec_src(num) {
             Err(n) => match PrivReg::from_number(n) {
-                Some(reg) => DecOp::ReadPrK {
-                    reg,
-                    dst: dec_dst(dst),
+                Some(reg) => match latch_slot(reg) {
+                    Some(slot) => dec_mov(Ok(Src::Slot(slot as u8)), dec_dst(dst)),
+                    None => DecOp::ReadPrK {
+                        reg,
+                        dst: dec_dst(dst),
+                    },
                 },
                 None => DecOp::ReadPrBad,
             },
@@ -596,10 +808,13 @@ fn dec_op(op: MicroOp, cs: &ControlStore) -> DecOp {
             },
         },
         MicroOp::WritePr { num, src } => match (dec_src(num), dec_src(src)) {
-            (Err(n), src) => match (PrivReg::from_number(n), src) {
-                (Some(reg), Ok(src)) => DecOp::WritePrK { reg, src },
-                (Some(reg), Err(imm)) => DecOp::WritePrKI { reg, imm },
-                (None, _) => DecOp::WritePrBad,
+            (Err(n), src) => match PrivReg::from_number(n) {
+                Some(reg) => match (latch_slot(reg), src) {
+                    (Some(slot), src) => dec_mov(src, Dst::Slot(slot as u8)),
+                    (None, Ok(src)) => DecOp::WritePrK { reg, src },
+                    (None, Err(imm)) => DecOp::WritePrKI { reg, imm },
+                },
+                None => DecOp::WritePrBad,
             },
             (Ok(num), Ok(src)) => DecOp::WritePr { num, src },
             (Ok(num), Err(imm)) => DecOp::WritePrI { num, imm },
@@ -658,6 +873,99 @@ mod tests {
             DecOp::Jump(t) => assert_eq!(t, cs.entry(Entry::Fetch)),
             ref other => panic!("expected jump, got {other:?}"),
         }
+    }
+
+    /// The routines every program runs once per istream byte, per
+    /// instruction or per traced reference.
+    const HOT: [&str; 6] = [
+        "ifetch.byte",
+        "fetch.insn",
+        "istream.",
+        "spec.",
+        "xfer.",
+        "atum.",
+    ];
+
+    #[test]
+    fn patched_images_specialize_the_hot_forms() {
+        use atum_core::patch::{PatchSet, PatchStyle};
+        for style in [PatchStyle::Scratch, PatchStyle::Spill] {
+            let mut cs = atum_ucode::stock::build();
+            PatchSet::install_with_style(&mut cs, style).unwrap();
+            let img = FastImage::build(&cs);
+            let mut hot_words = 0;
+            let mut starts: Vec<(u32, &str)> =
+                cs.symbols().iter().map(|(n, &a)| (a, n.as_str())).collect();
+            starts.sort();
+            for (i, &(start, name)) in starts.iter().enumerate() {
+                let end = starts.get(i + 1).map_or(cs.len(), |&(a, _)| a);
+                let hot = HOT.iter().any(|p| name.starts_with(p));
+                for addr in start..end {
+                    let op = img.ops[addr as usize];
+                    // No plain latch is reached through the privileged
+                    // register path, anywhere in the store.
+                    if let DecOp::ReadPrK { reg, .. }
+                    | DecOp::WritePrK { reg, .. }
+                    | DecOp::WritePrKI { reg, .. } = op
+                    {
+                        assert_eq!(latch_slot(reg), None, "{style:?} {name}@{addr}: {op:?}");
+                    }
+                    // No hot no-CC longword slot ALU word is left generic.
+                    let generic_long = match op {
+                        DecOp::AluSS { cc, size, .. }
+                        | DecOp::AluSI { cc, size, .. }
+                        | DecOp::AluIS { cc, size, .. } => {
+                            cc == CcEffect::None && size == DataSize::Long
+                        }
+                        _ => false,
+                    };
+                    assert!(!(hot && generic_long), "{style:?} {name}@{addr}: {op:?}");
+                    hot_words += hot as usize;
+                }
+            }
+            assert!(hot_words > 100, "{style:?}: {hot_words} hot words");
+        }
+    }
+
+    #[test]
+    fn latch_numbers_lower_to_slot_moves() {
+        let mut cs = ControlStore::new();
+        cs.append_routine(
+            "t",
+            vec![
+                MicroOp::ReadPr {
+                    num: MicroReg::Imm(PrivReg::Trptr.number()),
+                    dst: MicroReg::P(2),
+                },
+                MicroOp::WritePr {
+                    num: MicroReg::Imm(PrivReg::Trctl.number()),
+                    src: MicroReg::Imm(1),
+                },
+                MicroOp::WritePr {
+                    num: MicroReg::Imm(PrivReg::Ksp.number()),
+                    src: MicroReg::Gpr(14),
+                },
+            ],
+        );
+        let img = FastImage::build(&cs);
+        let (p2, r14) = ((slots::P0 + 2) as u8, 14);
+        assert_eq!(
+            img.ops[..3],
+            [
+                DecOp::MovSS {
+                    src: slots::TRPTR as u8,
+                    dst: p2
+                },
+                DecOp::MovIS {
+                    imm: 1,
+                    dst: slots::TRCTL as u8
+                },
+                DecOp::MovSS {
+                    src: r14,
+                    dst: slots::KSP as u8
+                },
+            ]
+        );
     }
 
     #[test]

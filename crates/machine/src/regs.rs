@@ -58,8 +58,24 @@ pub mod slots {
     pub const EXCPC: usize = 50;
     /// IPL for interrupt entry.
     pub const EXCIPL: usize = 51;
+    /// Kernel stack pointer latch (privileged register `KSP`).
+    pub const KSP: usize = 52;
+    /// User stack pointer latch (`USP`).
+    pub const USP: usize = 53;
+    /// Process control block base (`PCBB`).
+    pub const PCBB: usize = 54;
+    /// System control block base (`SCBB`).
+    pub const SCBB: usize = 55;
+    /// ATUM trace control (`TRCTL`).
+    pub const TRCTL: usize = 56;
+    /// ATUM trace buffer base (`TRBASE`).
+    pub const TRBASE: usize = 57;
+    /// ATUM trace write pointer (`TRPTR`).
+    pub const TRPTR: usize = 58;
+    /// ATUM trace buffer limit (`TRLIM`).
+    pub const TRLIM: usize = 59;
     /// Number of slots, padded to a power of two so a predecoded slot
-    /// index masked with `COUNT - 1` needs no bounds check (slots 52–63
+    /// index masked with `COUNT - 1` needs no bounds check (slots 60–63
     /// are unreachable: the predecoder only emits the indices above).
     pub const COUNT: usize = 64;
     /// Index mask (`COUNT` is a power of two).
@@ -72,7 +88,8 @@ pub mod slots {
 #[derive(Debug, Clone)]
 pub struct RegFile {
     /// The unified slot file: GPRs, micro-temporaries, patch scratch,
-    /// MAR/MDR and the decode/exception latches.
+    /// MAR/MDR, the decode/exception latches and the side-effect-free
+    /// privileged latches.
     pub file: [u32; slots::COUNT],
     /// The PSL.
     pub psl: Psl,
@@ -118,16 +135,16 @@ impl Default for RegFile {
     }
 }
 
-/// The privileged (internal processor) register file.
+/// The privileged (internal processor) registers that are not plain
+/// latches.
 ///
-/// `read` needs the [`RegFile`] only for registers derived from live
-/// device state elsewhere; the stack-pointer latches live here.
+/// The eight side-effect-free latches (KSP, USP, PCBB, SCBB and the four
+/// ATUM trace registers) live in the [`RegFile`] at [`slots::KSP`] ..=
+/// [`slots::TRLIM`], so a constant-numbered `ReadPr`/`WritePr` of one
+/// predecodes to a plain slot move; `read` takes the [`RegFile`] for
+/// those and for the IPL.
 #[derive(Debug, Clone, Default)]
 pub struct PrvFile {
-    /// Kernel stack pointer latch.
-    pub ksp: u32,
-    /// User stack pointer latch.
-    pub usp: u32,
     /// P0 page-table base (physical).
     pub p0br: u32,
     /// P0 page-table length (entries).
@@ -140,10 +157,6 @@ pub struct PrvFile {
     pub sbr: u32,
     /// System page-table length (entries).
     pub slr: u32,
-    /// Process control block base (physical).
-    pub pcbb: u32,
-    /// System control block base (physical).
-    pub scbb: u32,
     /// Software interrupt summary (pending levels bitmask).
     pub sisr: u32,
     /// Interval clock control/status.
@@ -152,14 +165,23 @@ pub struct PrvFile {
     pub icr: u32,
     /// Memory-management enable.
     pub mapen: u32,
-    /// ATUM trace control.
-    pub trctl: u32,
-    /// ATUM trace buffer base.
-    pub trbase: u32,
-    /// ATUM trace write pointer.
-    pub trptr: u32,
-    /// ATUM trace buffer limit.
-    pub trlim: u32,
+}
+
+/// The register-file slot backing a plain privileged latch, or `None`
+/// for a register that lives in [`PrvFile`] or has side effects.
+pub(crate) fn latch_slot(reg: atum_arch::PrivReg) -> Option<usize> {
+    use atum_arch::PrivReg::*;
+    Some(match reg {
+        Ksp => slots::KSP,
+        Usp => slots::USP,
+        Pcbb => slots::PCBB,
+        Scbb => slots::SCBB,
+        Trctl => slots::TRCTL,
+        Trbase => slots::TRBASE,
+        Trptr => slots::TRPTR,
+        Trlim => slots::TRLIM,
+        _ => return None,
+    })
 }
 
 impl PrvFile {
@@ -169,20 +191,16 @@ impl PrvFile {
     }
 
     /// Reads a register's stored value (side-effect-free registers only;
-    /// the engine handles IPL/console/TBI specially).
+    /// the engine handles the console receiver specially).
     pub fn read(&self, reg: atum_arch::PrivReg, regs: &RegFile) -> u32 {
         use atum_arch::PrivReg::*;
         match reg {
-            Ksp => self.ksp,
-            Usp => self.usp,
             P0br => self.p0br,
             P0lr => self.p0lr,
             P1br => self.p1br,
             P1lr => self.p1lr,
             Sbr => self.sbr,
             Slr => self.slr,
-            Pcbb => self.pcbb,
-            Scbb => self.scbb,
             Ipl => regs.psl.ipl() as u32,
             Sirr => 0,
             Sisr => self.sisr,
@@ -192,12 +210,11 @@ impl PrvFile {
             Txcs => 0x80, // always ready
             Rxdb => 0,    // engine overrides with queued input
             Rxcs => 0,    // engine overrides with availability
-            Trctl => self.trctl,
-            Trbase => self.trbase,
-            Trptr => self.trptr,
-            Trlim => self.trlim,
             Mapen => self.mapen,
             Tbia | Tbis => 0,
+            Ksp | Usp | Pcbb | Scbb | Trctl | Trbase | Trptr | Trlim => {
+                latch_slot(reg).map_or(0, |slot| regs.file[slot])
+            }
         }
     }
 }
@@ -218,8 +235,8 @@ mod tests {
     fn prv_reads_reflect_stores() {
         let mut p = PrvFile::new();
         p.sbr = 0x1000;
-        p.trctl = 0x501;
-        let r = RegFile::new();
+        let mut r = RegFile::new();
+        r.file[slots::TRCTL] = 0x501;
         assert_eq!(p.read(atum_arch::PrivReg::Sbr, &r), 0x1000);
         assert_eq!(p.read(atum_arch::PrivReg::Trctl, &r), 0x501);
         assert_eq!(p.read(atum_arch::PrivReg::Ipl, &r), 31);

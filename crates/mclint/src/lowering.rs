@@ -9,7 +9,9 @@
 //! mapped through the unified register file layout
 //! ([`atum_machine::regs::slots`]), `Target::Entry` indirections
 //! resolved through the live entry table, size selectors and constant
-//! privileged-register numbers resolved, and both-immediate ALU ops
+//! privileged-register numbers resolved (the plain latches to moves of
+//! their register-file slots), the hot longword ALU words to the variant
+//! that names their operation, and both-immediate ALU ops
 //! constant-folded by a from-scratch reimplementation of the ALU
 //! semantics (result *and* packed micro-flags) — then diffs that against
 //! the image word by word. The dispatch-table snapshots and the version
@@ -29,7 +31,9 @@ use crate::{Finding, Pass, Severity};
 use atum_arch::{DataSize, PrivReg};
 use atum_machine::fast::{DecOp, Dst, FastImage, Src};
 use atum_machine::regs::slots;
-use atum_ucode::{AluOp, ControlStore, MicroCond, MicroOp, MicroReg, SizeSel, SpecTable, Target};
+use atum_ucode::{
+    AluOp, CcEffect, ControlStore, MicroCond, MicroOp, MicroReg, SizeSel, SpecTable, Target,
+};
 
 /// Lints a store against a freshly built image — the form `lint::run`
 /// uses, proving the build itself is faithful.
@@ -195,20 +199,88 @@ fn dst(r: MicroReg) -> Dst {
     }
 }
 
+/// The register-file slot of a privileged register that is a plain latch
+/// (no side effect on read or write), per the layout in [`slots`].
+fn latch(reg: PrivReg) -> Option<u8> {
+    let slot = match reg {
+        PrivReg::Ksp => slots::KSP,
+        PrivReg::Usp => slots::USP,
+        PrivReg::Pcbb => slots::PCBB,
+        PrivReg::Scbb => slots::SCBB,
+        PrivReg::Trctl => slots::TRCTL,
+        PrivReg::Trbase => slots::TRBASE,
+        PrivReg::Trptr => slots::TRPTR,
+        PrivReg::Trlim => slots::TRLIM,
+        _ => return None,
+    };
+    Some(slot as u8)
+}
+
+/// A move between lowered operands: the slot-only shapes get their own
+/// variants, everything else the general forms.
+fn mov(s: Result<Src, u32>, d: Dst) -> DecOp {
+    match (s, d) {
+        (Ok(Src::Slot(src)), Dst::Slot(dst)) => DecOp::MovSS { src, dst },
+        (Err(imm), Dst::Slot(dst)) => DecOp::MovIS { imm, dst },
+        (Ok(Src::GprIdx), Dst::Slot(dst)) => DecOp::MovGIS { dst },
+        (Ok(Src::Slot(src)), Dst::GprIdx) => DecOp::MovSGI { src },
+        (Ok(Src::Slot(src)), Dst::MaskedF(dst)) => DecOp::MovSMF { src, dst },
+        (Ok(Src::Slot(src)), Dst::MaskedFF(dst)) => DecOp::MovSMFF { src, dst },
+        (Ok(Src::Slot(src)), Dst::Gpr(gpr)) => DecOp::MovSG { src, gpr },
+        (Ok(src), dst) => DecOp::Mov { src, dst },
+        (Err(imm), dst) => DecOp::MovID { imm, dst },
+    }
+}
+
+/// The operation-named form of a longword, no-CC ALU word over slots and
+/// immediates, if its shape and operation have one. Shape first, then
+/// the operations that shape specializes.
+fn alu_long(
+    op: AluOp,
+    a: Result<Src, u32>,
+    b: Result<Src, u32>,
+    d: Dst,
+    cc: CcEffect,
+    size: DataSize,
+) -> Option<DecOp> {
+    if cc != CcEffect::None || size != DataSize::Long {
+        return None;
+    }
+    Some(match (a, b, d) {
+        (Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => match op {
+            AluOp::Add => DecOp::AddSI { a, imm, dst },
+            AluOp::Sub => DecOp::SubSI { a, imm, dst },
+            AluOp::RSub => DecOp::RSubSI { a, imm, dst },
+            AluOp::And => DecOp::AndSI { a, imm, dst },
+            AluOp::Or => DecOp::OrSI { a, imm, dst },
+            _ => return None,
+        },
+        (Ok(Src::Slot(a)), Err(imm), Dst::MaskedF(dst)) if op == AluOp::And => {
+            DecOp::AndSIMF { a, imm, dst }
+        }
+        (Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => match op {
+            AluOp::Pass => DecOp::PassIS { imm, b, dst },
+            AluOp::Lsl => DecOp::LslIS { imm, b, dst },
+            AluOp::Lsr => DecOp::LsrIS { imm, b, dst },
+            AluOp::BicR => DecOp::BicRIS { imm, b, dst },
+            _ => return None,
+        },
+        (Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => match op {
+            AluOp::Sub => DecOp::SubSS { a, b, dst },
+            AluOp::Or => DecOp::OrSS { a, b, dst },
+            AluOp::Lsl => DecOp::LslSS { a, b, dst },
+            AluOp::Lsr => DecOp::LsrSS { a, b, dst },
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
 /// Independently derives the [`DecOp`] a control-store word must lower
 /// to.
 fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
     match op {
-        MicroOp::Mov { src: s, dst: d } => match (src(s), dst(d)) {
-            (Ok(Src::Slot(src)), Dst::Slot(dst)) => DecOp::MovSS { src, dst },
-            (Err(imm), Dst::Slot(dst)) => DecOp::MovIS { imm, dst },
-            (Ok(Src::GprIdx), Dst::Slot(dst)) => DecOp::MovGIS { dst },
-            (Ok(Src::Slot(src)), Dst::GprIdx) => DecOp::MovSGI { src },
-            (Ok(Src::Slot(src)), Dst::MaskedF(dst)) => DecOp::MovSMF { src, dst },
-            (Ok(Src::Slot(src)), Dst::Gpr(gpr)) => DecOp::MovSG { src, gpr },
-            (Ok(src), dst) => DecOp::Mov { src, dst },
-            (Err(imm), dst) => DecOp::MovID { imm, dst },
-        },
+        MicroOp::Mov { src: s, dst: d } => mov(src(s), dst(d)),
         MicroOp::Alu {
             op,
             a,
@@ -216,65 +288,68 @@ fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
             dst: d,
             cc,
             size,
-        } => match (src(a), src(b), dst(d)) {
-            (Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluSS {
-                op,
-                a,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluIS {
-                op,
-                imm,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::AluSI {
-                op,
-                a,
-                imm,
-                dst,
-                cc,
-                size,
-            },
-            (Ok(a), Ok(b), dst) => DecOp::Alu {
-                op,
-                a,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Err(imm), Ok(b), dst) => DecOp::AluID {
-                op,
-                imm,
-                b,
-                dst,
-                cc,
-                size,
-            },
-            (Ok(a), Err(imm), dst) => DecOp::AluDI {
-                op,
-                a,
-                imm,
-                dst,
-                cc,
-                size,
-            },
-            (Err(av), Err(bv), dst) => {
-                let (result, fbits) = alu_fold(op, av, bv, size);
-                DecOp::AluConst {
-                    result,
-                    fbits,
-                    cc,
+        } => {
+            let (a, b, d) = (src(a), src(b), dst(d));
+            alu_long(op, a, b, d, cc, size).unwrap_or_else(|| match (a, b, d) {
+                (Ok(Src::Slot(a)), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluSS {
+                    op,
+                    a,
+                    b,
                     dst,
+                    cc,
+                    size,
+                },
+                (Err(imm), Ok(Src::Slot(b)), Dst::Slot(dst)) => DecOp::AluIS {
+                    op,
+                    imm,
+                    b,
+                    dst,
+                    cc,
+                    size,
+                },
+                (Ok(Src::Slot(a)), Err(imm), Dst::Slot(dst)) => DecOp::AluSI {
+                    op,
+                    a,
+                    imm,
+                    dst,
+                    cc,
+                    size,
+                },
+                (Ok(a), Ok(b), dst) => DecOp::Alu {
+                    op,
+                    a,
+                    b,
+                    dst,
+                    cc,
+                    size,
+                },
+                (Err(imm), Ok(b), dst) => DecOp::AluID {
+                    op,
+                    imm,
+                    b,
+                    dst,
+                    cc,
+                    size,
+                },
+                (Ok(a), Err(imm), dst) => DecOp::AluDI {
+                    op,
+                    a,
+                    imm,
+                    dst,
+                    cc,
+                    size,
+                },
+                (Err(av), Err(bv), dst) => {
+                    let (result, fbits) = alu_fold(op, av, bv, size);
+                    DecOp::AluConst {
+                        result,
+                        fbits,
+                        cc,
+                        dst,
+                    }
                 }
-            }
-        },
+            })
+        }
         MicroOp::SetSize(s) => DecOp::SetSize(s),
         MicroOp::SetSizeDyn(r) => match src(r) {
             Ok(s) => DecOp::SetSizeDyn(s),
@@ -305,6 +380,8 @@ fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
                 MicroCond::UZero => DecOp::JumpUZero(t),
                 MicroCond::UNotZero => DecOp::JumpUNotZero(t),
                 MicroCond::RegNumIsPc => DecOp::JumpRegNumIsPc(t),
+                MicroCond::UCarry => DecOp::JumpUCarry(t),
+                MicroCond::UserMode => DecOp::JumpUserMode(t),
                 cond => DecOp::JumpIf { cond, target: t },
             }
         }
@@ -317,15 +394,21 @@ fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
         MicroOp::Fault(kind) => DecOp::Fault(kind),
         MicroOp::ReadPr { num, dst: d } => match src(num) {
             Err(n) => match PrivReg::from_number(n) {
-                Some(reg) => DecOp::ReadPrK { reg, dst: dst(d) },
+                Some(reg) => match latch(reg) {
+                    Some(slot) => mov(Ok(Src::Slot(slot)), dst(d)),
+                    None => DecOp::ReadPrK { reg, dst: dst(d) },
+                },
                 None => DecOp::ReadPrBad,
             },
             Ok(num) => DecOp::ReadPr { num, dst: dst(d) },
         },
         MicroOp::WritePr { num, src: s } => match (src(num), src(s)) {
             (Err(n), s) => match (PrivReg::from_number(n), s) {
-                (Some(reg), Ok(src)) => DecOp::WritePrK { reg, src },
-                (Some(reg), Err(imm)) => DecOp::WritePrKI { reg, imm },
+                (Some(reg), s) => match (latch(reg), s) {
+                    (Some(slot), s) => mov(s, Dst::Slot(slot)),
+                    (None, Ok(src)) => DecOp::WritePrK { reg, src },
+                    (None, Err(imm)) => DecOp::WritePrKI { reg, imm },
+                },
                 (None, _) => DecOp::WritePrBad,
             },
             (Ok(num), Ok(src)) => DecOp::WritePr { num, src },

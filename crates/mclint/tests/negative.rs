@@ -359,6 +359,44 @@ fn corrupted_lowering_is_caught() {
     assert_eq!(f.pass, atum_mclint::Pass::Lowering);
 }
 
+#[test]
+fn mis_specialized_lowering_is_caught() {
+    use atum_machine::fast::{DecOp, FastImage};
+    use atum_machine::regs::slots;
+    let mut cs = stock::build();
+    PatchSet::install(&mut cs).unwrap();
+    let mut img = FastImage::build(&cs);
+    let log = cs.symbol("atum.log").unwrap();
+    let find = |want: &dyn Fn(MicroOp) -> bool| (log..cs.len()).find(|&a| want(cs.word(a)));
+    // The logger's TRPTR read, a slot move, lowered from the TRLIM slot:
+    // the capacity check would then always pass.
+    let read = find(&|op| {
+        matches!(op, MicroOp::ReadPr { num: MicroReg::Imm(n), .. } if n == PrivReg::Trptr.number())
+    })
+    .unwrap();
+    let DecOp::MovSS { dst, .. } = img.ops[read as usize] else {
+        panic!("TRPTR read lowered as {:?}", img.ops[read as usize]);
+    };
+    img.ops[read as usize] = DecOp::MovSS {
+        src: slots::TRLIM as u8,
+        dst,
+    };
+    // Its `TRPTR + 8`, lowered as the subtraction form.
+    let add = find(&|op| matches!(op, MicroOp::Alu { op: AluOp::Add, .. })).unwrap();
+    let DecOp::AddSI { a, imm, dst } = img.ops[add as usize] else {
+        panic!("TRPTR + 8 lowered as {:?}", img.ops[add as usize]);
+    };
+    img.ops[add as usize] = DecOp::SubSI { a, imm, dst };
+    let findings = atum_mclint::lowering::check_image(&cs, &img);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    for addr in [read, add] {
+        let f = findings.iter().find(|f| f.addr == addr).unwrap();
+        assert!(f.symbol.starts_with("atum.log"), "{f}");
+        assert!(f.message.contains("lowering mismatch"), "{f}");
+        assert_eq!(f.pass, atum_mclint::Pass::Lowering);
+    }
+}
+
 // ── negative: seeded bugs 10–13 — atomicity violations ───────────────
 
 /// `Alu` with no condition-code side effect, the shape the real patches
