@@ -8,7 +8,10 @@
 //! untraced and under each ATUM patch style (where the trace-buffer
 //! bytes are compared raw, exactly as the microcode wrote them). The
 //! cycle-slice tests instead stop both engines on small cycle budgets,
-//! which end inside micro-routines, and resume them from there.
+//! which end inside micro-routines, and resume them from there. Every
+//! comparison covers the whole micro-state as well: micro-PC and stack,
+//! the register file with the patch scratch registers, MAR, MDR and the
+//! temporaries, micro-flags and the rollback log.
 
 use atum_core::PatchStyle;
 use atum_machine::{EngineTier, Machine, MemLayout, RunExit};
@@ -163,8 +166,8 @@ fn trace_bytes(m: &Machine) -> Vec<u8> {
 }
 
 /// The first observable difference between the fast machine and its
-/// reference twin, if any: counters, registers, PSL, reference counts
-/// and, when traced, the raw trace-buffer bytes.
+/// reference twin, if any: counters, registers, PSL, reference counts,
+/// the micro-state and, when traced, the raw trace-buffer bytes.
 fn divergence(fast: &Machine, refm: &Machine, traced: bool) -> Option<String> {
     if fast.cycles() != refm.cycles() {
         return Some(format!("cycles {} vs {}", fast.cycles(), refm.cycles()));
@@ -180,6 +183,10 @@ fn divergence(fast: &Machine, refm: &Machine, traced: bool) -> Option<String> {
     }
     if fast.counts() != refm.counts() {
         return Some(format!("counts {:?} vs {:?}", fast.counts(), refm.counts()));
+    }
+    let (fast_micro, ref_micro) = (fast.micro_state(), refm.micro_state());
+    if fast_micro != ref_micro {
+        return Some(format!("micro-state {fast_micro:?} vs {ref_micro:?}"));
     }
     if traced && trace_bytes(fast) != trace_bytes(refm) {
         return Some("trace bytes".into());
@@ -325,6 +332,23 @@ fn bench_workload_cycle_slices() {
         let slices =
             cycle_slices(&img, start, style, budget).unwrap_or_else(|d| panic!("{style:?}: {d}"));
         assert!(slices > 1_000, "{style:?}: only {slices} slices");
+    }
+}
+
+/// The bench workload on both engines, untraced and under both patch
+/// styles, advanced by every fixed cycle budget from 1 to 32. Over the
+/// run the slice ends fall at every cycle offset inside an 8-cycle
+/// instruction-buffer call and a 27-cycle logger call, so each native
+/// call form meets every deadline it can straddle.
+#[test]
+fn bench_workload_deadline_sweep() {
+    let img = bench_program(12);
+    let start = img.symbol("start").unwrap();
+    for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
+        for budget in 1..=32u64 {
+            cycle_slices(&img, start, style, || budget)
+                .unwrap_or_else(|d| panic!("{style:?}, budget {budget}: {d}"));
+        }
     }
 }
 

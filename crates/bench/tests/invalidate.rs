@@ -9,7 +9,7 @@
 //! trace-enable toggles — against a fast-engine machine and a
 //! reference-engine twin receiving the identical event stream. After
 //! every event the full observable state is compared: cycle count,
-//! registers, PSL, reference counts and trace bytes.
+//! registers, PSL, reference counts, the micro-state and trace bytes.
 //!
 //! Mapping stays disabled here, so the micro-cache is never probed and
 //! the TB events exercise only their handling paths;
@@ -126,6 +126,12 @@ fn assert_same(fast: &Machine, refm: &Machine, at: usize) -> Result<(), TestCase
         fast.counts(),
         refm.counts(),
         "counts differ after event {}",
+        at
+    );
+    prop_assert_eq!(
+        fast.micro_state(),
+        refm.micro_state(),
+        "micro-state differs after event {}",
         at
     );
     prop_assert_eq!(

@@ -30,7 +30,10 @@
 //!
 //! [`PhysMemory`]: crate::PhysMemory
 
-use crate::fast::{DecOp, Dst, Src};
+use crate::fast::{
+    DecOp, Dst, Src, IB_SERVE_CYCLES, LOGGER_KERNEL_CYCLES, LOGGER_USER_CYCLES, META_KERNEL_BIT,
+    META_PID_SHIFT, TRCTL_PID_MASK, TRCTL_PID_SHIFT,
+};
 use crate::mmu::{self, AccessKind};
 use crate::regs::{latch_slot, slots, UFlags};
 use crate::Machine;
@@ -143,9 +146,10 @@ impl Machine {
     }
 
     /// Runs until `n` more architectural instructions complete (or another
-    /// exit happens first). Returns the exit if one occurred.
+    /// exit happens first). Returns the exit if one occurred. The
+    /// instruction target saturates, so `n = u64::MAX` sets no limit.
     pub fn step_insns(&mut self, n: u64, max_cycles: u64) -> Option<RunExit> {
-        let target = self.insns + n;
+        let target = self.insns.saturating_add(n);
         let deadline = self.cycles.saturating_add(max_cycles);
         if self.tier == crate::EngineTier::Reference {
             while self.insns < target {
@@ -517,7 +521,31 @@ impl Machine {
                         upc = target;
                     }
                 }
-                DecOp::Call(t) => {
+                // The native call forms: when every precondition holds,
+                // one arm applies the call, the routine and its return,
+                // and charges their cycles. `cycles` already holds the
+                // call's own cycle, so the routine's last word starts
+                // before the deadline exactly when the rest fits. If a
+                // guard fails, the plain `Call` arm below runs the call.
+                DecOp::CallIbServe(_)
+                    if usp < MICRO_STACK_LIMIT
+                        && self.regs.file[slots::IBCNT] != 0
+                        && cycles + (IB_SERVE_CYCLES - cost::BASE) <= deadline =>
+                {
+                    self.ustack[usp] = upc;
+                    uf = self.serve_ib_byte();
+                    cycles += IB_SERVE_CYCLES - cost::BASE;
+                }
+                DecOp::CallLogger(_)
+                    if usp < MICRO_STACK_LIMIT
+                        && cycles + self.logger_rest_cycles() <= deadline
+                        && self.logger_record_fits() =>
+                {
+                    self.ustack[usp] = upc;
+                    cycles += self.logger_rest_cycles();
+                    uf = self.log_record();
+                }
+                DecOp::Call(t) | DecOp::CallIbServe(t) | DecOp::CallLogger(t) => {
                     if usp >= MICRO_STACK_LIMIT {
                         break $run Some(RunExit::MicroError("micro-stack overflow"));
                     }
@@ -859,6 +887,86 @@ impl Machine {
             MicroOp::Halt => return Some(RunExit::Halted),
         }
         None
+    }
+
+    // ── The native call forms ─────────────────────────────────────────
+
+    /// The effects of the instruction-buffer byte server's serve path
+    /// (`ifetch.byte` with `IbCnt` nonzero; `fast::IB_SERVE`):
+    /// the test's result in T15, the next byte in MDR, the buffer shifted
+    /// and counted down, and PC advanced. Returns the micro-flags of the
+    /// count-down `Sub`, the routine's last ALU word.
+    #[inline(always)]
+    fn serve_ib_byte(&mut self) -> UFlags {
+        let f = &mut self.regs.file;
+        let (cnt, data) = (f[slots::IBCNT], f[slots::IBDATA]);
+        f[slots::T0 + 15] = cnt;
+        f[slots::MDR] = data & 0xFF;
+        f[slots::IBDATA] = data >> 8;
+        let (left, flags) = sub_l(cnt, 1);
+        f[slots::IBCNT] = left;
+        self.log_gpr(15);
+        self.regs.file[15] = self.regs.file[15].wrapping_add(1);
+        flags
+    }
+
+    /// The cycles of a native logger call after the `Call`'s own: the
+    /// store path skips the kernel-bit `Or` in user mode.
+    #[inline(always)]
+    fn logger_rest_cycles(&self) -> u64 {
+        let total = if self.regs.psl.is_kernel() {
+            LOGGER_KERNEL_CYCLES
+        } else {
+            LOGGER_USER_CYCLES
+        };
+        total - cost::BASE
+    }
+
+    /// Whether the logger takes its store path with both stores landing:
+    /// `TRPTR + 8` neither wraps nor passes `TRLIM` (the capacity check's
+    /// borrow stays clear), and the eight record bytes are in memory.
+    #[inline(always)]
+    fn logger_record_fits(&self) -> bool {
+        let ptr = self.regs.file[slots::TRPTR];
+        ptr.checked_add(8)
+            .is_some_and(|end| end <= self.regs.file[slots::TRLIM])
+            && self.mem.contains(ptr, 8)
+    }
+
+    /// The effects of the scratch-style logger's store path
+    /// (`fast::LOGGER`; [`Machine::logger_record_fits`] holds):
+    /// every P register as the routine leaves it, the record (old MAR,
+    /// then the seed with the pid and kernel bit) at `TRPTR`, and `TRPTR`
+    /// advanced. MAR and MDR end as they began. Returns the micro-flags
+    /// of its `Add P2, #4`, the routine's last ALU word.
+    #[inline(always)]
+    fn log_record(&mut self) -> UFlags {
+        let kernel = self.regs.psl.is_kernel();
+        let f = &mut self.regs.file;
+        let (mar, mdr, ptr, ctl) = (
+            f[slots::MAR],
+            f[slots::MDR],
+            f[slots::TRPTR],
+            f[slots::TRCTL],
+        );
+        let pid = ((ctl >> TRCTL_PID_SHIFT) & TRCTL_PID_MASK) << META_PID_SHIFT;
+        let high = f[slots::P0 + 5] | pid | if kernel { META_KERNEL_BIT } else { 0 };
+        let p = slots::P0;
+        f[p] = mar;
+        f[p + 1] = ctl;
+        f[p + 2] = ptr;
+        f[p + 3] = f[slots::TRLIM];
+        f[p + 4] = ptr + 8;
+        f[p + 5] = high;
+        f[p + 6] = mdr;
+        f[p + 7] = pid;
+        f[slots::TRPTR] = ptr + 8;
+        let stored = self
+            .mem
+            .write_u32(ptr, mar)
+            .and(self.mem.write_u32(ptr + 4, high));
+        debug_assert!(stored.is_some(), "logger_record_fits checked the stores");
+        add_l(ptr, 4).1
     }
 
     // ── The fast engine’s operand helpers ─────────────────────────────

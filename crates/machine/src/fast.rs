@@ -10,8 +10,11 @@
 //! shapes get variants of their own, so that each runs as one match arm
 //! with no nested selector match: longword ALU words with no
 //! condition-code effect carry their operation in the variant (see
-//! [`DecOp::AddSI`]). The image also snapshots the opcode and specifier
-//! dispatch tables so a dispatch is a flat array load.
+//! [`DecOp::AddSI`]). A `Call` of one of the two hottest micro-routines,
+//! the instruction-buffer byte server and the ATUM logger, gets a native
+//! form that runs the whole call in one dispatch when its preconditions
+//! hold (see [`DecOp::CallIbServe`]). The image also snapshots the opcode
+//! and specifier dispatch tables so a dispatch is a flat array load.
 //!
 //! The image is keyed on [`ControlStore::version`]: any mutation of the
 //! store (a WCS append, an entry or dispatch repoint) moves the counter
@@ -425,6 +428,27 @@ pub enum DecOp {
     },
     /// Micro-subroutine call to a resolved address.
     Call(u32),
+    /// A `Call` whose target begins the stock instruction-buffer byte
+    /// server (`ifetch.byte`, the words of `IB_SERVE`). When the buffer
+    /// holds a byte, the micro-stack has room and the routine's last word
+    /// starts before the cycle deadline, the arm applies the call, the
+    /// serve path and the return at once and charges [`IB_SERVE_CYCLES`].
+    /// Otherwise it runs as the plain [`DecOp::Call`], so a refill (whose
+    /// `XferIFetch` call is the traced hook entry) always runs op by op.
+    /// The callee's words keep their own lowering. A native call is one
+    /// entry of its callee and stays inside one region (stock → stock).
+    CallIbServe(u32),
+    /// A `Call` whose target begins the scratch-style ATUM logger
+    /// (`atum.log`, the words of `LOGGER`). When the record fits below
+    /// `TRLIM` and inside physical memory, the micro-stack has room and
+    /// the routine's last word starts before the cycle deadline, the arm
+    /// applies the call, the store path and the return at once and
+    /// charges [`LOGGER_USER_CYCLES`] or [`LOGGER_KERNEL_CYCLES`].
+    /// Otherwise it runs as the plain [`DecOp::Call`], so the buffer-full
+    /// halt and a record store's machine check happen op by op. As with
+    /// [`DecOp::CallIbServe`], the callee keeps its own lowering, and a
+    /// native call is one entry of its callee (patch → patch).
+    CallLogger(u32),
     /// Return from micro-subroutine.
     Ret,
     /// Jump through the opcode dispatch table on `OpReg`.
@@ -547,6 +571,167 @@ impl FastImage {
             spec_tables,
         }
     }
+}
+
+// ── The native call forms ────────────────────────────────────────────
+//
+// Each pattern is one table of the exact words a routine must hold for a
+// call of it to lower to its native form: `reads` compares every word in
+// full, except that a `JumpIf` matches on its condition and the pattern's
+// check resolves its target. The arms in the fast loop hard-code what
+// these words do, so every constant they use is in a table.
+
+/// A no-CC longword ALU word of a pattern.
+const fn alu_l(op: AluOp, a: MicroReg, b: MicroReg, dst: MicroReg) -> MicroOp {
+    MicroOp::Alu {
+        op,
+        a,
+        b,
+        dst,
+        cc: CcEffect::None,
+        size: DataSize::Long,
+    }
+}
+
+/// A `JumpIf` of a pattern; its target is checked by the pattern's code.
+const fn jif(cond: MicroCond) -> MicroOp {
+    MicroOp::JumpIf {
+        cond,
+        target: Target::Abs(0),
+    }
+}
+
+const fn mov(src: MicroReg, dst: MicroReg) -> MicroOp {
+    MicroOp::Mov { src, dst }
+}
+
+const fn read_pr(reg: PrivReg, dst: MicroReg) -> MicroOp {
+    MicroOp::ReadPr {
+        num: MicroReg::Imm(reg as u32),
+        dst,
+    }
+}
+
+/// The stock instruction-buffer byte server as its native form reads it:
+/// the test and branch at the call target `t`, then the five words of the
+/// serve path at the branch target (`IB_SERVE[IB_SERVE_HEAD..]`). The
+/// refill words between `t + 2` and the serve path are not examined: the
+/// native path runs only when `IbCnt` is nonzero, so it never runs them.
+const IB_SERVE: [MicroOp; 7] = {
+    use MicroReg::{IbCnt, IbData, Imm, Mdr, T};
+    [
+        alu_l(AluOp::Pass, Imm(0), IbCnt, T(15)),
+        jif(MicroCond::UNotZero),
+        alu_l(AluOp::And, IbData, Imm(0xFF), Mdr),
+        alu_l(AluOp::Lsr, Imm(8), IbData, IbData),
+        alu_l(AluOp::Sub, IbCnt, Imm(1), IbCnt),
+        MicroOp::AdvancePc,
+        MicroOp::Ret,
+    ]
+};
+
+/// How many words of `IB_SERVE` sit at the call target.
+const IB_SERVE_HEAD: usize = 2;
+
+/// Micro-cycles of a native [`DecOp::CallIbServe`]: the `Call` and the
+/// seven words of `IB_SERVE`.
+pub const IB_SERVE_CYCLES: u64 = 8;
+
+/// `trctl::PID_SHIFT` of `atum-core`, which this crate cannot name.
+pub(crate) const TRCTL_PID_SHIFT: u32 = 8;
+/// `trctl::PID_MASK` of `atum-core`.
+pub(crate) const TRCTL_PID_MASK: u32 = 0xFF;
+/// `meta::PID_SHIFT` of `atum-core`.
+pub(crate) const META_PID_SHIFT: u32 = 8;
+/// `meta::KERNEL_BIT` of `atum-core`.
+pub(crate) const META_KERNEL_BIT: u32 = 1 << 27;
+
+/// Where `LOGGER`'s `JumpIf UserMode` must land, relative to the call
+/// target: past the kernel-bit `Or`.
+const LOGGER_NOT_KERNEL: u32 = 17;
+
+/// The scratch-style ATUM logger (`atum.log`) as its native form reads it,
+/// from the call target on: save MAR/MDR, the capacity check (its
+/// `JumpIf UCarry` may go anywhere), the two record stores with the pid
+/// and kernel bit, the `TRPTR` advance, the restore and the return. The
+/// spill style's logger does not match and keeps plain calls.
+const LOGGER: [MicroOp; 24] = {
+    use MicroReg::{Imm, Mar, Mdr, P};
+    [
+        mov(Mar, P(0)),
+        mov(Mdr, P(6)),
+        read_pr(PrivReg::Trptr, P(2)),
+        read_pr(PrivReg::Trlim, P(3)),
+        alu_l(AluOp::Add, P(2), Imm(8), P(4)),
+        alu_l(AluOp::Sub, P(3), P(4), P(7)),
+        jif(MicroCond::UCarry),
+        mov(P(2), Mar),
+        mov(P(0), Mdr),
+        MicroOp::PhysWrite,
+        read_pr(PrivReg::Trctl, P(1)),
+        alu_l(AluOp::Lsr, Imm(TRCTL_PID_SHIFT), P(1), P(7)),
+        alu_l(AluOp::And, P(7), Imm(TRCTL_PID_MASK), P(7)),
+        alu_l(AluOp::Lsl, Imm(META_PID_SHIFT), P(7), P(7)),
+        alu_l(AluOp::Or, P(5), P(7), P(5)),
+        jif(MicroCond::UserMode),
+        alu_l(AluOp::Or, P(5), Imm(META_KERNEL_BIT), P(5)),
+        alu_l(AluOp::Add, P(2), Imm(4), Mar),
+        mov(P(5), Mdr),
+        MicroOp::PhysWrite,
+        MicroOp::WritePr {
+            num: Imm(PrivReg::Trptr as u32),
+            src: P(4),
+        },
+        mov(P(0), Mar),
+        mov(P(6), Mdr),
+        MicroOp::Ret,
+    ]
+};
+
+/// Micro-cycles of a native [`DecOp::CallLogger`] in user mode: the
+/// `Call`, the 23 words of `LOGGER` that skip the kernel-bit `Or`, and
+/// the two stores' memory cycles.
+pub const LOGGER_USER_CYCLES: u64 = 26;
+
+/// Micro-cycles of a native [`DecOp::CallLogger`] in kernel mode: all 24
+/// words of `LOGGER`.
+pub const LOGGER_KERNEL_CYCLES: u64 = 27;
+
+/// Whether the words from `at` on read `pattern` (see the section note).
+fn reads(cs: &ControlStore, at: u32, pattern: &[MicroOp]) -> bool {
+    let words = cs.words();
+    let Some(words) = words.get(at as usize..at as usize + pattern.len()) else {
+        return false;
+    };
+    words
+        .iter()
+        .zip(pattern)
+        .all(|(&got, &want)| match (got, want) {
+            (MicroOp::JumpIf { cond, .. }, MicroOp::JumpIf { cond: want, .. }) => cond == want,
+            _ => got == want,
+        })
+}
+
+/// The resolved target of the `JumpIf` at `at` (which `reads` matched).
+fn jif_target(cs: &ControlStore, at: u32) -> Option<u32> {
+    match cs.word(at) {
+        MicroOp::JumpIf { target, .. } => Some(dec_target(target, cs)),
+        _ => None,
+    }
+}
+
+/// Lowers a `Call` of `t`: a native form when `t` begins one of the two
+/// patterned routines, the plain call otherwise.
+fn dec_call(t: u32, cs: &ControlStore) -> DecOp {
+    let (head, serve) = IB_SERVE.split_at(IB_SERVE_HEAD);
+    if reads(cs, t, head) && jif_target(cs, t + 1).is_some_and(|s| reads(cs, s, serve)) {
+        return DecOp::CallIbServe(t);
+    }
+    // LOGGER[15] is the `JumpIf UserMode`.
+    if reads(cs, t, &LOGGER) && jif_target(cs, t + 15) == Some(t + LOGGER_NOT_KERNEL) {
+        return DecOp::CallLogger(t);
+    }
+    DecOp::Call(t)
 }
 
 fn dec_target(t: Target, cs: &ControlStore) -> u32 {
@@ -779,7 +964,7 @@ fn dec_op(op: MicroOp, cs: &ControlStore) -> DecOp {
                 cond => DecOp::JumpIf { cond, target },
             }
         }
-        MicroOp::Call(t) => DecOp::Call(dec_target(t, cs)),
+        MicroOp::Call(t) => dec_call(dec_target(t, cs), cs),
         MicroOp::Ret => DecOp::Ret,
         MicroOp::DispatchOpcode => DecOp::DispatchOpcode,
         MicroOp::DispatchSpec(table) => DecOp::DispatchSpec(table.index() as u8),
@@ -925,6 +1110,94 @@ mod tests {
             }
             assert!(hot_words > 100, "{style:?}: {hot_words} hot words");
         }
+    }
+
+    /// Every `Call` in `cs` as (resolved target, lowered form).
+    fn calls(cs: &ControlStore, img: &FastImage) -> Vec<(u32, DecOp)> {
+        cs.words()
+            .iter()
+            .zip(&img.ops)
+            .filter_map(|(&op, &dec)| match op {
+                MicroOp::Call(t) => Some((dec_target(t, cs), dec)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The deterministic gate of the native call forms: an edit to either
+    /// routine that breaks its pattern fails here, not as a silent loss
+    /// of speed.
+    #[test]
+    fn native_call_forms_cover_every_call_site() {
+        use atum_core::patch::{PatchSet, PatchStyle};
+        for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
+            let mut cs = atum_ucode::stock::build();
+            if let Some(style) = style {
+                PatchSet::install_with_style(&mut cs, style).unwrap();
+            }
+            let img = FastImage::build(&cs);
+            let ib = cs.symbol("ifetch.byte").unwrap();
+            let log = cs.symbol("atum.log");
+            let (mut ib_calls, mut log_calls) = (0, 0);
+            for (t, dec) in calls(&cs, &img) {
+                let want = if t == ib {
+                    ib_calls += 1;
+                    DecOp::CallIbServe(t)
+                } else if Some(t) == log {
+                    log_calls += 1;
+                    match style {
+                        Some(PatchStyle::Scratch) => DecOp::CallLogger(t),
+                        _ => DecOp::Call(t),
+                    }
+                } else {
+                    DecOp::Call(t)
+                };
+                assert_eq!(dec, want, "{style:?}: call of {t:#x}");
+            }
+            assert_eq!(ib_calls, 5, "{style:?}: calls of ifetch.byte");
+            assert_eq!(log_calls, if style.is_some() { 5 } else { 0 }, "{style:?}");
+        }
+    }
+
+    /// The cost of a native path: the `Call` plus the words it runs.
+    fn path_cycles(cs: &ControlStore, words: impl IntoIterator<Item = u32>) -> u64 {
+        let call = atum_ucode::cost::op_cost(&MicroOp::Call(Target::Abs(0)));
+        call + words
+            .into_iter()
+            .map(|a| atum_ucode::cost::op_cost(&cs.word(a)))
+            .sum::<u64>()
+    }
+
+    #[test]
+    fn native_cycle_constants_are_the_cost_model_over_each_path() {
+        use atum_core::patch::PatchSet;
+        let mut cs = atum_ucode::stock::build();
+        let ib = cs.symbol("ifetch.byte").unwrap();
+        let serve = jif_target(&cs, ib + 1).unwrap();
+        assert_eq!(
+            path_cycles(&cs, [ib, ib + 1].into_iter().chain(serve..serve + 5)),
+            IB_SERVE_CYCLES
+        );
+        PatchSet::install(&mut cs).unwrap();
+        let log = cs.symbol("atum.log").unwrap();
+        let kernel_or = log + 16;
+        assert_eq!(
+            path_cycles(&cs, (log..log + 24).filter(|&a| a != kernel_or)),
+            LOGGER_USER_CYCLES
+        );
+        assert_eq!(path_cycles(&cs, log..log + 24), LOGGER_KERNEL_CYCLES);
+    }
+
+    /// The logger pattern restates field layouts that `atum-core` owns.
+    #[test]
+    fn logger_constants_are_atum_cores() {
+        use atum_core::patch::trctl;
+        use atum_core::{RecordKind, TraceRecord};
+        assert_eq!(TRCTL_PID_SHIFT, trctl::PID_SHIFT);
+        assert_eq!(TRCTL_PID_MASK, trctl::PID_MASK);
+        let meta = |pid, kernel| TraceRecord::new(RecordKind::Read, 0, 0, pid, kernel).meta;
+        assert_eq!(meta(0xA5, false) ^ meta(0, false), 0xA5 << META_PID_SHIFT);
+        assert_eq!(meta(0, true) ^ meta(0, false), META_KERNEL_BIT);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub enum EngineTier {
     Fast,
 }
 
-use atum_arch::{CpuMode, Gpr, PrivReg, Psl};
+use atum_arch::{CpuMode, DataSize, Gpr, PrivReg, Psl};
 use atum_ucode::{stock, ControlStore, Entry};
 
 /// Process-global default [`EngineTier`] for newly created machines
@@ -83,6 +83,35 @@ pub fn default_engine_tier() -> EngineTier {
         0 => EngineTier::Reference,
         _ => EngineTier::Fast,
     }
+}
+
+/// A read-only copy of the micro-architectural state that
+/// [`Machine::gpr`], [`Machine::psl`] and the counters do not show: where
+/// the micro-engine is, what its registers and flags hold, and what an
+/// instruction would roll back. Two machines that ran the same program
+/// to the same point on the two engine tiers have equal snapshots.
+#[derive(Debug, PartialEq, Eq)]
+pub struct MicroState {
+    /// The micro-PC.
+    pub upc: u32,
+    /// The micro-stack depth.
+    pub usp: usize,
+    /// The live micro-stack, `usp` return addresses deep.
+    pub ustack: Vec<u32>,
+    /// The unified register file (see [`regs::slots`]).
+    pub file: [u32; regs::slots::COUNT],
+    /// The micro-flags.
+    pub uflags: regs::UFlags,
+    /// The operand-size latch.
+    pub osize: DataSize,
+    /// The register change log of the current instruction.
+    pub rlog: Vec<(u8, u32)>,
+    /// Which GPRs the change log holds.
+    pub rlog_mask: u16,
+    /// Exception nesting depth within the current instruction.
+    pub exc_depth: u8,
+    /// PC of the current instruction.
+    pub insn_pc: u32,
 }
 
 /// The machine: control store, datapath state, memory, MMU and devices.
@@ -255,6 +284,22 @@ impl Machine {
     /// Architectural instructions completed so far.
     pub fn insns(&self) -> u64 {
         self.insns
+    }
+
+    /// A snapshot of the micro-architectural state (see [`MicroState`]).
+    pub fn micro_state(&self) -> MicroState {
+        MicroState {
+            upc: self.upc,
+            usp: self.usp,
+            ustack: self.ustack[..self.usp].to_vec(),
+            file: self.regs.file,
+            uflags: self.regs.uflags,
+            osize: self.regs.osize,
+            rlog: self.rlog.clone(),
+            rlog_mask: self.rlog_mask,
+            exc_depth: self.exc_depth,
+            insn_pc: self.insn_pc,
+        }
     }
 
     /// Memory-reference and event counters.

@@ -3,7 +3,7 @@
 use atum_arch::{DataSize, Psl};
 
 /// Micro-flags latched by every ALU operation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UFlags {
     /// Result zero.
     pub z: bool,

@@ -2,7 +2,7 @@
 //! control, micro-architecture error paths, and fault-handling edges.
 
 use atum_arch::Opcode;
-use atum_machine::{Machine, MemLayout, RunExit};
+use atum_machine::{EngineTier, Machine, MemLayout, RunExit};
 use atum_ucode::{Entry, MicroAsm, MicroOp, MicroReg};
 
 const ORG: u32 = 0x1000;
@@ -297,4 +297,21 @@ fn step_insns_stops_at_instruction_granularity() {
 fn step_insns_reports_cycle_limit() {
     let mut m = load("start: brb start");
     assert_eq!(m.step_insns(1_000_000, 5_000), Some(RunExit::CycleLimit));
+}
+
+#[test]
+fn step_insns_saturates_its_instruction_target() {
+    for tier in [EngineTier::Reference, EngineTier::Fast] {
+        let mut m = load("start: brb start");
+        m.set_engine_tier(tier);
+        assert_eq!(m.step_insns(1, 1_000_000), None);
+        // `insns + u64::MAX` must not wrap to a target already reached.
+        let before = m.cycles();
+        assert_eq!(
+            m.step_insns(u64::MAX, 100_000),
+            Some(RunExit::CycleLimit),
+            "{tier:?}"
+        );
+        assert!(m.cycles() >= before + 100_000, "{tier:?}");
+    }
 }

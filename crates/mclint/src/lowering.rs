@@ -11,7 +11,9 @@
 //! resolved through the live entry table, size selectors and constant
 //! privileged-register numbers resolved (the plain latches to moves of
 //! their register-file slots), the hot longword ALU words to the variant
-//! that names their operation, and both-immediate ALU ops
+//! that names their operation, a `Call` of the instruction-buffer byte
+//! server or of the scratch-style logger to its native form (matched by
+//! this pass's own word patterns), and both-immediate ALU ops
 //! constant-folded by a from-scratch reimplementation of the ALU
 //! semantics (result *and* packed micro-flags) — then diffs that against
 //! the image word by word. The dispatch-table snapshots and the version
@@ -385,7 +387,16 @@ fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
                 cond => DecOp::JumpIf { cond, target: t },
             }
         }
-        MicroOp::Call(t) => DecOp::Call(target(t, cs)),
+        MicroOp::Call(t) => {
+            let t = target(t, cs);
+            if is_ib_server(t, cs) {
+                DecOp::CallIbServe(t)
+            } else if is_scratch_logger(t, cs) {
+                DecOp::CallLogger(t)
+            } else {
+                DecOp::Call(t)
+            }
+        }
         MicroOp::Ret => DecOp::Ret,
         MicroOp::DispatchOpcode => DecOp::DispatchOpcode,
         MicroOp::DispatchSpec(table) => DecOp::DispatchSpec(table.index() as u8),
@@ -418,6 +429,117 @@ fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
         MicroOp::TbFlushProc => DecOp::TbFlushProc,
         MicroOp::Halt => DecOp::Halt,
     }
+}
+
+/// A no-CC longword ALU word, the shape of every ALU word the two native
+/// call forms hard-code.
+fn long(op: AluOp, a: MicroReg, b: MicroReg, d: MicroReg) -> MicroOp {
+    MicroOp::Alu {
+        op,
+        a,
+        b,
+        dst: d,
+        cc: CcEffect::None,
+        size: DataSize::Long,
+    }
+}
+
+/// The word at `addr`, or `None` past the end of the store.
+fn word_at(cs: &ControlStore, addr: u32) -> Option<MicroOp> {
+    (addr < cs.len()).then(|| cs.word(addr))
+}
+
+/// Whether the store holds exactly `words` from `at` on.
+fn holds(cs: &ControlStore, at: u32, words: &[MicroOp]) -> bool {
+    (0..words.len() as u32)
+        .all(|i| at.checked_add(i).and_then(|a| word_at(cs, a)) == Some(words[i as usize]))
+}
+
+/// The condition and resolved target of the `JumpIf` at `addr`.
+fn branch_at(cs: &ControlStore, addr: u32) -> Option<(MicroCond, u32)> {
+    match word_at(cs, addr)? {
+        MicroOp::JumpIf { cond, target: t } => Some((cond, target(t, cs))),
+        _ => None,
+    }
+}
+
+/// Whether `t` begins the stock instruction-buffer byte server: `test
+/// IbCnt` into T15 and a branch on nonzero to a serve path that takes
+/// the low byte into MDR, shifts the buffer, counts it down by one,
+/// advances PC and returns. The refill words are not the native form's
+/// business, because it runs only when the buffer holds a byte.
+fn is_ib_server(t: u32, cs: &ControlStore) -> bool {
+    use MicroReg::{IbCnt, IbData, Imm, Mdr};
+    if !holds(cs, t, &[long(AluOp::Pass, Imm(0), IbCnt, MicroReg::T(15))]) {
+        return false;
+    }
+    let Some((MicroCond::UNotZero, serve)) = branch_at(cs, t + 1) else {
+        return false;
+    };
+    let path = [
+        long(AluOp::And, IbData, Imm(0xFF), Mdr),
+        long(AluOp::Lsr, Imm(8), IbData, IbData),
+        long(AluOp::Sub, IbCnt, Imm(1), IbCnt),
+        MicroOp::AdvancePc,
+        MicroOp::Ret,
+    ];
+    holds(cs, serve, &path)
+}
+
+/// Whether `t` begins the scratch-style ATUM logger: save MAR/MDR into
+/// P0/P6, the TRPTR/TRLIM capacity check (its buffer-full branch may go
+/// anywhere), the address store, the pid of TRCTL (bits 8–15) moved to
+/// the record's pid field (bits 8–15), the kernel bit (bit 27) unless a
+/// user-mode branch skips it, the seed store, the TRPTR advance, the
+/// restore and the return. The spill style's logger does not match.
+fn is_scratch_logger(t: u32, cs: &ControlStore) -> bool {
+    use MicroReg::{Imm, Mar, Mdr, P};
+    let mv = |src, dst| MicroOp::Mov { src, dst };
+    let rd = |reg: PrivReg, d| MicroOp::ReadPr {
+        num: Imm(reg.number()),
+        dst: d,
+    };
+    let before_full = [
+        mv(Mar, P(0)),
+        mv(Mdr, P(6)),
+        rd(PrivReg::Trptr, P(2)),
+        rd(PrivReg::Trlim, P(3)),
+        long(AluOp::Add, P(2), Imm(8), P(4)),
+        long(AluOp::Sub, P(3), P(4), P(7)),
+    ];
+    let before_mode = [
+        mv(P(2), Mar),
+        mv(P(0), Mdr),
+        MicroOp::PhysWrite,
+        rd(PrivReg::Trctl, P(1)),
+        long(AluOp::Lsr, Imm(8), P(1), P(7)),
+        long(AluOp::And, P(7), Imm(0xFF), P(7)),
+        long(AluOp::Lsl, Imm(8), P(7), P(7)),
+        long(AluOp::Or, P(5), P(7), P(5)),
+    ];
+    let after_mode = [
+        long(AluOp::Or, P(5), Imm(1 << 27), P(5)),
+        long(AluOp::Add, P(2), Imm(4), Mar),
+        mv(P(5), Mdr),
+        MicroOp::PhysWrite,
+        MicroOp::WritePr {
+            num: Imm(PrivReg::Trptr.number()),
+            src: P(4),
+        },
+        mv(P(0), Mar),
+        mv(P(6), Mdr),
+        MicroOp::Ret,
+    ];
+    if !holds(cs, t, &before_full) {
+        return false;
+    }
+    // `t` is inside the store, so these offsets cannot wrap.
+    let full_check = t + before_full.len() as u32;
+    let mode_check = full_check + 1 + before_mode.len() as u32;
+    matches!(branch_at(cs, full_check), Some((MicroCond::UCarry, _)))
+        && holds(cs, full_check + 1, &before_mode)
+        && branch_at(cs, mode_check) == Some((MicroCond::UserMode, mode_check + 2))
+        && holds(cs, mode_check + 1, &after_mode)
 }
 
 /// From-scratch constant fold of one ALU op: the value and the packed

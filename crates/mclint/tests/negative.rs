@@ -9,8 +9,8 @@ use atum_arch::{DataSize, PrivReg};
 use atum_core::patch::{PatchSet, PatchStyle};
 use atum_mclint::{atomicity, error_count, lint, transparency, Finding, Pass, Severity};
 use atum_ucode::{
-    stock, AluOp, CcEffect, ControlStore, Entry, MicroCond, MicroOp, MicroReg, RefClass, SizeSel,
-    Target,
+    stock, AluOp, CcEffect, ControlStore, Entry, MicroAsm, MicroCond, MicroOp, MicroReg, RefClass,
+    SizeSel, Target,
 };
 
 fn assert_clean(findings: &[Finding], what: &str) {
@@ -395,6 +395,93 @@ fn mis_specialized_lowering_is_caught() {
         assert!(f.message.contains("lowering mismatch"), "{f}");
         assert_eq!(f.pass, atum_mclint::Pass::Lowering);
     }
+}
+
+/// A store holding one caller of an instruction-buffer byte server
+/// whose serve path counts down by `step`. With a step of 1 the server
+/// is the stock one word for word (its refill is a `Halt` here, which no
+/// pattern examines); any other step makes it a different routine.
+fn byte_server_store(step: u32) -> ControlStore {
+    let mut cs = ControlStore::new();
+    let mut ua = MicroAsm::new();
+    ua.global("srv.byte");
+    ua.test(MicroReg::IbCnt);
+    ua.jif(MicroCond::UNotZero, "serve");
+    ua.op(MicroOp::Halt);
+    ua.label("serve");
+    ua.alu_l(
+        AluOp::And,
+        MicroReg::IbData,
+        MicroReg::Imm(0xFF),
+        MicroReg::Mdr,
+    );
+    ua.alu_l(
+        AluOp::Lsr,
+        MicroReg::Imm(8),
+        MicroReg::IbData,
+        MicroReg::IbData,
+    );
+    ua.alu_l(
+        AluOp::Sub,
+        MicroReg::IbCnt,
+        MicroReg::Imm(step),
+        MicroReg::IbCnt,
+    );
+    ua.op(MicroOp::AdvancePc);
+    ua.ret();
+    ua.global("srv.caller");
+    ua.call("srv.byte");
+    ua.op(MicroOp::Halt);
+    ua.commit(&mut cs).unwrap();
+    cs
+}
+
+#[test]
+fn native_byte_server_needs_the_exact_serve_path() {
+    use atum_machine::fast::{DecOp, FastImage};
+    use atum_mclint::lowering::{check, check_image};
+    let stock_shaped = byte_server_store(1);
+    let (srv, call) = (
+        stock_shaped.symbol("srv.byte").unwrap(),
+        stock_shaped.symbol("srv.caller").unwrap(),
+    );
+    assert_eq!(
+        FastImage::build(&stock_shaped).ops[call as usize],
+        DecOp::CallIbServe(srv)
+    );
+    assert_clean(&check(&stock_shaped), "stock-shaped byte server");
+    // `Sub IbCnt, #2`: both the engine and the pass keep the plain call.
+    let cs = byte_server_store(2);
+    let mut img = FastImage::build(&cs);
+    assert_eq!(img.ops[call as usize], DecOp::Call(srv));
+    assert_clean(&check_image(&cs, &img), "byte server counting by two");
+    // An image that serves it natively anyway is caught at the call.
+    img.ops[call as usize] = DecOp::CallIbServe(srv);
+    let findings = check_image(&cs, &img);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = expect_finding(&findings, "srv.caller", "lowering mismatch");
+    assert_eq!(f.addr, call);
+    assert_eq!(f.pass, atum_mclint::Pass::Lowering);
+}
+
+#[test]
+fn native_logger_planted_in_a_spill_store_is_caught() {
+    use atum_machine::fast::{DecOp, FastImage};
+    let mut cs = stock::build();
+    PatchSet::install_with_style(&mut cs, PatchStyle::Spill).unwrap();
+    let mut img = FastImage::build(&cs);
+    let log = cs.symbol("atum.log").unwrap();
+    let read = cs.symbol("atum.read").unwrap();
+    let call = (read..cs.len())
+        .find(|&a| matches!(cs.word(a), MicroOp::Call(_)))
+        .unwrap();
+    assert_eq!(img.ops[call as usize], DecOp::Call(log));
+    img.ops[call as usize] = DecOp::CallLogger(log);
+    let findings = atum_mclint::lowering::check_image(&cs, &img);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = expect_finding(&findings, "atum.read", "lowering mismatch");
+    assert_eq!(f.addr, call);
+    assert_eq!(f.pass, atum_mclint::Pass::Lowering);
 }
 
 // ── negative: seeded bugs 10–13 — atomicity violations ───────────────
