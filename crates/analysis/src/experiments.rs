@@ -124,7 +124,8 @@ enum Run {
     /// The T1/A1 probe workload, untraced (`None`) or traced with a
     /// patch style.
     Probe(Option<PatchStyle>),
-    /// The probe under the T-bit trap tracer.
+    /// The probe under the T-bit trap tracer: the trapped run alone, whose
+    /// base is `Probe(None)`, the same boot image untraced.
     Tbit,
     /// The probe on the architectural simulator.
     ArchSim,
@@ -140,25 +141,29 @@ enum Kept {
     /// Simulated cycles and references (the hardware's count when
     /// untraced, the trace's when traced).
     Probe(u64, u64),
-    /// T-bit slowdown and PCs captured.
-    Tbit(f64, usize),
+    /// T-bit traced cycles and PCs captured.
+    Tbit(u64, usize),
     /// Simulator references and whether the program exited.
     ArchSim(u64, bool),
 }
 
 impl Run {
     /// Queue position in the job pool: long runs first, so the pool
-    /// ends on short ones. The order is static, from Full-scale host
-    /// times: T2's `bsearch` solo (suite index 6, 1.5–2.4 s), the mix
-    /// at each quantum, shortest first (0.7–1.9 s), the T-bit run
-    /// (1.1–1.7 s), the other solos (0.1–0.8 s), then the probes.
+    /// ends on short ones. The order is static, from the host times of
+    /// a sequential Full-scale pass (2026-10-20, 2-vCPU host, median of
+    /// 3 passes of 18 runs, 2.4 s in all): T2's `bsearch` solo (suite
+    /// index 6, 0.44 s), the T-bit run (0.39 s), the mix at each
+    /// quantum, shortest first (0.31–0.16 s), the spill probe (0.11 s),
+    /// the other solos (0.03–0.11 s), then the other probes and the
+    /// simulator (0.02–0.03 s).
     fn queue_rank(self) -> (u8, u32) {
         match self {
             Run::Solo(6) => (0, 0),
-            Run::Mix(q) => (1, q),
-            Run::Tbit => (2, 0),
-            Run::Solo(i) => (3, i as u32),
-            Run::Probe(_) | Run::ArchSim => (4, 0),
+            Run::Tbit => (1, 0),
+            Run::Mix(q) => (2, q),
+            Run::Probe(Some(PatchStyle::Spill)) => (3, 0),
+            Run::Solo(i) => (4, i as u32),
+            Run::Probe(_) | Run::ArchSim => (5, 0),
         }
     }
 
@@ -184,9 +189,9 @@ impl Run {
             }
             Run::Tbit => {
                 let tbit = TbitTracer::default()
-                    .measure(&probe[0].source)
+                    .run_trapped(&probe[0].source)
                     .map_err(|e| RunnerError::Tracer(e.to_string()))?;
-                Kept::Tbit(tbit.slowdown(), tbit.pcs.len())
+                Kept::Tbit(tbit.cycles, tbit.pcs.len())
             }
             Run::ArchSim => {
                 // User-level only, runs on the host.
@@ -323,8 +328,8 @@ fn render_t1(done: &Finished) -> Result<Report, RunnerError> {
     let (base_cycles, base_refs) = done.probe(None)?;
     let (scratch_cycles, scratch_refs) = done.probe(Some(PatchStyle::Scratch))?;
     let (spill_cycles, spill_refs) = done.probe(Some(PatchStyle::Spill))?;
-    let Kept::Tbit(slowdown, pcs) = *done.get(Run::Tbit)? else {
-        unreachable!("the T-bit run keeps its slowdown");
+    let Kept::Tbit(tbit_cycles, pcs) = *done.get(Run::Tbit)? else {
+        unreachable!("the T-bit run keeps its cycles");
     };
     let Kept::ArchSim(sim_refs, exited) = *done.get(Run::ArchSim)? else {
         unreachable!("the simulator run keeps its references");
@@ -364,7 +369,7 @@ fn render_t1(done: &Finished) -> Result<Report, RunnerError> {
     ]);
     t.row([
         "T-bit trap tracer (PCs only)".to_string(),
-        format!("{slowdown:.0}x"),
+        format!("{:.0}x", tbit_cycles as f64 / base_cycles as f64),
         format!("{pcs} PCs"),
         "no".to_string(),
         "no".to_string(),

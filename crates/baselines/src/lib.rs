@@ -25,4 +25,4 @@ mod archsim;
 mod tbit;
 
 pub use archsim::{ArchExit, ArchSim, SimFault};
-pub use tbit::{TbitError, TbitResult, TbitTracer};
+pub use tbit::{TbitError, TbitResult, TbitTracer, TrappedRun};

@@ -33,6 +33,18 @@ impl TbitResult {
     }
 }
 
+/// The trapped half of a measurement ([`TbitTracer::run_trapped`]).
+#[derive(Debug, Clone)]
+pub struct TrappedRun {
+    /// Microcycles of the T-bit traced run.
+    pub cycles: u64,
+    /// PCs captured by the kernel handler.
+    pub pcs: Vec<u32>,
+    /// Number of trace traps the buffer counted (may exceed `pcs.len()`
+    /// if the buffer filled).
+    pub trap_count: u32,
+}
+
 impl fmt::Display for TbitResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -64,8 +76,8 @@ impl fmt::Display for TbitError {
 
 impl std::error::Error for TbitError {}
 
-/// Runs a workload twice — untraced and under T-bit tracing — and
-/// reports the slowdown and the captured PC trace.
+/// Runs a workload untraced and under T-bit tracing, and reports the
+/// slowdown and the captured PC trace.
 #[derive(Debug, Clone)]
 pub struct TbitTracer {
     /// Buffer size for the kernel's PC log.
@@ -88,13 +100,30 @@ impl Default for TbitTracer {
 }
 
 impl TbitTracer {
-    /// Measures a single-program workload.
+    /// Measures a single-program workload: [`TbitTracer::run_untraced`],
+    /// then [`TbitTracer::run_trapped`] over it.
     ///
     /// # Errors
     ///
     /// [`TbitError`] if either system fails to boot or halt.
     pub fn measure(&self, user_source: &str) -> Result<TbitResult, TbitError> {
-        // Reference run: stock kernel, no T bit.
+        let base_cycles = self.run_untraced(user_source)?;
+        let run = self.run_trapped(user_source)?;
+        Ok(TbitResult {
+            base_cycles,
+            traced_cycles: run.cycles,
+            pcs: run.pcs,
+            trap_count: run.trap_count,
+        })
+    }
+
+    /// The reference run: the stock kernel with the workload at this
+    /// tracer's quantum, no T bit. Returns its microcycles.
+    ///
+    /// # Errors
+    ///
+    /// [`TbitError`] if the system fails to boot or halt.
+    pub fn run_untraced(&self, user_source: &str) -> Result<u64, TbitError> {
         let base = BootImage::builder()
             .user_program(user_source)
             .quantum(self.quantum)
@@ -104,14 +133,19 @@ impl TbitTracer {
         base.load_into(&mut m)
             .map_err(|e| TbitError::Boot(e.to_string()))?;
         match m.run(self.budget) {
-            RunExit::Halted => {}
-            other => return Err(TbitError::Run(other)),
+            RunExit::Halted => Ok(m.cycles()),
+            other => Err(TbitError::Run(other)),
         }
-        let base_cycles = m.cycles();
-        // Free the reference machine before the traced one is built.
-        drop(m);
+    }
 
-        // Traced run: LogPc kernel, T bit set in every process PSL.
+    /// The traced run alone: the LogPc kernel, T bit set in every process
+    /// PSL. Any untraced run of the same boot image, such as
+    /// [`TbitTracer::run_untraced`], gives its base.
+    ///
+    /// # Errors
+    ///
+    /// [`TbitError`] if the system fails to boot or halt.
+    pub fn run_trapped(&self, user_source: &str) -> Result<TrappedRun, TbitError> {
         let traced = BootImage::builder()
             .user_program(user_source)
             .quantum(self.quantum)
@@ -130,7 +164,7 @@ impl TbitTracer {
             RunExit::Halted => {}
             other => return Err(TbitError::Run(other)),
         }
-        let traced_cycles = m.cycles();
+        let cycles = m.cycles();
 
         // Extract the PC log from kernel memory.
         let kernel = traced.kernel();
@@ -150,9 +184,8 @@ impl TbitTracer {
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
 
-        Ok(TbitResult {
-            base_cycles,
-            traced_cycles,
+        Ok(TrappedRun {
+            cycles,
             pcs,
             trap_count,
         })

@@ -11,9 +11,16 @@
 //! which end inside micro-routines, and resume them from there. Every
 //! comparison covers the whole micro-state as well: micro-PC and stack,
 //! the register file with the patch scratch registers, MAR, MDR and the
-//! temporaries, micro-flags and the rollback log.
+//! temporaries, micro-flags and the rollback log. The MOSS tests boot the
+//! operating system with a short mix, so mapping is on: the translation
+//! micro-cache, its flushes at context switches and the native refill's
+//! fallback on a micro-cache miss run there.
 
-use atum_core::PatchStyle;
+use atum_core::{PatchStyle, Tracer};
+use atum_machine::fast::{
+    IB_REFILL_CYCLES, IB_SERVE_CYCLES, IFETCH_HOOK_KERNEL_CYCLES, IFETCH_HOOK_OFF_CYCLES,
+    IFETCH_HOOK_USER_CYCLES, LOGGER_KERNEL_CYCLES, LOGGER_USER_CYCLES,
+};
 use atum_machine::{EngineTier, Machine, MemLayout, RunExit};
 use proptest::prelude::*;
 
@@ -336,16 +343,28 @@ fn bench_workload_cycle_slices() {
 }
 
 /// The bench workload on both engines, untraced and under both patch
-/// styles, advanced by every fixed cycle budget from 1 to 32. Over the
-/// run the slice ends fall at every cycle offset inside an 8-cycle
-/// instruction-buffer call and a 27-cycle logger call, so each native
-/// call form meets every deadline it can straddle.
+/// styles, advanced by every fixed cycle budget from 1 to one more than
+/// the longest native call form (50 cycles, a refill logged in kernel
+/// mode). Over the run the slice ends fall at every cycle offset inside
+/// each native call, so each form meets every deadline it can straddle.
 #[test]
 fn bench_workload_deadline_sweep() {
     let img = bench_program(12);
     let start = img.symbol("start").unwrap();
+    let longest = [
+        IB_SERVE_CYCLES,
+        LOGGER_USER_CYCLES,
+        LOGGER_KERNEL_CYCLES,
+        IB_REFILL_CYCLES,
+        IB_REFILL_CYCLES + IFETCH_HOOK_OFF_CYCLES,
+        IB_REFILL_CYCLES + IFETCH_HOOK_USER_CYCLES,
+        IB_REFILL_CYCLES + IFETCH_HOOK_KERNEL_CYCLES,
+    ]
+    .into_iter()
+    .max()
+    .unwrap();
     for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
-        for budget in 1..=32u64 {
+        for budget in 1..=longest + 1 {
             cycle_slices(&img, start, style, || budget)
                 .unwrap_or_else(|d| panic!("{style:?}, budget {budget}: {d}"));
         }
@@ -380,5 +399,127 @@ fn bench_workload_lockstep() {
                 Some(other) => panic!("{style:?}: unexpected exit {other:?}"),
             }
         }
+    }
+}
+
+/// The trace buffer of the MOSS tests: 4,096 records, so the quick mix
+/// fills it many times and every capture runs through buffer-full halts.
+const MOSS_TRACE_BYTES: u32 = 4_096 * 8;
+
+/// The quick-scale standard mix booted under MOSS at quantum 20,000 on
+/// one engine tier, untraced or with capture on under a patch style into
+/// a `MOSS_TRACE_BYTES` buffer at the base of the reserved region.
+fn moss(style: Option<PatchStyle>, tier: EngineTier) -> (Machine, Option<Tracer>) {
+    let mix = [
+        atum_workloads::matrix("matrix", 8),
+        atum_workloads::list_chase("list", 256, 4_000),
+        atum_workloads::lexer("lexer", 2_048, 1),
+    ];
+    let mut b = atum_os::BootImage::builder().quantum(20_000);
+    for w in &mix {
+        b = b.user_program(&w.source);
+    }
+    let image = b.build().expect("the quick mix boots");
+    let mut m = Machine::new(image.memory_layout());
+    image.load_into(&mut m).expect("the boot image loads");
+    m.set_engine_tier(tier);
+    let tracer = style.map(|style| {
+        let base = m.memory().layout().reserved_base();
+        let t = Tracer::attach_region_with_style(&mut m, base, MOSS_TRACE_BYTES, style).unwrap();
+        t.set_pid(&mut m, 0);
+        t.set_enabled(&mut m, true);
+        t
+    });
+    (m, tracer)
+}
+
+/// Drives the reference and the fast machine through the quick mix under
+/// MOSS, each step advancing both by `step` with the next `size`,
+/// comparing after every step everything `divergence` compares plus the
+/// TB statistics and the trace bytes written since the last step. A
+/// buffer-full halt is drained on both machines (after the comparison)
+/// and the run resumes; the run ends at the mix's own halt. Traced,
+/// capture is switched off for every fourth step, so the stub's
+/// capture-off path runs with the P registers a logged record left.
+/// Returns the number of steps.
+fn moss_lockstep(
+    style: Option<PatchStyle>,
+    step: fn(&mut Machine, u64) -> Option<RunExit>,
+    mut size: impl FnMut() -> u64,
+) -> Result<usize, String> {
+    let (mut refm, ref_t) = moss(style, EngineTier::Reference);
+    let (mut fast, fast_t) = moss(style, EngineTier::Fast);
+    let mut logged = refm.read_prv(atum_arch::PrivReg::Trbase);
+    let mut drained = Vec::new();
+    for n in 0..1_000_000 {
+        let k = size();
+        let exit = step(&mut refm, k);
+        let fast_exit = step(&mut fast, k);
+        if fast_exit != exit {
+            return Err(format!("exit {fast_exit:?} vs {exit:?} at step {n} ({k})"));
+        }
+        if let Some(d) = divergence(&fast, &refm, false) {
+            return Err(format!("{d} at step {n} ({k})"));
+        }
+        if fast.tlb_stats() != refm.tlb_stats() {
+            let (f, r) = (fast.tlb_stats(), refm.tlb_stats());
+            return Err(format!("TB statistics {f:?} vs {r:?} at step {n}"));
+        }
+        // TRPTR is in the micro-state, so both machines logged as far.
+        let ptr = refm.read_prv(atum_arch::PrivReg::Trptr);
+        let new = |m: &Machine| m.read_phys(logged, ptr.saturating_sub(logged)).unwrap();
+        if new(&fast) != new(&refm) {
+            return Err(format!("trace bytes below {ptr:#x} at step {n}"));
+        }
+        logged = ptr;
+        match (exit, &ref_t, &fast_t) {
+            (None | Some(RunExit::CycleLimit), ..) => {}
+            (Some(RunExit::Halted), Some(rt), Some(ft)) if rt.is_full(&refm) => {
+                rt.drain_into(&mut refm, &mut drained).unwrap();
+                ft.drain_into(&mut fast, &mut drained).unwrap();
+                refm.resume();
+                fast.resume();
+                logged = refm.read_prv(atum_arch::PrivReg::Trbase);
+            }
+            (Some(RunExit::Halted), ..) => return Ok(n + 1),
+            (Some(other), ..) => return Err(format!("unexpected exit {other:?} at step {n}")),
+        }
+        if let (Some(rt), Some(ft)) = (&ref_t, &fast_t) {
+            let on = n % 4 != 2;
+            rt.set_enabled(&mut refm, on);
+            ft.set_enabled(&mut fast, on);
+        }
+    }
+    Err("no halt within 1,000,000 steps".into())
+}
+
+/// The quick mix under MOSS, mapping on, untraced and under both patch
+/// styles, advanced in chunks of 250 instructions.
+#[test]
+fn moss_mix_lockstep_in_instruction_chunks() {
+    for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
+        let steps = moss_lockstep(style, |m, n| m.step_insns(n, u64::MAX), || 250)
+            .unwrap_or_else(|d| panic!("{style:?}: {d}"));
+        assert!(steps > 200, "{style:?}: only {steps} chunks");
+    }
+}
+
+/// The quick mix under MOSS, mapping on, untraced and under both patch
+/// styles, advanced by cycle budgets in 1..=1,021 from a fixed-seed
+/// xorshift generator, so slices end inside micro-routines, native calls
+/// among them.
+#[test]
+fn moss_mix_lockstep_in_cycle_slices() {
+    for style in [None, Some(PatchStyle::Scratch), Some(PatchStyle::Spill)] {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let budget = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            1 + x % 1_021
+        };
+        let steps = moss_lockstep(style, |m, k| Some(m.run(k)), budget)
+            .unwrap_or_else(|d| panic!("{style:?}: {d}"));
+        assert!(steps > 1_000, "{style:?}: only {steps} slices");
     }
 }

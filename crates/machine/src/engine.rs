@@ -31,8 +31,10 @@
 //! [`PhysMemory`]: crate::PhysMemory
 
 use crate::fast::{
-    DecOp, Dst, Src, IB_SERVE_CYCLES, LOGGER_KERNEL_CYCLES, LOGGER_USER_CYCLES, META_KERNEL_BIT,
-    META_PID_SHIFT, TRCTL_PID_MASK, TRCTL_PID_SHIFT,
+    DecOp, Dst, Refill, Src, IB_REFILL_CYCLES, IB_SERVE_CYCLES, IFETCH_HOOK_KERNEL_CYCLES,
+    IFETCH_HOOK_OFF_CYCLES, IFETCH_HOOK_USER_CYCLES, IFETCH_SEED, LOGGER_KERNEL_CYCLES,
+    LOGGER_USER_CYCLES, META_KERNEL_BIT, META_PID_SHIFT, TRCTL_ENABLE, TRCTL_PID_MASK,
+    TRCTL_PID_SHIFT,
 };
 use crate::mmu::{self, AccessKind};
 use crate::regs::{latch_slot, slots, UFlags};
@@ -527,7 +529,7 @@ impl Machine {
                 // call's own cycle, so the routine's last word starts
                 // before the deadline exactly when the rest fits. If a
                 // guard fails, the plain `Call` arm below runs the call.
-                DecOp::CallIbServe(_)
+                DecOp::CallIbServe { .. }
                     if usp < MICRO_STACK_LIMIT
                         && self.regs.file[slots::IBCNT] != 0
                         && cycles + (IB_SERVE_CYCLES - cost::BASE) <= deadline =>
@@ -535,6 +537,14 @@ impl Machine {
                     self.ustack[usp] = upc;
                     uf = self.serve_ib_byte();
                     cycles += IB_SERVE_CYCLES - cost::BASE;
+                }
+                DecOp::CallIbServe { refill, .. }
+                    if self.regs.file[slots::IBCNT] == 0
+                        && self.refill_fits(refill, usp, cycles, deadline) =>
+                {
+                    self.ustack[usp] = upc;
+                    cycles += self.refill_rest_cycles(refill);
+                    uf = self.refill_ib(refill);
                 }
                 DecOp::CallLogger(_)
                     if usp < MICRO_STACK_LIMIT
@@ -545,7 +555,7 @@ impl Machine {
                     cycles += self.logger_rest_cycles();
                     uf = self.log_record();
                 }
-                DecOp::Call(t) | DecOp::CallIbServe(t) | DecOp::CallLogger(t) => {
+                DecOp::Call(t) | DecOp::CallIbServe { target: t, .. } | DecOp::CallLogger(t) => {
                     if usp >= MICRO_STACK_LIMIT {
                         break $run Some(RunExit::MicroError("micro-stack overflow"));
                     }
@@ -907,6 +917,97 @@ impl Machine {
         f[slots::IBCNT] = left;
         self.log_gpr(15);
         self.regs.file[15] = self.regs.file[15].wrapping_add(1);
+        flags
+    }
+
+    /// The cycles of a native refill after the `Call`'s own: the stock
+    /// path, plus under the scratch stub the patch share for the capture
+    /// state and the mode the logger's kernel-bit test reads.
+    #[inline(always)]
+    fn refill_rest_cycles(&self, refill: Refill) -> u64 {
+        let hook = match refill {
+            Refill::Scratch if self.regs.file[slots::TRCTL] & TRCTL_ENABLE == 0 => {
+                IFETCH_HOOK_OFF_CYCLES
+            }
+            Refill::Scratch if self.regs.psl.is_kernel() => IFETCH_HOOK_KERNEL_CYCLES,
+            Refill::Scratch => IFETCH_HOOK_USER_CYCLES,
+            Refill::Stock | Refill::OpByOp => 0,
+        };
+        IB_REFILL_CYCLES + hook - cost::BASE
+    }
+
+    /// The physical address of a refill's longword fetch at `PC & ~3`
+    /// when the fetch needs no walk and cannot fault: mapping is off, or
+    /// the translation micro-cache hits (a TB hit), and the longword is
+    /// in memory. `None` sends the refill op by op.
+    #[inline(always)]
+    fn refill_fetch_pa(&self) -> Option<u32> {
+        let va = self.regs.file[15] & !3;
+        let pa = if self.prv.mapen == 0 {
+            va
+        } else {
+            self.xc.probe_read(va >> PAGE_SHIFT, self.regs.psl.mode())? + (va & PAGE_OFFSET_MASK)
+        };
+        self.mem.contains(pa, 4).then_some(pa)
+    }
+
+    /// Whether a native refill applies: `refill` names a fetch routine,
+    /// the micro-stack has room for the nested calls (the fetch's, and
+    /// under the scratch stub the logger's one level deeper), the path's
+    /// last word starts before the deadline, the fetch completes
+    /// ([`Machine::refill_fetch_pa`]), and a record to log fits
+    /// ([`Machine::logger_record_fits`]). Every check is pure.
+    #[inline(always)]
+    fn refill_fits(&self, refill: Refill, usp: usize, cycles: u64, deadline: u64) -> bool {
+        let (depth, logs) = match refill {
+            Refill::OpByOp => return false,
+            Refill::Stock => (1, false),
+            Refill::Scratch => (2, self.regs.file[slots::TRCTL] & TRCTL_ENABLE != 0),
+        };
+        usp + depth < MICRO_STACK_LIMIT
+            && cycles + self.refill_rest_cycles(refill) <= deadline
+            && self.refill_fetch_pa().is_some()
+            && (!logs || self.logger_record_fits())
+    }
+
+    /// The effects of a native refill ([`Machine::refill_fits`] holds):
+    /// MAR at the longword, under the scratch stub its P1 and P7 and,
+    /// capture on, the seed in P5 and the record
+    /// ([`Machine::log_record`]), the fetch counted (and, mapped, its TB
+    /// hit), then the serve path over the fetched longword: T15 the byte
+    /// offset in bits, MDR the byte, IbData the bytes above it, IbCnt
+    /// those left, and PC advanced. Returns the micro-flags of the serve
+    /// path's count-down `Sub`, the routine's last ALU word.
+    #[inline(always)]
+    fn refill_ib(&mut self, refill: Refill) -> UFlags {
+        let pc = self.regs.file[15];
+        self.regs.file[slots::MAR] = pc & !3;
+        if refill == Refill::Scratch {
+            let ctl = self.regs.file[slots::TRCTL];
+            self.regs.file[slots::P0 + 1] = ctl;
+            self.regs.file[slots::P0 + 7] = ctl & TRCTL_ENABLE;
+            if ctl & TRCTL_ENABLE != 0 {
+                self.regs.file[slots::P0 + 5] = IFETCH_SEED;
+                self.log_record();
+            }
+        }
+        // After the record's stores, as the fetch comes after the hook.
+        let word = self.refill_fetch_pa().and_then(|pa| self.mem.read_u32(pa));
+        debug_assert!(word.is_some(), "refill_fits checked the fetch");
+        self.counts.ifetch += 1;
+        if self.prv.mapen != 0 {
+            self.tlb.note_hit();
+        }
+        let shift = (pc & 3) << 3;
+        let data = word.unwrap_or_default() >> shift;
+        let f = &mut self.regs.file;
+        f[slots::T0 + 15] = shift;
+        f[slots::MDR] = data & 0xFF;
+        f[slots::IBDATA] = data >> 8;
+        let (left, flags) = sub_l(4 - (pc & 3), 1);
+        f[slots::IBCNT] = left;
+        self.log_gpr(15);
+        self.regs.file[15] = pc.wrapping_add(1);
         flags
     }
 

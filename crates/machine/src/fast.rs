@@ -13,8 +13,10 @@
 //! [`DecOp::AddSI`]). A `Call` of one of the two hottest micro-routines,
 //! the instruction-buffer byte server and the ATUM logger, gets a native
 //! form that runs the whole call in one dispatch when its preconditions
-//! hold (see [`DecOp::CallIbServe`]). The image also snapshots the opcode
-//! and specifier dispatch tables so a dispatch is a flat array load.
+//! hold (see [`DecOp::CallIbServe`]); the server's form also runs its
+//! refill and the instruction fetch that refill calls. The image also
+//! snapshots the opcode and specifier dispatch tables so a dispatch is a
+//! flat array load.
 //!
 //! The image is keyed on [`ControlStore::version`]: any mutation of the
 //! store (a WCS append, an entry or dispatch repoint) moves the counter
@@ -433,11 +435,18 @@ pub enum DecOp {
     /// holds a byte, the micro-stack has room and the routine's last word
     /// starts before the cycle deadline, the arm applies the call, the
     /// serve path and the return at once and charges [`IB_SERVE_CYCLES`].
-    /// Otherwise it runs as the plain [`DecOp::Call`], so a refill (whose
-    /// `XferIFetch` call is the traced hook entry) always runs op by op.
-    /// The callee's words keep their own lowering. A native call is one
-    /// entry of its callee and stays inside one region (stock → stock).
-    CallIbServe(u32),
+    /// When the buffer is empty and `refill` is not [`Refill::OpByOp`],
+    /// the arm runs the refill too, with the fetch its `XferIFetch` call
+    /// reaches, if that fetch completes with no walk or fault (see
+    /// [`Refill`]). Otherwise it runs as the plain [`DecOp::Call`]. The
+    /// callee's words keep their own lowering. A native call is one entry
+    /// of its callee; a traced refill crosses stock → patch → stock.
+    CallIbServe {
+        /// The server's address.
+        target: u32,
+        /// How a refill runs, resolved from the live `XferIFetch` entry.
+        refill: Refill,
+    },
     /// A `Call` whose target begins the scratch-style ATUM logger
     /// (`atum.log`, the words of `LOGGER`). When the record fits below
     /// `TRLIM` and inside physical memory, the micro-stack has room and
@@ -522,6 +531,25 @@ pub enum DecOp {
     Halt,
 }
 
+/// How a native [`DecOp::CallIbServe`] runs a refill (`IbCnt` zero): the
+/// server's refill words must read `IB_REFILL`, and the routine its
+/// `XferIFetch` call reaches names the mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refill {
+    /// The refill runs op by op: its words or the fetch routine match no
+    /// table (the spill-style stub, whose logger is not `LOGGER`, or any
+    /// look-alike).
+    OpByOp,
+    /// Through the stock fetch (`IB_FETCH`): every untraced machine.
+    /// Charges [`IB_REFILL_CYCLES`].
+    Stock,
+    /// Through the scratch-style ATUM stub (`IFETCH_STUB`), its logger
+    /// call and its tail jump to the stock fetch. Charges
+    /// [`IB_REFILL_CYCLES`] plus [`IFETCH_HOOK_OFF_CYCLES`],
+    /// [`IFETCH_HOOK_USER_CYCLES`] or [`IFETCH_HOOK_KERNEL_CYCLES`].
+    Scratch,
+}
+
 /// The predecoded control store plus snapshots of its dispatch tables.
 #[derive(Debug)]
 pub struct FastImage {
@@ -577,9 +605,10 @@ impl FastImage {
 //
 // Each pattern is one table of the exact words a routine must hold for a
 // call of it to lower to its native form: `reads` compares every word in
-// full, except that a `JumpIf` matches on its condition and the pattern's
-// check resolves its target. The arms in the fast loop hard-code what
-// these words do, so every constant they use is in a table.
+// full, except that a `JumpIf` matches on its condition, a `Jump` or a
+// `Call` on its kind, and the pattern's check resolves the target. The
+// arms in the fast loop hard-code what these words do, so every constant
+// they use is in a table.
 
 /// A no-CC longword ALU word of a pattern.
 const fn alu_l(op: AluOp, a: MicroReg, b: MicroReg, dst: MicroReg) -> MicroOp {
@@ -601,6 +630,12 @@ const fn jif(cond: MicroCond) -> MicroOp {
     }
 }
 
+/// A `Jump` of a pattern; its target is checked by the pattern's code.
+const JUMP: MicroOp = MicroOp::Jump(Target::Abs(0));
+
+/// A `Call` of a pattern; its target is checked by the pattern's code.
+const CALL: MicroOp = MicroOp::Call(Target::Abs(0));
+
 const fn mov(src: MicroReg, dst: MicroReg) -> MicroOp {
     MicroOp::Mov { src, dst }
 }
@@ -615,8 +650,7 @@ const fn read_pr(reg: PrivReg, dst: MicroReg) -> MicroOp {
 /// The stock instruction-buffer byte server as its native form reads it:
 /// the test and branch at the call target `t`, then the five words of the
 /// serve path at the branch target (`IB_SERVE[IB_SERVE_HEAD..]`). The
-/// refill words between `t + 2` and the serve path are not examined: the
-/// native path runs only when `IbCnt` is nonzero, so it never runs them.
+/// refill words between them are `IB_REFILL`'s business.
 const IB_SERVE: [MicroOp; 7] = {
     use MicroReg::{IbCnt, IbData, Imm, Mdr, T};
     [
@@ -636,6 +670,84 @@ const IB_SERVE_HEAD: usize = 2;
 /// Micro-cycles of a native [`DecOp::CallIbServe`]: the `Call` and the
 /// seven words of `IB_SERVE`.
 pub const IB_SERVE_CYCLES: u64 = 8;
+
+/// The server's refill, from `t + IB_SERVE_HEAD` on, as a native refill
+/// reads it: MAR ← PC & ~3, the fetch call (its resolved target must
+/// begin `IB_FETCH` or `IFETCH_STUB`), IbData ← MDR, IbCnt ← 4 − (PC & 3)
+/// and IbData shifted right by 8 × (PC & 3) through T15. The server's
+/// branch must land right after these words.
+const IB_REFILL: [MicroOp; 7] = {
+    use MicroReg::{Gpr, IbCnt, IbData, Imm, Mar, Mdr, T};
+    [
+        alu_l(AluOp::And, Gpr(15), Imm(!3), Mar),
+        CALL,
+        mov(Mdr, IbData),
+        alu_l(AluOp::And, Gpr(15), Imm(3), T(15)),
+        alu_l(AluOp::RSub, T(15), Imm(4), IbCnt),
+        alu_l(AluOp::Lsl, Imm(3), T(15), T(15)),
+        alu_l(AluOp::Lsr, T(15), IbData, IbData),
+    ]
+};
+
+/// The stock instruction fetch (`xfer.ifetch`): a longword read at MAR
+/// counted as an instruction-stream reference, and the return.
+const IB_FETCH: [MicroOp; 2] = [
+    MicroOp::Read {
+        class: RefClass::IFetch,
+        size: SizeSel::Fixed(DataSize::Long),
+    },
+    MicroOp::Ret,
+];
+
+/// `trctl::ENABLE` of `atum-core`.
+pub(crate) const TRCTL_ENABLE: u32 = 1;
+
+/// The seed of an instruction-fetch record, as `atum-core`'s `meta`
+/// lays it out: kind `IFetch` (1) at bit 28, size 4 at bit 16.
+pub(crate) const IFETCH_SEED: u32 = 1 << 28 | 4 << 16;
+
+/// Where `IFETCH_STUB`'s `JumpIf UZero` must land, relative to the stub:
+/// its tail `Jump`.
+const IFETCH_STUB_OFF: u32 = 5;
+
+/// The scratch-style ATUM instruction-fetch stub (`atum.ifetch`) as a
+/// native refill reads it: TRCTL's enable bit tested into P7, a branch
+/// to the tail when capture is off, the record seed in P5, a call of a
+/// routine that must begin `LOGGER`, and the tail jump, whose target must
+/// begin `IB_FETCH`.
+const IFETCH_STUB: [MicroOp; 6] = {
+    use MicroReg::{Imm, P};
+    [
+        read_pr(PrivReg::Trctl, P(1)),
+        alu_l(AluOp::And, P(1), Imm(TRCTL_ENABLE), P(7)),
+        jif(MicroCond::UZero),
+        mov(Imm(IFETCH_SEED), P(5)),
+        CALL,
+        JUMP,
+    ]
+};
+
+/// Micro-cycles of a native refill through the stock fetch
+/// ([`Refill::Stock`]): the `Call`, the server's test and branch, the 7
+/// words of `IB_REFILL`, the fetch's two words with its read's memory
+/// cycle, and the 5 words of the serve path. All of them are stock
+/// cycles.
+pub const IB_REFILL_CYCLES: u64 = 18;
+
+/// The patch cycles a [`Refill::Scratch`] refill adds to
+/// [`IB_REFILL_CYCLES`] with capture off: the stub's enable test (three
+/// words) and its tail `Jump`.
+pub const IFETCH_HOOK_OFF_CYCLES: u64 = 4;
+
+/// The patch cycles a [`Refill::Scratch`] refill adds to
+/// [`IB_REFILL_CYCLES`] when it logs in user mode: the 6 words of
+/// `IFETCH_STUB` and the logger's 23 words with its two stores' memory
+/// cycles ([`LOGGER_USER_CYCLES`] less the `Call` counted in the stub).
+pub const IFETCH_HOOK_USER_CYCLES: u64 = 31;
+
+/// The patch cycles a [`Refill::Scratch`] refill adds when it logs in
+/// kernel mode: as [`IFETCH_HOOK_USER_CYCLES`], plus the kernel-bit `Or`.
+pub const IFETCH_HOOK_KERNEL_CYCLES: u64 = 32;
 
 /// `trctl::PID_SHIFT` of `atum-core`, which this crate cannot name.
 pub(crate) const TRCTL_PID_SHIFT: u32 = 8;
@@ -708,15 +820,51 @@ fn reads(cs: &ControlStore, at: u32, pattern: &[MicroOp]) -> bool {
         .zip(pattern)
         .all(|(&got, &want)| match (got, want) {
             (MicroOp::JumpIf { cond, .. }, MicroOp::JumpIf { cond: want, .. }) => cond == want,
+            (MicroOp::Jump(_), MicroOp::Jump(_)) | (MicroOp::Call(_), MicroOp::Call(_)) => true,
             _ => got == want,
         })
 }
 
-/// The resolved target of the `JumpIf` at `at` (which `reads` matched).
-fn jif_target(cs: &ControlStore, at: u32) -> Option<u32> {
+/// The resolved target of the `JumpIf`, `Jump` or `Call` at `at` (which
+/// `reads` matched).
+fn target_at(cs: &ControlStore, at: u32) -> Option<u32> {
     match cs.word(at) {
-        MicroOp::JumpIf { target, .. } => Some(dec_target(target, cs)),
+        MicroOp::JumpIf { target, .. } | MicroOp::Jump(target) | MicroOp::Call(target) => {
+            Some(dec_target(target, cs))
+        }
         _ => None,
+    }
+}
+
+/// Whether `t` begins the scratch-style logger. `LOGGER[15]` is its
+/// `JumpIf UserMode`.
+fn is_logger(cs: &ControlStore, t: u32) -> bool {
+    reads(cs, t, &LOGGER) && target_at(cs, t + 15) == Some(t + LOGGER_NOT_KERNEL)
+}
+
+/// How a native call of the byte server at `t`, whose serve path is at
+/// `serve`, runs a refill (see [`Refill`]).
+fn dec_refill(t: u32, serve: u32, cs: &ControlStore) -> Refill {
+    let at = t + IB_SERVE_HEAD as u32;
+    if serve != at + IB_REFILL.len() as u32 || !reads(cs, at, &IB_REFILL) {
+        return Refill::OpByOp;
+    }
+    // IB_REFILL[1] is the fetch call.
+    let Some(fetch) = target_at(cs, at + 1) else {
+        return Refill::OpByOp;
+    };
+    if reads(cs, fetch, &IB_FETCH) {
+        return Refill::Stock;
+    }
+    // IFETCH_STUB[2], [4] and [5] are its branch, logger call and tail.
+    let stub = reads(cs, fetch, &IFETCH_STUB)
+        && target_at(cs, fetch + 2) == Some(fetch + IFETCH_STUB_OFF)
+        && target_at(cs, fetch + 4).is_some_and(|log| is_logger(cs, log))
+        && target_at(cs, fetch + 5).is_some_and(|stock| reads(cs, stock, &IB_FETCH));
+    if stub {
+        Refill::Scratch
+    } else {
+        Refill::OpByOp
     }
 }
 
@@ -724,11 +872,15 @@ fn jif_target(cs: &ControlStore, at: u32) -> Option<u32> {
 /// patterned routines, the plain call otherwise.
 fn dec_call(t: u32, cs: &ControlStore) -> DecOp {
     let (head, serve) = IB_SERVE.split_at(IB_SERVE_HEAD);
-    if reads(cs, t, head) && jif_target(cs, t + 1).is_some_and(|s| reads(cs, s, serve)) {
-        return DecOp::CallIbServe(t);
+    if reads(cs, t, head) {
+        if let Some(s) = target_at(cs, t + 1).filter(|&s| reads(cs, s, serve)) {
+            return DecOp::CallIbServe {
+                target: t,
+                refill: dec_refill(t, s, cs),
+            };
+        }
     }
-    // LOGGER[15] is the `JumpIf UserMode`.
-    if reads(cs, t, &LOGGER) && jif_target(cs, t + 15) == Some(t + LOGGER_NOT_KERNEL) {
+    if is_logger(cs, t) {
         return DecOp::CallLogger(t);
     }
     DecOp::Call(t)
@@ -1125,7 +1277,8 @@ mod tests {
     }
 
     /// The deterministic gate of the native call forms: an edit to either
-    /// routine that breaks its pattern fails here, not as a silent loss
+    /// routine, to the server's refill, or to a fetch routine a refill
+    /// reaches, that breaks its pattern fails here, not as a silent loss
     /// of speed.
     #[test]
     fn native_call_forms_cover_every_call_site() {
@@ -1138,11 +1291,16 @@ mod tests {
             let img = FastImage::build(&cs);
             let ib = cs.symbol("ifetch.byte").unwrap();
             let log = cs.symbol("atum.log");
+            let refill = match style {
+                None => Refill::Stock,
+                Some(PatchStyle::Scratch) => Refill::Scratch,
+                Some(PatchStyle::Spill) => Refill::OpByOp,
+            };
             let (mut ib_calls, mut log_calls) = (0, 0);
             for (t, dec) in calls(&cs, &img) {
                 let want = if t == ib {
                     ib_calls += 1;
-                    DecOp::CallIbServe(t)
+                    DecOp::CallIbServe { target: t, refill }
                 } else if Some(t) == log {
                     log_calls += 1;
                     match style {
@@ -1159,13 +1317,17 @@ mod tests {
         }
     }
 
-    /// The cost of a native path: the `Call` plus the words it runs.
-    fn path_cycles(cs: &ControlStore, words: impl IntoIterator<Item = u32>) -> u64 {
-        let call = atum_ucode::cost::op_cost(&MicroOp::Call(Target::Abs(0)));
-        call + words
+    /// The cost model summed over the words at `addrs`.
+    fn words_cycles(cs: &ControlStore, addrs: impl IntoIterator<Item = u32>) -> u64 {
+        addrs
             .into_iter()
             .map(|a| atum_ucode::cost::op_cost(&cs.word(a)))
-            .sum::<u64>()
+            .sum()
+    }
+
+    /// The cost of a native path: the `Call` plus the words it runs.
+    fn path_cycles(cs: &ControlStore, words: impl IntoIterator<Item = u32>) -> u64 {
+        atum_ucode::cost::op_cost(&MicroOp::Call(Target::Abs(0))) + words_cycles(cs, words)
     }
 
     #[test]
@@ -1173,19 +1335,35 @@ mod tests {
         use atum_core::patch::PatchSet;
         let mut cs = atum_ucode::stock::build();
         let ib = cs.symbol("ifetch.byte").unwrap();
-        let serve = jif_target(&cs, ib + 1).unwrap();
+        let serve = target_at(&cs, ib + 1).unwrap();
+        let fetch = cs.symbol("xfer.ifetch").unwrap();
         assert_eq!(
             path_cycles(&cs, [ib, ib + 1].into_iter().chain(serve..serve + 5)),
             IB_SERVE_CYCLES
         );
+        // The refill: the server's head, its 7 refill words, the stock
+        // fetch and the serve path.
+        let refill = (ib..serve).chain(fetch..fetch + 2).chain(serve..serve + 5);
+        assert_eq!(path_cycles(&cs, refill), IB_REFILL_CYCLES);
         PatchSet::install(&mut cs).unwrap();
         let log = cs.symbol("atum.log").unwrap();
         let kernel_or = log + 16;
-        assert_eq!(
-            path_cycles(&cs, (log..log + 24).filter(|&a| a != kernel_or)),
-            LOGGER_USER_CYCLES
-        );
+        let user = (log..log + 24).filter(|&a| a != kernel_or);
+        assert_eq!(path_cycles(&cs, user.clone()), LOGGER_USER_CYCLES);
         assert_eq!(path_cycles(&cs, log..log + 24), LOGGER_KERNEL_CYCLES);
+        // The stub's share: its enable test and tail with capture off,
+        // all six words and the logger's with it on.
+        let stub = cs.symbol("atum.ifetch").unwrap();
+        let off = [stub, stub + 1, stub + 2, stub + IFETCH_STUB_OFF];
+        assert_eq!(words_cycles(&cs, off), IFETCH_HOOK_OFF_CYCLES);
+        assert_eq!(
+            words_cycles(&cs, (stub..stub + 6).chain(user)),
+            IFETCH_HOOK_USER_CYCLES
+        );
+        assert_eq!(
+            words_cycles(&cs, (stub..stub + 6).chain(log..log + 24)),
+            IFETCH_HOOK_KERNEL_CYCLES
+        );
     }
 
     /// The logger pattern restates field layouts that `atum-core` owns.
@@ -1198,6 +1376,17 @@ mod tests {
         let meta = |pid, kernel| TraceRecord::new(RecordKind::Read, 0, 0, pid, kernel).meta;
         assert_eq!(meta(0xA5, false) ^ meta(0, false), 0xA5 << META_PID_SHIFT);
         assert_eq!(meta(0, true) ^ meta(0, false), META_KERNEL_BIT);
+    }
+
+    /// The ifetch stub's pattern restates `atum-core`'s enable bit and
+    /// record layout.
+    #[test]
+    fn ifetch_stub_constants_are_atum_cores() {
+        use atum_core::patch::trctl;
+        use atum_core::{RecordKind, TraceRecord};
+        assert_eq!(TRCTL_ENABLE, trctl::ENABLE);
+        let seed = TraceRecord::new(RecordKind::IFetch, 0, 4, 0, false).meta;
+        assert_eq!(IFETCH_SEED, seed);
     }
 
     #[test]

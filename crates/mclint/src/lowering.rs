@@ -12,8 +12,9 @@
 //! privileged-register numbers resolved (the plain latches to moves of
 //! their register-file slots), the hot longword ALU words to the variant
 //! that names their operation, a `Call` of the instruction-buffer byte
-//! server or of the scratch-style logger to its native form (matched by
-//! this pass's own word patterns), and both-immediate ALU ops
+//! server or of the scratch-style logger to its native form, the
+//! server's with the refill mode its `XferIFetch` fetch allows (matched
+//! by this pass's own word patterns), and both-immediate ALU ops
 //! constant-folded by a from-scratch reimplementation of the ALU
 //! semantics (result *and* packed micro-flags) — then diffs that against
 //! the image word by word. The dispatch-table snapshots and the version
@@ -31,7 +32,7 @@
 use crate::cfg::SymbolMap;
 use crate::{Finding, Pass, Severity};
 use atum_arch::{DataSize, PrivReg};
-use atum_machine::fast::{DecOp, Dst, FastImage, Src};
+use atum_machine::fast::{DecOp, Dst, FastImage, Refill, Src};
 use atum_machine::regs::slots;
 use atum_ucode::{
     AluOp, CcEffect, ControlStore, MicroCond, MicroOp, MicroReg, SizeSel, SpecTable, Target,
@@ -389,8 +390,11 @@ fn lower(op: MicroOp, cs: &ControlStore) -> DecOp {
         }
         MicroOp::Call(t) => {
             let t = target(t, cs);
-            if is_ib_server(t, cs) {
-                DecOp::CallIbServe(t)
+            if let Some(serve) = ib_server_serve(t, cs) {
+                DecOp::CallIbServe {
+                    target: t,
+                    refill: refill_mode(t, serve, cs),
+                }
             } else if is_scratch_logger(t, cs) {
                 DecOp::CallLogger(t)
             } else {
@@ -444,6 +448,17 @@ fn long(op: AluOp, a: MicroReg, b: MicroReg, d: MicroReg) -> MicroOp {
     }
 }
 
+fn mv(src: MicroReg, dst: MicroReg) -> MicroOp {
+    MicroOp::Mov { src, dst }
+}
+
+fn rd(reg: PrivReg, dst: MicroReg) -> MicroOp {
+    MicroOp::ReadPr {
+        num: MicroReg::Imm(reg.number()),
+        dst,
+    }
+}
+
 /// The word at `addr`, or `None` past the end of the store.
 fn word_at(cs: &ControlStore, addr: u32) -> Option<MicroOp> {
     (addr < cs.len()).then(|| cs.word(addr))
@@ -463,18 +478,17 @@ fn branch_at(cs: &ControlStore, addr: u32) -> Option<(MicroCond, u32)> {
     }
 }
 
-/// Whether `t` begins the stock instruction-buffer byte server: `test
-/// IbCnt` into T15 and a branch on nonzero to a serve path that takes
-/// the low byte into MDR, shifts the buffer, counts it down by one,
-/// advances PC and returns. The refill words are not the native form's
-/// business, because it runs only when the buffer holds a byte.
-fn is_ib_server(t: u32, cs: &ControlStore) -> bool {
+/// The serve path's address when `t` begins the stock instruction-buffer
+/// byte server: `test IbCnt` into T15 and a branch on nonzero to a serve
+/// path that takes the low byte into MDR, shifts the buffer, counts it
+/// down by one, advances PC and returns.
+fn ib_server_serve(t: u32, cs: &ControlStore) -> Option<u32> {
     use MicroReg::{IbCnt, IbData, Imm, Mdr};
     if !holds(cs, t, &[long(AluOp::Pass, Imm(0), IbCnt, MicroReg::T(15))]) {
-        return false;
+        return None;
     }
     let Some((MicroCond::UNotZero, serve)) = branch_at(cs, t + 1) else {
-        return false;
+        return None;
     };
     let path = [
         long(AluOp::And, IbData, Imm(0xFF), Mdr),
@@ -483,7 +497,68 @@ fn is_ib_server(t: u32, cs: &ControlStore) -> bool {
         MicroOp::AdvancePc,
         MicroOp::Ret,
     ];
-    holds(cs, serve, &path)
+    holds(cs, serve, &path).then_some(serve)
+}
+
+/// How a native call of the byte server at `t` runs a refill. The seven
+/// words from `t + 2` to the serve path (which must follow them) are:
+/// MAR ← PC & ~3, a call, IbData ← MDR, T15 ← PC & 3, IbCnt ← 4 − T15,
+/// T15 ← T15 × 8 and IbData ← IbData >> T15. The call's resolved target
+/// names the mode: the stock fetch, the scratch ATUM stub, or neither.
+fn refill_mode(t: u32, serve: u32, cs: &ControlStore) -> Refill {
+    use MicroReg::{Gpr, IbCnt, IbData, Imm, Mar, Mdr, T};
+    let after_call = [
+        mv(Mdr, IbData),
+        long(AluOp::And, Gpr(15), Imm(3), T(15)),
+        long(AluOp::RSub, T(15), Imm(4), IbCnt),
+        long(AluOp::Lsl, Imm(3), T(15), T(15)),
+        long(AluOp::Lsr, T(15), IbData, IbData),
+    ];
+    let refill = serve == t + 9
+        && holds(cs, t + 2, &[long(AluOp::And, Gpr(15), Imm(!3), Mar)])
+        && holds(cs, t + 4, &after_call);
+    let fetch = match word_at(cs, t + 3) {
+        Some(MicroOp::Call(f)) if refill => target(f, cs),
+        _ => return Refill::OpByOp,
+    };
+    if is_stock_fetch(fetch, cs) {
+        Refill::Stock
+    } else if is_scratch_ifetch_stub(fetch, cs) {
+        Refill::Scratch
+    } else {
+        Refill::OpByOp
+    }
+}
+
+/// Whether `t` begins the stock instruction fetch: a longword read of the
+/// instruction stream and the return.
+fn is_stock_fetch(t: u32, cs: &ControlStore) -> bool {
+    let read = MicroOp::Read {
+        class: atum_ucode::RefClass::IFetch,
+        size: SizeSel::Fixed(DataSize::Long),
+    };
+    holds(cs, t, &[read, MicroOp::Ret])
+}
+
+/// Whether `t` begins the scratch-style ATUM instruction-fetch stub: the
+/// TRCTL enable bit (bit 0) into P7, a branch on zero to the tail, the
+/// record seed (kind 1 at bit 28, size 4 at bit 16) into P5, a call of
+/// the scratch-style logger, and the tail: a jump to the stock fetch.
+fn is_scratch_ifetch_stub(t: u32, cs: &ControlStore) -> bool {
+    use MicroReg::{Imm, P};
+    let test = [
+        rd(PrivReg::Trctl, P(1)),
+        long(AluOp::And, P(1), Imm(1), P(7)),
+    ];
+    // Once `test` holds, `t` is inside the store and the offsets below
+    // cannot wrap.
+    holds(cs, t, &test)
+        && branch_at(cs, t + 2) == Some((MicroCond::UZero, t + 5))
+        && holds(cs, t + 3, &[mv(Imm(1 << 28 | 4 << 16), P(5))])
+        && matches!(word_at(cs, t + 4),
+            Some(MicroOp::Call(log)) if is_scratch_logger(target(log, cs), cs))
+        && matches!(word_at(cs, t + 5),
+            Some(MicroOp::Jump(f)) if is_stock_fetch(target(f, cs), cs))
 }
 
 /// Whether `t` begins the scratch-style ATUM logger: save MAR/MDR into
@@ -494,11 +569,6 @@ fn is_ib_server(t: u32, cs: &ControlStore) -> bool {
 /// restore and the return. The spill style's logger does not match.
 fn is_scratch_logger(t: u32, cs: &ControlStore) -> bool {
     use MicroReg::{Imm, Mar, Mdr, P};
-    let mv = |src, dst| MicroOp::Mov { src, dst };
-    let rd = |reg: PrivReg, d| MicroOp::ReadPr {
-        num: Imm(reg.number()),
-        dst: d,
-    };
     let before_full = [
         mv(Mar, P(0)),
         mv(Mdr, P(6)),

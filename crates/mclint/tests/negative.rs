@@ -398,9 +398,10 @@ fn mis_specialized_lowering_is_caught() {
 }
 
 /// A store holding one caller of an instruction-buffer byte server
-/// whose serve path counts down by `step`. With a step of 1 the server
-/// is the stock one word for word (its refill is a `Halt` here, which no
-/// pattern examines); any other step makes it a different routine.
+/// whose serve path counts down by `step`. With a step of 1 the server's
+/// test and serve path are the stock ones word for word (its refill is a
+/// `Halt` here, so refills run op by op); any other step makes it a
+/// different routine.
 fn byte_server_store(step: u32) -> ControlStore {
     let mut cs = ControlStore::new();
     let mut ua = MicroAsm::new();
@@ -438,17 +439,18 @@ fn byte_server_store(step: u32) -> ControlStore {
 
 #[test]
 fn native_byte_server_needs_the_exact_serve_path() {
-    use atum_machine::fast::{DecOp, FastImage};
+    use atum_machine::fast::{DecOp, FastImage, Refill};
     use atum_mclint::lowering::{check, check_image};
     let stock_shaped = byte_server_store(1);
     let (srv, call) = (
         stock_shaped.symbol("srv.byte").unwrap(),
         stock_shaped.symbol("srv.caller").unwrap(),
     );
-    assert_eq!(
-        FastImage::build(&stock_shaped).ops[call as usize],
-        DecOp::CallIbServe(srv)
-    );
+    let native = DecOp::CallIbServe {
+        target: srv,
+        refill: Refill::OpByOp,
+    };
+    assert_eq!(FastImage::build(&stock_shaped).ops[call as usize], native);
     assert_clean(&check(&stock_shaped), "stock-shaped byte server");
     // `Sub IbCnt, #2`: both the engine and the pass keep the plain call.
     let cs = byte_server_store(2);
@@ -456,12 +458,104 @@ fn native_byte_server_needs_the_exact_serve_path() {
     assert_eq!(img.ops[call as usize], DecOp::Call(srv));
     assert_clean(&check_image(&cs, &img), "byte server counting by two");
     // An image that serves it natively anyway is caught at the call.
-    img.ops[call as usize] = DecOp::CallIbServe(srv);
+    img.ops[call as usize] = native;
     let findings = check_image(&cs, &img);
     assert_eq!(findings.len(), 1, "{findings:?}");
     let f = expect_finding(&findings, "srv.caller", "lowering mismatch");
     assert_eq!(f.addr, call);
     assert_eq!(f.pass, atum_mclint::Pass::Lowering);
+}
+
+/// A scratch-patched store whose `XferIFetch` is repointed to a copy of
+/// the `atum.ifetch` stub that tests `enable` and seeds `seed`, logging
+/// through the real scratch logger and tail-jumping to the stock fetch.
+fn ifetch_stub_store(enable: u32, seed: u32) -> ControlStore {
+    let mut cs = stock::build();
+    let stock_fetch = cs.entry(Entry::XferIFetch);
+    PatchSet::install(&mut cs).unwrap();
+    let mut ua = MicroAsm::new();
+    ua.global("look.ifetch");
+    ua.op(MicroOp::ReadPr {
+        num: MicroReg::Imm(PrivReg::Trctl.number()),
+        dst: MicroReg::P(1),
+    });
+    ua.alu_l(
+        AluOp::And,
+        MicroReg::P(1),
+        MicroReg::Imm(enable),
+        MicroReg::P(7),
+    );
+    ua.jif(MicroCond::UZero, "off");
+    ua.mov(MicroReg::Imm(seed), MicroReg::P(5));
+    ua.call("atum.log");
+    ua.label("off");
+    ua.op(MicroOp::Jump(Target::Abs(stock_fetch)));
+    let stub = ua.commit(&mut cs).unwrap();
+    cs.set_entry(Entry::XferIFetch, stub);
+    cs
+}
+
+#[test]
+fn native_refill_needs_the_exact_ifetch_stub() {
+    use atum_core::patch::trctl;
+    use atum_machine::fast::{DecOp, FastImage, Refill};
+    use atum_mclint::lowering::{check, check_image};
+    let ifetch_seed = 1 << 28 | 4 << 16;
+    // The calls of the byte server, with the callers' names.
+    let calls = |cs: &ControlStore| {
+        let ib = cs.symbol("ifetch.byte").unwrap();
+        (0..cs.len())
+            .filter(|&a| matches!(cs.word(a), MicroOp::Call(Target::Abs(t)) if t == ib))
+            .collect::<Vec<u32>>()
+    };
+    // An exact copy of the stub lowers its refills natively on both sides.
+    let exact = ifetch_stub_store(trctl::ENABLE, ifetch_seed);
+    assert_clean(&check(&exact), "exact copy of the ifetch stub");
+    let img = FastImage::build(&exact);
+    for &call in &calls(&exact) {
+        assert!(matches!(
+            img.ops[call as usize],
+            DecOp::CallIbServe {
+                refill: Refill::Scratch,
+                ..
+            }
+        ));
+    }
+    // Look-alikes: another seed (size 2), another TRCTL bit (FULL).
+    for (enable, seed) in [
+        (trctl::ENABLE, 1 << 28 | 2 << 16),
+        (trctl::FULL, ifetch_seed),
+    ] {
+        let cs = ifetch_stub_store(enable, seed);
+        let what = format!("look-alike stub (enable {enable:#x}, seed {seed:#x})");
+        let mut img = FastImage::build(&cs);
+        assert_clean(&check_image(&cs, &img), &what);
+        let calls = calls(&cs);
+        assert_eq!(calls.len(), 5, "{what}");
+        for &call in &calls {
+            let DecOp::CallIbServe { target, refill } = img.ops[call as usize] else {
+                panic!(
+                    "{what}: call at {call:#x} lowered as {:?}",
+                    img.ops[call as usize]
+                );
+            };
+            assert_eq!(refill, Refill::OpByOp, "{what}: call at {call:#x}");
+            // An image that refills natively anyway is caught at the call.
+            img.ops[call as usize] = DecOp::CallIbServe {
+                target,
+                refill: Refill::Scratch,
+            };
+        }
+        let findings = check_image(&cs, &img);
+        assert_eq!(findings.len(), calls.len(), "{what}: {findings:?}");
+        let symbols = atum_mclint::cfg::SymbolMap::new(&cs);
+        for &call in &calls {
+            let f = findings.iter().find(|f| f.addr == call).unwrap();
+            assert_eq!(f.symbol, symbols.name(call), "{what}");
+            assert!(f.message.contains("lowering mismatch"), "{what}: {f}");
+            assert_eq!(f.pass, atum_mclint::Pass::Lowering);
+        }
+    }
 }
 
 #[test]
