@@ -9,11 +9,10 @@
 //! or host-randomness inputs). Thread count therefore affects wall
 //! clock only, never results.
 
-use atum_conc::sync::atomic::{AtomicUsize, Ordering};
-use atum_conc::sync::Mutex;
-use atum_conc::thread;
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread;
 
 /// Global default thread count for the machine runs of a single
 /// experiment (`experiments::run_by_id`, which the per-experiment
@@ -41,7 +40,13 @@ pub fn jobs() -> usize {
 /// Maps `f` over `items` on up to `jobs` scoped threads, returning the
 /// results **in input order** — output is independent of scheduling, so
 /// callers get byte-identical results at any thread count. `f` receives
-/// `(index, item)`. A panicking job propagates the panic to the caller.
+/// `(index, item)`. With one job or one item, `f` runs inline on the
+/// calling thread.
+///
+/// A panicking job ends only its own worker: the other workers finish
+/// the items still queued, and then the first panicking worker's
+/// payload is re-raised on the caller, so a failing job reads the same
+/// as it would inline.
 pub fn parallel_map<I, T, F>(jobs: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -58,48 +63,48 @@ where
             .collect();
     }
 
-    let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let next = queue.lock().expect("queue poisoned").pop_front();
-                match next {
-                    Some((i, item)) => {
-                        // Re-thrown with its original payload below, so a
-                        // failing job reads the same as it would inline.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)))
-                        {
-                            Ok(out) => *slots[i].lock().expect("slot poisoned") = Some(out),
-                            Err(payload) => {
-                                panicked.lock().expect("panic slot").get_or_insert(payload);
-                                queue.lock().expect("queue poisoned").clear();
-                                break;
-                            }
-                        }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let joined: Vec<thread::Result<Vec<(usize, T)>>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Taken in a `let`, not in a `while let` scrutinee,
+                        // so the guard drops before the job runs: a job
+                        // run under the lock would make the pool serial.
+                        let next = queue
+                            .lock()
+                            .expect("no job runs under the queue lock")
+                            .next();
+                        let Some((i, x)) = next else { break done };
+                        done.push((i, f(i, x)));
                     }
-                    None => break,
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    if let Some(payload) = panicked.into_inner().expect("panic slot") {
-        std::panic::resume_unwind(payload);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for worker in joined {
+        let done = match worker {
+            Ok(done) => done,
+            Err(payload) => std::panic::resume_unwind(payload),
+        };
+        for (i, out) in done {
+            slots[i] = Some(out);
+        }
     }
     slots
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("every job ran to completion")
-        })
+        .map(|slot| slot.expect("each item leaves the queue exactly once"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn preserves_input_order() {
@@ -140,13 +145,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "boom")]
-    fn job_panics_propagate() {
-        parallel_map(2, vec![1, 2, 3], |_, x: i32| {
-            if x == 2 {
-                panic!("boom");
+    fn jobs_run_at_the_same_time() {
+        // Each job announces itself, then waits for the other's
+        // arrival. Both see it only if the two jobs overlap; a pool that
+        // ran its jobs one at a time fails at the deadline, never hangs.
+        let arrived = AtomicUsize::new(0);
+        let saw_other = parallel_map(2, vec![(); 2], |_, ()| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while arrived.load(Ordering::SeqCst) < 2 {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
             }
-            x
+            true
         });
+        assert_eq!(saw_other, [true, true]);
+    }
+
+    #[test]
+    fn job_panics_propagate() {
+        // The payload reaches the caller unchanged, after the surviving
+        // worker has run every other item.
+        let ran = AtomicUsize::new(0);
+        let payload = std::panic::catch_unwind(|| {
+            parallel_map(2, (0..8).collect(), |_, x: u32| {
+                if x == 2 {
+                    panic!("boom");
+                }
+                ran.fetch_or(1 << x, Ordering::SeqCst);
+            })
+        })
+        .expect_err("the job panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(ran.into_inner(), 0b1111_1011, "items other than 2 ran");
     }
 }

@@ -211,15 +211,11 @@ fn run_trace(
     json: bool,
     batch: bool,
 ) -> io::Result<ExitCode> {
-    let (action, path) = match rest {
-        [a, p] => (a.as_str(), p.as_str()),
-        [p] => ("info", p.as_str()),
-        _ => return usage_error("trace takes one file"),
+    let path = match rest {
+        [a, p] if a == "info" => p.as_str(),
+        [a, _] => return usage_error(&format!("unknown trace action '{a}' (expected 'info')")),
+        _ => return usage_error("trace info takes one file"),
     };
-    if action != "info" {
-        eprintln!("unknown trace action '{action}' (expected 'info')");
-        return Ok(ExitCode::FAILURE);
-    }
     let result = if batch {
         trace_info_batch(path)
     } else {

@@ -29,6 +29,9 @@ fn malformed_command_lines_are_usage_errors() {
         &["cost-static", "--pass", "atomicity"],
         &["verify", "--batch"],
         &["entries", "--format", "json"],
+        &["trace", "info"],
+        &["trace", GOLDEN_TRACE],
+        &["trace", "frob", GOLDEN_TRACE],
     ] {
         let out = mculist(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

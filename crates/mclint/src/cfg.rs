@@ -141,22 +141,13 @@ pub fn can_fault(op: MicroOp) -> bool {
     )
 }
 
-/// Whether executing `op` opens a preemption window: [`MicroOp::Halt`]
-/// hands the machine to the host (the ATUM drain runs there), and
-/// [`MicroOp::DecodeNext`] is where pending interrupts are honoured.
-/// Neither diverts into the exception flow by itself, but anything live
-/// across one is exposed to the drain or the interrupt micro-flow.
-pub fn preempt_window(op: MicroOp) -> bool {
-    matches!(op, MicroOp::Halt | MicroOp::DecodeNext)
-}
-
 /// Every reachable micro-address whose word is a fault-permissible
 /// point ([`can_fault`]), sorted. A fault-exit observed from any other
 /// address is impossible: the closed-world CFG has no other diversion
-/// sites. (Preemption windows — [`preempt_window`] — are deliberately
-/// not included: a `Halt` hands control to the host without entering
-/// the exception flow, and the atomicity pass treats the two cases
-/// differently.)
+/// sites. (Preemption windows — a `Halt`, which hands the machine to
+/// the host, or a `DecodeNext`, where pending interrupts are honoured —
+/// are deliberately not included: neither enters the exception flow,
+/// and the atomicity pass treats the two cases differently.)
 pub fn fault_points(cs: &ControlStore) -> Vec<u32> {
     let seen = reachable(cs);
     (0..cs.len())
