@@ -19,16 +19,18 @@
 //!   strictly inside the proven window → advance `TRPTR` *last*, as the
 //!   single linearization point of the record. A drain observing `TRPTR`
 //!   at any micro-cycle then never sees a pointer covering torn or
-//!   unwritten records. The abstract interpreter re-proves the headroom
-//!   the way the transparency pass does, but — unlike transparency — it
-//!   *wipes* the proof at every [`MicroOp::Halt`]: the halt is the
-//!   buffer-full drain window, and the host may reset `TRPTR` there, so
-//!   headroom and pointer snapshots proven before a halt are stale after
-//!   it. It also tracks which record longwords have been written on
-//!   every path, and rejects an advance that publishes bytes no store
-//!   covered. Spill-line scratch is checked for cross-routine conflicts:
-//!   two different hook routines parking state in the same `TRLIM` line
-//!   would clobber each other when hooks nest;
+//!   unwritten records. The [hook walker](crate::hook) the transparency
+//!   pass also runs re-proves the headroom, but this pass has it *wipe*
+//!   the proof at every [`MicroOp::Halt`]: the halt is the buffer-full
+//!   drain window, and the host may reset `TRPTR` there, so headroom and
+//!   pointer snapshots proven before a halt are stale after it. The
+//!   walker also tracks which record longwords have been written on
+//!   every path, and this pass rejects an advance that publishes bytes
+//!   no store covered. The walk follows only edges inside the hook's
+//!   routines and micro-calls into the patch region; transparency
+//!   reports every other edge. Spill-line scratch is checked for
+//!   cross-routine conflicts: two different hook routines parking state
+//!   in the same `TRLIM` line would clobber each other when hooks nest;
 //! * **(c) state partition** — every register and memory region the
 //!   reachable control store touches is classified as
 //!   [`StateClass::PerContext`] (swapped or owned by the running
@@ -55,18 +57,11 @@
 //! model would need fences this micro-ISA cannot spell.
 
 use crate::cfg::{self, SymbolMap};
-use crate::{dataflow, transparency, Finding, Pass, Severity};
+use crate::hook::{self, AbsVal, Sink, State, RECORD_BYTES, SPILL_LINE_BYTES};
+use crate::{dataflow, Finding, Pass, Severity};
 use atum_arch::PrivReg;
-use atum_ucode::{AluOp, ControlStore, MicroCond, MicroOp, MicroReg, Target};
+use atum_ucode::{AluOp, ControlStore, MicroOp, MicroReg};
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// Bytes of each trace record (two longwords).
-const RECORD_BYTES: i64 = 8;
-/// Bytes of the reserved spill scratch line at `TRLIM`.
-const SPILL_LINE_BYTES: i64 = 32;
-/// Micro-call depth bound inside a patch (transparency reports the
-/// runaway; this pass just stops descending).
-const MAX_CALL_DEPTH: usize = 8;
 
 /// Which sharing class a piece of machine state falls in — the
 /// disjointness contract the SMP per-CPU buffers will be checked
@@ -300,7 +295,7 @@ fn analyze(cs: &ControlStore) -> (Vec<Finding>, StatePartition) {
     // Addresses belonging to some installed hook's closure (the stubs
     // plus the shared logger, chased through whatever edges stay inside
     // the patch region).
-    let hooks = transparency::detect_hooks(cs);
+    let hooks = hook::detect_hooks(cs);
     let mut hook_words: HashSet<u32> = HashSet::new();
     for h in &hooks {
         for a in cfg::region_closure(cs, h.patch_addr, stock_len, cs.len()) {
@@ -312,8 +307,7 @@ fn analyze(cs: &ControlStore) -> (Vec<Finding>, StatePartition) {
         cs,
         map: &map,
         hook_words,
-        findings: Vec::new(),
-        emitted: HashSet::new(),
+        sink: Sink::new(&map, Pass::Atomicity),
         regs: BTreeMap::new(),
         memory: BTreeMap::new(),
         spill_writers: BTreeMap::new(),
@@ -331,13 +325,13 @@ fn analyze(cs: &ControlStore) -> (Vec<Finding>, StatePartition) {
 
     // Obligations (a) and (b) over every installed hook.
     for h in &hooks {
-        an.walk_hook(h);
+        hook::walk(cs, &map, h.patch_addr, &mut an);
     }
     an.check_spill_conflicts();
 
     let registers = an.regs.values().cloned().collect();
     let memory = an.memory.values().cloned().collect();
-    let mut findings = an.findings;
+    let mut findings = an.sink.findings;
     findings.sort_by(|a, b| (&a.symbol, a.addr).cmp(&(&b.symbol, b.addr)));
     (findings, StatePartition { registers, memory })
 }
@@ -346,8 +340,7 @@ struct Analysis<'a> {
     cs: &'a ControlStore,
     map: &'a SymbolMap,
     hook_words: HashSet<u32>,
-    findings: Vec<Finding>,
-    emitted: HashSet<(u32, String)>,
+    sink: Sink<'a>,
     /// Keyed `(group, key)` for canonical ordering: datapath registers
     /// (group 0, layout order), privileged registers (group 1, by
     /// number), dynamically selected PRs (group 2).
@@ -359,24 +352,6 @@ struct Analysis<'a> {
 }
 
 impl Analysis<'_> {
-    fn emit(&mut self, addr: u32, severity: Severity, message: String) {
-        if self.emitted.insert((addr, message.clone())) {
-            self.findings.push(Finding {
-                pass: Pass::Atomicity,
-                severity,
-                symbol: self.map.name(addr),
-                addr,
-                message,
-            });
-        }
-    }
-
-    fn extent_of(&self, addr: u32) -> (u32, u32) {
-        let start = self.map.routine_start(addr).unwrap_or(addr);
-        let end = self.map.routine_end(start, self.cs.len());
-        (start, end)
-    }
-
     fn touch_reg(&mut self, addr: u32, key: (u8, u32), name: String, class: StateClass) {
         let in_hook = self.hook_words.contains(&addr);
         let e = self.regs.entry(key).or_insert_with(|| PartitionEntry {
@@ -391,7 +366,7 @@ impl Analysis<'_> {
             e.stock = true;
         }
         if in_hook && class == StateClass::Shared {
-            self.emit(
+            self.sink.emit(
                 addr,
                 Severity::Error,
                 format!("hook touches shared state ({name}); hooks may touch only per-context and per-CPU-candidate state"),
@@ -413,13 +388,13 @@ impl Analysis<'_> {
             e.stock = true;
         }
         match region.class() {
-            StateClass::Unclassified => self.emit(
+            StateClass::Unclassified => self.sink.emit(
                 addr,
                 Severity::Error,
                 "physical memory access whose address derivation the partition cannot classify"
                     .into(),
             ),
-            StateClass::Shared if in_hook => self.emit(
+            StateClass::Shared if in_hook => self.sink.emit(
                 addr,
                 Severity::Error,
                 format!(
@@ -447,7 +422,7 @@ impl Analysis<'_> {
                         .map(|p| p.mnemonic().to_string())
                         .unwrap_or_else(|| format!("pr[{n}]"));
                     if class == StateClass::Unclassified {
-                        self.emit(
+                        self.sink.emit(
                             addr,
                             Severity::Error,
                             format!("access to privileged register {name}, which the state partition cannot classify"),
@@ -692,257 +667,71 @@ impl Analysis<'_> {
         }
     }
 
-    // ---- hook protocol walk (obligations (a) and (b)) ----
-
-    /// Context-sensitive worklist walk over one hook's closure, checking
-    /// fault windows and the trace-pointer protocol. Control-flow
-    /// *policy* (rejoin discipline, escapes, patchable-slot re-entry) is
-    /// transparency's job; this walker simply stops at edges that leave
-    /// the patch.
-    fn walk_hook(&mut self, hook: &transparency::Hook) {
-        type Frame = (u32, u32, Option<u32>);
-        type Key = (Vec<Frame>, u32);
-
-        fn flow(states: &mut HashMap<Key, HState>, work: &mut Vec<Key>, key: Key, st: HState) {
-            match states.get(&key) {
-                Some(old) => {
-                    let joined = old.join(&st);
-                    if joined != *old {
-                        states.insert(key.clone(), joined);
-                        work.push(key);
-                    }
-                }
-                None => {
-                    states.insert(key.clone(), st);
-                    work.push(key);
-                }
-            }
-        }
-
-        let len = self.cs.len();
-        let stock_len = self.cs.stock_len();
-        let base = self.extent_of(hook.patch_addr);
-        let mut states: HashMap<Key, HState> = HashMap::new();
-        let mut work: Vec<Key> = Vec::new();
-        let root_ctx: Vec<Frame> = vec![(base.0, base.1, None)];
-        states.insert((root_ctx.clone(), hook.patch_addr), HState::entry());
-        work.push((root_ctx, hook.patch_addr));
-
-        while let Some((ctx, addr)) = work.pop() {
-            let st0 = states[&(ctx.clone(), addr)].clone();
-            let op = self.cs.word(addr);
-            let (rstart, rend, _) = *ctx.last().expect("non-empty context");
-
-            // Obligation (a): no fault window over live hook state. A
-            // fault diverts into the (hooked) exception dispatch, whose
-            // hook clobbers the patch scratch and the saved MAR/MDR this
-            // hook still needs.
-            if cfg::can_fault(op) {
-                let live: Vec<String> = (0..8)
-                    .filter(|&i| st0.regs[i] != HV::Top)
-                    .map(|i| format!("p{i}"))
-                    .collect();
-                let live = if live.is_empty() {
-                    "the patch scratch".to_string()
-                } else {
-                    format!("live patch scratch ({})", live.join(", "))
-                };
-                self.emit(
-                    addr,
-                    Severity::Error,
-                    format!(
-                        "fault-permissible point inside a hook: a fault here re-enters the trace hooks and clobbers {live} and the saved mar/mdr"
-                    ),
-                );
-            } else if op == MicroOp::DecodeNext {
-                self.emit(
-                    addr,
-                    Severity::Error,
-                    "instruction boundary inside a hook opens an interrupt window over live patch scratch".into(),
-                );
-            }
-
-            // Data effects, including the store/advance protocol checks.
-            let mut st = st0.clone();
-            self.hook_apply(addr, op, &mut st);
-
-            // Control flow.
-            match op {
-                MicroOp::Jump(t) => {
-                    if let Target::Abs(tgt) = t {
-                        if tgt >= stock_len && tgt < len {
-                            flow(&mut states, &mut work, (ctx.clone(), tgt), st);
-                        }
-                        // Into stock: the hook is over. Elsewhere:
-                        // transparency reports the escape.
-                    }
-                }
-                MicroOp::JumpIf { cond, target } => {
-                    // Refine the headroom proof on the carry-test edges,
-                    // exactly as transparency does.
-                    let (mut taken, mut nottaken) = (st.clone(), st.clone());
-                    if let Some((HV::Pr { pr: pa, off: ao }, HV::Pr { pr: pb, off: bo })) = st.cmp {
-                        if pa == PrivReg::Trlim.number() && pb == PrivReg::Trptr.number() {
-                            let headroom = bo - ao;
-                            match cond {
-                                MicroCond::UCarry => {
-                                    nottaken.checked = nottaken.checked.max(headroom)
-                                }
-                                MicroCond::UNoCarry => taken.checked = taken.checked.max(headroom),
-                                _ => {}
-                            }
-                        }
-                    }
-                    if let Target::Abs(tgt) = target {
-                        if tgt >= stock_len && tgt < len {
-                            flow(&mut states, &mut work, (ctx.clone(), tgt), taken);
-                        }
-                    }
-                    let next = addr + 1;
-                    if next >= rstart && next < rend {
-                        flow(&mut states, &mut work, (ctx.clone(), next), nottaken);
-                    }
-                }
-                MicroOp::Call(Target::Abs(tgt))
-                    if tgt >= stock_len && tgt < len && ctx.len() < MAX_CALL_DEPTH =>
-                {
-                    let (cstart, cend) = self.extent_of(tgt);
-                    let mut cctx = ctx.clone();
-                    cctx.push((cstart, cend, Some(addr + 1)));
-                    flow(&mut states, &mut work, (cctx, tgt), st);
-                }
-                MicroOp::Ret => {
-                    if let (.., Some(ret)) = *ctx.last().expect("non-empty context") {
-                        let mut rctx = ctx.clone();
-                        rctx.pop();
-                        let (pstart, pend, _) = *rctx.last().expect("caller frame");
-                        if ret >= pstart && ret < pend {
-                            flow(&mut states, &mut work, (rctx, ret), st);
-                        }
-                    }
-                }
-                MicroOp::Call(_)
-                | MicroOp::DecodeNext
-                | MicroOp::Fault(_)
-                | MicroOp::DispatchOpcode
-                | MicroOp::DispatchSpec(_) => {}
-                _ => {
-                    // Straight-line ops, including Halt (which falls
-                    // through when the host resumes the engine).
-                    let next = addr + 1;
-                    if next >= rstart && next < rend {
-                        flow(&mut states, &mut work, (ctx.clone(), next), st);
-                    }
-                }
-            }
+    fn check_spill_conflicts(&mut self) {
+        let conflicts: Vec<(i64, Vec<(String, u32)>)> = self
+            .spill_writers
+            .iter()
+            .filter(|(_, v)| v.len() > 1)
+            .map(|(&off, v)| (off, v.clone()))
+            .collect();
+        for (off, writers) in conflicts {
+            let names: Vec<&str> = writers.iter().map(|(n, _)| n.as_str()).collect();
+            let addr = writers.last().expect("non-empty").1;
+            self.sink.emit(
+                addr,
+                Severity::Error,
+                format!(
+                    "spill-line scratch at trlim{off:+} is written by {} — nested hooks would clobber each other's saved state",
+                    names.join(" and ")
+                ),
+            );
         }
     }
+}
 
-    /// Abstract transfer for one hook word, enforcing the trace-pointer
-    /// protocol (obligation (b)).
-    fn hook_apply(&mut self, addr: u32, op: MicroOp, st: &mut HState) {
-        match op {
-            MicroOp::Mov { src, dst } => {
-                let v = st.eval(src);
-                st.set(dst, v);
-            }
-            MicroOp::Alu {
-                op: alu,
-                a,
-                b,
-                dst,
-                size,
-                ..
-            } => {
-                let av = st.eval(a);
-                let bv = st.eval(b);
-                let long = size == atum_arch::DataSize::Long;
-                let val = match alu {
-                    AluOp::Add if long => match (av, bv) {
-                        (HV::Const(x), HV::Const(y)) => HV::Const(x.wrapping_add(y)),
-                        (HV::Pr { pr, off }, HV::Const(c)) | (HV::Const(c), HV::Pr { pr, off }) => {
-                            HV::Pr {
-                                pr,
-                                off: off + c as i64,
-                            }
-                        }
-                        _ => HV::Top,
-                    },
-                    AluOp::Sub if long => match (av, bv) {
-                        (HV::Const(x), HV::Const(y)) => HV::Const(x.wrapping_sub(y)),
-                        (HV::Pr { pr, off }, HV::Const(c)) => HV::Pr {
-                            pr,
-                            off: off - c as i64,
-                        },
-                        _ => HV::Top,
-                    },
-                    _ => HV::Top,
-                };
-                st.cmp = if alu == AluOp::Sub && long {
-                    Some((av, bv))
-                } else {
-                    None
-                };
-                st.set(dst, val);
-            }
-            MicroOp::ReadPr { num, dst } => {
-                let v = match st.eval(num) {
-                    HV::Const(n) => {
-                        if n == PrivReg::Trptr.number() {
-                            // A fresh pointer read starts a new protocol
-                            // round: a later advance is that round's own
-                            // linearization point.
-                            st.advanced = false;
-                        }
-                        HV::Pr { pr: n, off: 0 }
-                    }
-                    _ => HV::Top,
-                };
-                st.set(dst, v);
-            }
-            MicroOp::PhysRead => st.set(MicroReg::Mdr, HV::Top),
-            MicroOp::PhysWrite => self.hook_store(addr, st),
-            MicroOp::WritePr { num, src } => {
-                if st.eval(num) == HV::Const(PrivReg::Trptr.number()) {
-                    self.hook_advance(addr, st, src);
-                } else if st.eval(num) == HV::Const(PrivReg::Trlim.number()) {
-                    // Moving the bound invalidates the headroom proof
-                    // and every TRLIM-derived snapshot.
-                    for r in st.regs.iter_mut() {
-                        if matches!(r, HV::Pr { pr, .. } if *pr == PrivReg::Trlim.number()) {
-                            *r = HV::Top;
-                        }
-                    }
-                    st.checked = 0;
-                    st.cmp = None;
-                }
-            }
-            MicroOp::Halt => {
-                // The buffer-full drain window: the host may reset TRPTR
-                // while the engine is halted, so every pointer snapshot,
-                // the headroom proof and the stored-longword evidence
-                // are stale on resume.
-                for r in st.regs.iter_mut() {
-                    if matches!(r, HV::Pr { pr, .. } if *pr == PrivReg::Trptr.number()) {
-                        *r = HV::Top;
-                    }
-                }
-                st.checked = 0;
-                st.stored = 0;
-                st.cmp = None;
-            }
-            _ => {}
+/// Obligations (a) and (b): the atomicity pass as a client of the hook
+/// walker, with every `Halt` a drain window.
+impl hook::Client for Analysis<'_> {
+    const HALT_DRAINS: bool = true;
+
+    /// Obligation (a): no fault window over live hook state. A fault
+    /// diverts into the (hooked) exception dispatch, whose hook clobbers
+    /// the patch scratch and the saved MAR/MDR this hook still needs.
+    fn word(&mut self, addr: u32, op: MicroOp, st: &State) {
+        if cfg::can_fault(op) {
+            let live: Vec<String> = (0..8)
+                .filter(|&i| st.regs[i] != AbsVal::Top)
+                .map(|i| format!("p{i}"))
+                .collect();
+            let live = if live.is_empty() {
+                "the patch scratch".to_string()
+            } else {
+                format!("live patch scratch ({})", live.join(", "))
+            };
+            self.sink.emit(
+                addr,
+                Severity::Error,
+                format!(
+                    "fault-permissible point inside a hook: a fault here re-enters the trace hooks and clobbers {live} and the saved mar/mdr"
+                ),
+            );
+        } else if op == MicroOp::DecodeNext {
+            self.sink.emit(
+                addr,
+                Severity::Error,
+                "instruction boundary inside a hook opens an interrupt window over live patch scratch".into(),
+            );
         }
     }
 
     /// A physical store inside a hook must land in the proven record
     /// window at `TRPTR` — before the advance — or in the spill line at
     /// `TRLIM` (which is then checked for cross-routine conflicts).
-    fn hook_store(&mut self, addr: u32, st: &mut HState) {
-        match st.regs[8] {
-            HV::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
+    fn store(&mut self, addr: u32, st: &mut State) {
+        match st.eval(MicroReg::Mar) {
+            AbsVal::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
                 if st.advanced {
-                    self.emit(
+                    self.sink.emit(
                         addr,
                         Severity::Error,
                         "record store after the trptr advance: the advance must be the hook's last record effect (single linearization point)".into(),
@@ -956,7 +745,7 @@ impl Analysis<'_> {
                         st.stored |= 1u32 << (off / 4);
                     }
                 } else {
-                    self.emit(
+                    self.sink.emit(
                         addr,
                         Severity::Error,
                         format!(
@@ -966,7 +755,7 @@ impl Analysis<'_> {
                     );
                 }
             }
-            HV::Pr { pr, off }
+            AbsVal::Pr { pr, off }
                 if pr == PrivReg::Trlim.number() && (0..=SPILL_LINE_BYTES - 4).contains(&off) =>
             {
                 let routine = self
@@ -979,12 +768,12 @@ impl Analysis<'_> {
                     writers.push((routine, addr));
                 }
             }
-            other => self.emit(
+            other => self.sink.emit(
                 addr,
                 Severity::Error,
                 format!(
                     "hook store through {} is outside the trace-pointer protocol (record window or spill line)",
-                    other.describe()
+                    other.describe(false)
                 ),
             ),
         }
@@ -994,23 +783,23 @@ impl Analysis<'_> {
     /// published pointer must be derived from the current round's
     /// pointer read, stay inside the proven headroom, and every record
     /// longword it publishes must have been stored on *every* path here.
-    fn hook_advance(&mut self, addr: u32, st: &mut HState, src: MicroReg) {
+    fn advance(&mut self, addr: u32, st: &State, src: MicroReg) {
         match st.eval(src) {
-            HV::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
+            AbsVal::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
                 if off <= 0 {
-                    self.emit(
+                    self.sink.emit(
                         addr,
                         Severity::Error,
                         format!("trptr advance by {off} bytes does not move the pointer past the record"),
                     );
                 } else if off % 4 != 0 {
-                    self.emit(
+                    self.sink.emit(
                         addr,
                         Severity::Error,
                         format!("trptr advance by {off} bytes is not longword-aligned"),
                     );
                 } else if off > st.checked {
-                    self.emit(
+                    self.sink.emit(
                         addr,
                         Severity::Error,
                         format!(
@@ -1022,7 +811,7 @@ impl Analysis<'_> {
                     let lw = off / 4;
                     let need = if lw >= 32 { u32::MAX } else { (1u32 << lw) - 1 };
                     if st.stored & need != need {
-                        self.emit(
+                        self.sink.emit(
                             addr,
                             Severity::Error,
                             format!(
@@ -1032,46 +821,14 @@ impl Analysis<'_> {
                     }
                 }
             }
-            other => self.emit(
+            other => self.sink.emit(
                 addr,
                 Severity::Error,
                 format!(
                     "trptr advanced to {}, which is not derived from the current trptr read",
-                    other.describe()
+                    other.describe(false)
                 ),
             ),
-        }
-        // The pointer moved: old-pointer snapshots and evidence are
-        // stale, and no further record store may follow this round.
-        for r in st.regs.iter_mut() {
-            if matches!(r, HV::Pr { pr, .. } if *pr == PrivReg::Trptr.number()) {
-                *r = HV::Top;
-            }
-        }
-        st.checked = 0;
-        st.stored = 0;
-        st.cmp = None;
-        st.advanced = true;
-    }
-
-    fn check_spill_conflicts(&mut self) {
-        let conflicts: Vec<(i64, Vec<(String, u32)>)> = self
-            .spill_writers
-            .iter()
-            .filter(|(_, v)| v.len() > 1)
-            .map(|(&off, v)| (off, v.clone()))
-            .collect();
-        for (off, writers) in conflicts {
-            let names: Vec<&str> = writers.iter().map(|(n, _)| n.as_str()).collect();
-            let addr = writers.last().expect("non-empty").1;
-            self.emit(
-                addr,
-                Severity::Error,
-                format!(
-                    "spill-line scratch at trlim{off:+} is written by {} — nested hooks would clobber each other's saved state",
-                    names.join(" and ")
-                ),
-            );
         }
     }
 }
@@ -1153,111 +910,5 @@ fn av_eval(st: &[Av], r: MicroReg) -> Av {
 fn av_set(st: &mut [Av], r: MicroReg, v: Av) {
     if let Some(i) = av_slot(r) {
         st[i] = v;
-    }
-}
-
-// ---- abstract values and state for the hook protocol walk ----
-
-/// Abstract value in the hook walk: same derivation lattice as the
-/// transparency pass (`Init` marks the caller's live value at hook
-/// entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HV {
-    Top,
-    Const(u32),
-    Init(MicroReg),
-    Pr { pr: u32, off: i64 },
-}
-
-impl HV {
-    fn join(self, other: HV) -> HV {
-        if self == other {
-            self
-        } else {
-            HV::Top
-        }
-    }
-
-    fn describe(self) -> String {
-        match self {
-            HV::Top => "an unknown value".into(),
-            HV::Const(c) => format!("constant {c:#x}"),
-            HV::Init(r) => format!("the caller's {r}"),
-            HV::Pr { pr, off } => match PrivReg::from_number(pr) {
-                Some(p) => format!("{}{off:+}", p.mnemonic()),
-                None => format!("pr[{pr}]{off:+}"),
-            },
-        }
-    }
-}
-
-/// Tracked hook registers: `P0`–`P7`, `MAR`, `MDR`.
-fn hook_slot(r: MicroReg) -> Option<usize> {
-    match r {
-        MicroReg::P(n) if n < 8 => Some(n as usize),
-        MicroReg::Mar => Some(8),
-        MicroReg::Mdr => Some(9),
-        _ => None,
-    }
-}
-
-/// Abstract state along one path through a hook.
-#[derive(Debug, Clone, PartialEq)]
-struct HState {
-    regs: [HV; 10],
-    /// Operands of the last `Sub` (micro-carry = borrow = `a < b`).
-    cmp: Option<(HV, HV)>,
-    /// Headroom proven *in this protocol round*: `TRLIM − TRPTR ≥
-    /// checked` held at the last carry test, with no drain window since.
-    checked: i64,
-    /// Record longwords (relative to the round's pointer read) written
-    /// on every path reaching this point.
-    stored: u32,
-    /// Whether this round's `TRPTR` advance has already happened.
-    advanced: bool,
-}
-
-impl HState {
-    fn entry() -> HState {
-        let mut regs = [HV::Top; 10];
-        regs[8] = HV::Init(MicroReg::Mar);
-        regs[9] = HV::Init(MicroReg::Mdr);
-        HState {
-            regs,
-            cmp: None,
-            checked: 0,
-            stored: 0,
-            advanced: false,
-        }
-    }
-
-    fn join(&self, other: &HState) -> HState {
-        let mut regs = [HV::Top; 10];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = self.regs[i].join(other.regs[i]);
-        }
-        HState {
-            regs,
-            cmp: match (self.cmp, other.cmp) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-            checked: self.checked.min(other.checked),
-            stored: self.stored & other.stored,
-            advanced: self.advanced || other.advanced,
-        }
-    }
-
-    fn eval(&self, r: MicroReg) -> HV {
-        match r {
-            MicroReg::Imm(v) => HV::Const(v),
-            _ => hook_slot(r).map_or(HV::Top, |i| self.regs[i]),
-        }
-    }
-
-    fn set(&mut self, r: MicroReg, v: HV) {
-        if let Some(i) = hook_slot(r) {
-            self.regs[i] = v;
-        }
     }
 }

@@ -37,16 +37,11 @@
 //! real 8200 they widen the envelope (see `EXPERIMENTS.md`).
 
 use crate::cfg::{self, SymbolMap};
-use crate::transparency::{detect_hooks, Hook, HookSlot};
+use crate::hook::{detect_hooks, Hook, HookSlot, MAX_CALL_DEPTH};
 use crate::{Finding, Pass, Severity};
 use atum_arch::{Opcode, PrivReg};
 use atum_ucode::{cost as ucost, AluOp, ControlStore, Entry, MicroCond, MicroOp, MicroReg, Target};
 use std::collections::HashMap;
-
-/// Micro-call depth bound inside an analyzed routine (matches the
-/// transparency pass; the real micro-stack is far deeper, but a patch
-/// nesting further than this is a runaway).
-const MAX_CALL_DEPTH: usize = 8;
 
 /// Inclusive best/worst-case micro-cycle bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,6 +14,12 @@
 //! * [`dataflow`] — def-use over [`MicroReg`]: reads of never-written
 //!   micro-temporaries, dead writes, and the "stock microcode never
 //!   touches `P0`–`P7`" reservation the patches depend on;
+//! * [`hook`] — hook detection and the one hook walker: an abstract
+//!   interpreter over each installed hook's closure that tracks how
+//!   `P0`–`P7`, `MAR` and `MDR` were derived and what headroom a
+//!   `TRLIM`/`TRPTR` carry test proved, follows only the edges inside
+//!   the hook's routines, and hands every other edge to its client pass
+//!   (`transparency` and `atomicity` are its two clients);
 //! * [`transparency`] — the ATUM-specific verifier: each installed patch
 //!   routine writes only patch scratch (`P0`–`P7`) and the saved-and-
 //!   restored `MAR`/`MDR`, its memory stores are physical stores whose
@@ -58,11 +64,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod atomicity;
 pub mod cfg;
 pub mod cost;
 pub mod dataflow;
+pub mod hook;
 pub mod lowering;
 pub mod structural;
 pub mod svx;
@@ -191,12 +199,17 @@ pub mod lint {
     use atum_ucode::ControlStore;
 
     /// Fully deterministic report order: pass, then symbol, then
-    /// address. Pass-internal iteration order can never leak into the
-    /// report this way, which is what lets the verify output be golden-
-    /// pinned.
+    /// address, then message. The key is total, so pass-internal
+    /// iteration order can never leak into the report, which is what
+    /// lets the verify output be golden-pinned.
     fn sort(mut out: Vec<Finding>) -> Vec<Finding> {
         out.sort_by(|a, b| {
-            (a.pass as u8, &a.symbol, a.addr).cmp(&(b.pass as u8, &b.symbol, b.addr))
+            (a.pass as u8, &a.symbol, a.addr, &a.message).cmp(&(
+                b.pass as u8,
+                &b.symbol,
+                b.addr,
+                &b.message,
+            ))
         });
         out
     }

@@ -6,12 +6,10 @@
 //! and the displaced stock routine still runs. This pass proves that
 //! statically for every installed hook:
 //!
-//! * **hook detection** — any entry slot, opcode-dispatch slot or
-//!   specifier-dispatch slot pointing into the patch region
-//!   (`addr >= stock_len`) is an installed hook. The displaced stock
-//!   target is recovered from the store's own symbol table
-//!   ([`Entry::symbol`] for entry hooks, the `i.<mnemonic>` convention
-//!   for opcode hooks);
+//! * **hook detection** — every slot pointing into the patch region is
+//!   an installed hook ([`detect_hooks`](crate::hook::detect_hooks)),
+//!   and the pass walks each hook's closure with the shared
+//!   [hook walker](crate::hook);
 //! * **write discipline** — every word reachable from a hook writes only
 //!   patch scratch (`P0`–`P7`) and `MAR`/`MDR`, never sets architectural
 //!   condition codes, never moves the PC or the operand-size latch, and
@@ -20,16 +18,21 @@
 //! * **no virtual memory traffic** — a virtual load or store can fault
 //!   mid-patch, which would be architecturally visible; patches must use
 //!   the physical transfers;
-//! * **store bounds** — a small abstract interpreter tracks how each
-//!   `MAR` value is derived (`TRPTR`-relative, `TRLIM`-relative,
-//!   constant, caller-saved, unknown) and whether a `TRLIM − (TRPTR+k)`
-//!   borrow check dominates the store; a physical store is accepted only
-//!   inside the checked record window at `TRPTR` or inside the reserved
-//!   spill line at `TRLIM`;
+//! * **store bounds** — the walker tracks how each `MAR` value is
+//!   derived (`TRPTR`-relative, `TRLIM`-relative, constant, caller-saved,
+//!   unknown) and whether a `TRLIM − (TRPTR+k)` borrow check dominates
+//!   the store, with no write to `TRPTR` or `TRLIM` since; a physical
+//!   store is accepted only inside the checked record window at `TRPTR`
+//!   or inside the reserved spill line at `TRLIM`. A `Halt` here is a
+//!   pause an undisturbed run resumes from, so proofs survive it (the
+//!   atomicity pass treats it as a drain window instead);
 //! * **rejoin** — every terminating path leaves the patch through a jump
 //!   to the hooked slot's original stock target, and (for the transfer
 //!   hooks, which run with a live datapath) with `MAR`/`MDR` provably
-//!   restored to the caller's values.
+//!   restored to the caller's values. Every edge the walker does not
+//!   follow — a jump into another routine, a fall off the end, a call
+//!   out of the patch region, a return to the micro-caller — is a
+//!   finding.
 //!
 //! What this pass deliberately cannot prove: timing (the ATUM slowdown
 //! is a measured quantity), the engine's micro-op semantics themselves,
@@ -38,630 +41,24 @@
 //! silently trusted — the verifier is conservative by construction).
 
 use crate::cfg::SymbolMap;
+use crate::hook::{self, AbsVal, Client, Edge, Hook, Sink, State, RECORD_BYTES, SPILL_LINE_BYTES};
 use crate::{Finding, Pass, Severity};
-use atum_arch::{Opcode, PrivReg};
-use atum_ucode::{AluOp, CcEffect, ControlStore, Entry, MicroCond, MicroOp, MicroReg, Target};
-use std::collections::{HashMap, HashSet};
-
-/// Bytes of each trace record (two longwords).
-const RECORD_BYTES: i64 = 8;
-/// Bytes of the reserved spill scratch line at `TRLIM` (eight longwords;
-/// the tracer reserves them when a spill-style patch is installed).
-const SPILL_LINE_BYTES: i64 = 32;
-/// Micro-call depth bound inside a patch (the real micro-stack is
-/// shallow; anything deeper is a runaway).
-const MAX_CALL_DEPTH: usize = 8;
-
-/// Which patchable slot a hook occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HookSlot {
-    /// An entry-table slot.
-    Entry(Entry),
-    /// An opcode-dispatch slot.
-    Opcode(u8),
-    /// A specifier-dispatch slot (table, high nibble).
-    Spec(atum_ucode::SpecTable, u8),
-}
-
-/// An installed hook: a patchable slot re-pointed into the patch region.
-#[derive(Debug, Clone)]
-pub struct Hook {
-    /// The slot, in typed form (the cost pass keys per-reference-class
-    /// weighting off this).
-    pub slot: HookSlot,
-    /// Human description of the slot (`entry XferRead`, `opcode ldpctx`).
-    pub desc: String,
-    /// Patch-region address the slot points at.
-    pub patch_addr: u32,
-    /// The displaced stock target, when it can be recovered from the
-    /// symbol table.
-    pub expected: Option<u32>,
-    /// Name of the displaced stock routine (for messages).
-    pub expected_name: String,
-    /// Whether the hook runs with a live datapath, requiring `MAR`/`MDR`
-    /// to be provably restored at the rejoin (true for the transfer
-    /// hooks, which are micro-called mid-instruction).
-    pub restore_datapath: bool,
-}
-
-/// Finds every slot currently pointing into the patch region.
-pub fn detect_hooks(cs: &ControlStore) -> Vec<Hook> {
-    let stock_len = cs.stock_len();
-    let mut out = Vec::new();
-    for e in Entry::ALL {
-        let t = cs.entry(e);
-        if t >= stock_len && t < cs.len() {
-            out.push(Hook {
-                slot: HookSlot::Entry(e),
-                desc: format!("entry {e:?}"),
-                patch_addr: t,
-                expected: cs.symbol(e.symbol()),
-                expected_name: e.symbol().to_string(),
-                restore_datapath: matches!(
-                    e,
-                    Entry::XferRead | Entry::XferWrite | Entry::XferIFetch
-                ),
-            });
-        }
-    }
-    for b in 0..=255u8 {
-        let t = cs.opcode_target(b);
-        if t >= stock_len && t < cs.len() {
-            let (expected, name) = match Opcode::from_byte(b) {
-                Some(op) => {
-                    let sym = format!("i.{}", op.mnemonic());
-                    (cs.symbol(&sym), sym)
-                }
-                None => (Some(cs.fault_addr()), "<reserved-instruction fault>".into()),
-            };
-            out.push(Hook {
-                slot: HookSlot::Opcode(b),
-                desc: format!("opcode {b:#04x}"),
-                patch_addr: t,
-                expected,
-                expected_name: name,
-                restore_datapath: false,
-            });
-        }
-    }
-    for table in [
-        atum_ucode::SpecTable::Read,
-        atum_ucode::SpecTable::Write,
-        atum_ucode::SpecTable::Modify,
-        atum_ucode::SpecTable::Addr,
-    ] {
-        for nibble in 0..16u8 {
-            let t = cs.spec_target(table, nibble);
-            if t >= stock_len && t < cs.len() {
-                out.push(Hook {
-                    slot: HookSlot::Spec(table, nibble),
-                    desc: format!("spec {table:?}/{nibble:#x}"),
-                    patch_addr: t,
-                    expected: None,
-                    expected_name: "the stock specifier flow".into(),
-                    restore_datapath: false,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Abstract value: how a datapath register's contents were derived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AbsVal {
-    /// Unknown.
-    Top,
-    /// A known constant.
-    Const(u32),
-    /// The hook caller's value of the given register (live at entry).
-    Init(MicroReg),
-    /// A snapshot of privileged register `pr` plus a byte offset.
-    Pr { pr: u32, off: i64 },
-}
-
-impl AbsVal {
-    fn join(self, other: AbsVal) -> AbsVal {
-        if self == other {
-            self
-        } else {
-            AbsVal::Top
-        }
-    }
-
-    fn describe(self) -> String {
-        match self {
-            AbsVal::Top => "an unknown address".into(),
-            AbsVal::Const(c) => format!("constant address {c:#x}"),
-            AbsVal::Init(r) => format!("the caller's {r}"),
-            AbsVal::Pr { pr, off } => match PrivReg::from_number(pr) {
-                Some(p) => format!("{}{off:+}", p.mnemonic()),
-                None => format!("pr[{pr}]{off:+}"),
-            },
-        }
-    }
-}
-
-/// Tracked registers: `P0`–`P7`, `MAR`, `MDR`.
-fn slot(r: MicroReg) -> Option<usize> {
-    match r {
-        MicroReg::P(n) if n < 8 => Some(n as usize),
-        MicroReg::Mar => Some(8),
-        MicroReg::Mdr => Some(9),
-        _ => None,
-    }
-}
-
-/// Abstract machine state along one path through the patch.
-#[derive(Debug, Clone, PartialEq)]
-struct State {
-    regs: [AbsVal; 10],
-    /// Operands of the last `Sub` (micro-carry = borrow = `a < b`).
-    cmp: Option<(AbsVal, AbsVal)>,
-    /// Proven headroom: `TRLIM − TRPTR ≥ checked` holds on this path.
-    checked: i64,
-}
-
-impl State {
-    fn entry() -> State {
-        let mut regs = [AbsVal::Top; 10];
-        regs[8] = AbsVal::Init(MicroReg::Mar);
-        regs[9] = AbsVal::Init(MicroReg::Mdr);
-        State {
-            regs,
-            cmp: None,
-            checked: 0,
-        }
-    }
-
-    fn join(&self, other: &State) -> State {
-        let mut regs = [AbsVal::Top; 10];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = self.regs[i].join(other.regs[i]);
-        }
-        State {
-            regs,
-            cmp: match (self.cmp, other.cmp) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-            checked: self.checked.min(other.checked),
-        }
-    }
-
-    fn eval(&self, r: MicroReg) -> AbsVal {
-        match r {
-            MicroReg::Imm(v) => AbsVal::Const(v),
-            _ => slot(r).map_or(AbsVal::Top, |i| self.regs[i]),
-        }
-    }
-
-    fn set(&mut self, r: MicroReg, v: AbsVal) {
-        if let Some(i) = slot(r) {
-            self.regs[i] = v;
-        }
-    }
-}
-
-/// A call frame: the routine extent being executed and, for callees, the
-/// return address in the caller.
-type Frame = (u32, u32, Option<u32>);
+use atum_arch::PrivReg;
+use atum_ucode::{CcEffect, ControlStore, MicroOp, MicroReg};
 
 /// Runs the transparency verifier over every detected hook.
 pub fn check(cs: &ControlStore) -> Vec<Finding> {
     let map = SymbolMap::new(cs);
-    let mut v = Verifier {
-        cs,
-        map: &map,
-        stock_len: cs.stock_len(),
-        findings: Vec::new(),
-        emitted: HashSet::new(),
-    };
-    for hook in detect_hooks(cs) {
-        v.verify_hook(&hook);
-    }
-    v.findings.sort_by_key(|f| f.addr);
-    v.findings
-}
-
-struct Verifier<'a> {
-    cs: &'a ControlStore,
-    map: &'a SymbolMap,
-    stock_len: u32,
-    findings: Vec<Finding>,
-    emitted: HashSet<(u32, String)>,
-}
-
-impl Verifier<'_> {
-    fn emit(&mut self, addr: u32, severity: Severity, message: String) {
-        if self.emitted.insert((addr, message.clone())) {
-            self.findings.push(Finding {
-                pass: Pass::Transparency,
-                severity,
-                symbol: self.map.name(addr),
-                addr,
-                message,
-            });
-        }
-    }
-
-    fn extent_of(&self, addr: u32) -> (u32, u32) {
-        let start = self.map.routine_start(addr).unwrap_or(addr);
-        let end = self.map.routine_end(start, self.cs.len());
-        (start, end)
-    }
-
-    /// Per-word legality: destinations, condition codes, privileged
-    /// writes, virtual memory traffic, architectural side effects.
-    fn check_word(&mut self, addr: u32, op: MicroOp) {
-        let bad_dst = |v: &mut Self, dst: MicroReg| {
-            if slot(dst).is_none() {
-                v.emit(
-                    addr,
-                    Severity::Error,
-                    format!("patch writes {dst}, which is architecturally visible state"),
-                );
-            }
+    let mut sink = Sink::new(&map, Pass::Transparency);
+    for hook in hook::detect_hooks(cs) {
+        let mut v = Verifier {
+            sink: &mut sink,
+            hook: &hook,
+            rejoined: false,
         };
-        match op {
-            MicroOp::Mov { dst, .. } => bad_dst(self, dst),
-            MicroOp::Alu { dst, cc, .. } => {
-                bad_dst(self, dst);
-                if cc != CcEffect::None {
-                    self.emit(
-                        addr,
-                        Severity::Error,
-                        format!("patch ALU op sets architectural condition codes (cc {cc:?})"),
-                    );
-                }
-            }
-            MicroOp::ReadPr { dst, .. } => bad_dst(self, dst),
-            MicroOp::WritePr { num, src: _ } => {
-                let ok = matches!(
-                    num,
-                    MicroReg::Imm(n) if [
-                        PrivReg::Trctl.number(),
-                        PrivReg::Trbase.number(),
-                        PrivReg::Trptr.number(),
-                        PrivReg::Trlim.number(),
-                    ]
-                    .contains(&n)
-                );
-                if !ok {
-                    let which = match num {
-                        MicroReg::Imm(n) => PrivReg::from_number(n)
-                            .map(|p| p.mnemonic().to_string())
-                            .unwrap_or_else(|| format!("pr[{n}]")),
-                        other => format!("a dynamically selected register ({other})"),
-                    };
-                    self.emit(
-                        addr,
-                        Severity::Error,
-                        format!("patch writes privileged register {which}; only the TR* trace registers are invisible to the OS"),
-                    );
-                }
-            }
-            MicroOp::SetSize(_) | MicroOp::SetSizeDyn(_) => self.emit(
-                addr,
-                Severity::Error,
-                "patch alters the operand-size latch the interrupted flow depends on".into(),
-            ),
-            MicroOp::Read { .. } => self.emit(
-                addr,
-                Severity::Error,
-                "virtual load in a patch can fault mid-instruction; use phys.read".into(),
-            ),
-            MicroOp::Write { .. } => self.emit(
-                addr,
-                Severity::Error,
-                "virtual store in a patch can fault and touches paged memory; use phys.write into the reserved region".into(),
-            ),
-            MicroOp::AdvancePc => self.emit(
-                addr,
-                Severity::Error,
-                "patch advances the architectural PC".into(),
-            ),
-            MicroOp::TbFlushAll | MicroOp::TbFlushProc => self.emit(
-                addr,
-                Severity::Warning,
-                "patch flushes the translation buffer (architecturally invisible but perturbs the machine being traced)".into(),
-            ),
-            _ => {}
-        }
-    }
-
-    /// Abstract transfer for the word's data effect.
-    fn apply(&mut self, addr: u32, op: MicroOp, st: &mut State) {
-        match op {
-            MicroOp::Mov { src, dst } => {
-                let v = st.eval(src);
-                st.set(dst, v);
-            }
-            MicroOp::Alu {
-                op: alu,
-                a,
-                b,
-                dst,
-                size,
-                ..
-            } => {
-                let av = st.eval(a);
-                let bv = st.eval(b);
-                let long = size == atum_arch::DataSize::Long;
-                let val = match alu {
-                    AluOp::Add if long => match (av, bv) {
-                        (AbsVal::Const(x), AbsVal::Const(y)) => AbsVal::Const(x.wrapping_add(y)),
-                        (AbsVal::Pr { pr, off }, AbsVal::Const(c))
-                        | (AbsVal::Const(c), AbsVal::Pr { pr, off }) => AbsVal::Pr {
-                            pr,
-                            off: off + c as i64,
-                        },
-                        _ => AbsVal::Top,
-                    },
-                    AluOp::Sub if long => match (av, bv) {
-                        (AbsVal::Const(x), AbsVal::Const(y)) => AbsVal::Const(x.wrapping_sub(y)),
-                        (AbsVal::Pr { pr, off }, AbsVal::Const(c)) => AbsVal::Pr {
-                            pr,
-                            off: off - c as i64,
-                        },
-                        _ => AbsVal::Top,
-                    },
-                    _ => AbsVal::Top,
-                };
-                st.cmp = if alu == AluOp::Sub && long {
-                    Some((av, bv))
-                } else {
-                    None
-                };
-                st.set(dst, val);
-            }
-            MicroOp::ReadPr { num, dst } => {
-                let v = match st.eval(num) {
-                    AbsVal::Const(n) => AbsVal::Pr { pr: n, off: 0 },
-                    _ => AbsVal::Top,
-                };
-                st.set(dst, v);
-            }
-            MicroOp::PhysRead => st.set(MicroReg::Mdr, AbsVal::Top),
-            MicroOp::PhysWrite => self.check_store(addr, st),
-            MicroOp::WritePr { num, .. }
-                if st.eval(num) == AbsVal::Const(PrivReg::Trptr.number()) =>
-            {
-                // The pointer moved: snapshots and the headroom proof
-                // refer to the old value.
-                for r in st.regs.iter_mut() {
-                    if matches!(r, AbsVal::Pr { pr, .. } if *pr == PrivReg::Trptr.number()) {
-                        *r = AbsVal::Top;
-                    }
-                }
-                st.checked = 0;
-            }
-            _ => {}
-        }
-    }
-
-    /// A physical store is accepted only inside the checked record
-    /// window at `TRPTR` or inside the reserved spill line at `TRLIM`.
-    fn check_store(&mut self, addr: u32, st: &State) {
-        let mar = st.regs[8];
-        let ok = match mar {
-            AbsVal::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
-                if st.checked >= RECORD_BYTES && (0..=st.checked - 4).contains(&off) {
-                    true
-                } else {
-                    self.emit(
-                        addr,
-                        Severity::Error,
-                        format!(
-                            "physical store at trptr{off:+} is not covered by a trlim bounds check (proven headroom: {} bytes)",
-                            st.checked
-                        ),
-                    );
-                    return;
-                }
-            }
-            AbsVal::Pr { pr, off }
-                if pr == PrivReg::Trlim.number() && (0..=SPILL_LINE_BYTES - 4).contains(&off) =>
-            {
-                true
-            }
-            _ => false,
-        };
-        if !ok {
-            self.emit(
-                addr,
-                Severity::Error,
-                format!(
-                    "physical store through {} is outside the reserved trace region",
-                    mar.describe()
-                ),
-            );
-        }
-    }
-
-    fn verify_hook(&mut self, hook: &Hook) {
-        let len = self.cs.len();
-        let base = self.extent_of(hook.patch_addr);
-        let mut states: HashMap<(Vec<Frame>, u32), State> = HashMap::new();
-        let mut work: Vec<(Vec<Frame>, u32)> = Vec::new();
-        let root_ctx = vec![(base.0, base.1, None)];
-        states.insert((root_ctx.clone(), hook.patch_addr), State::entry());
-        work.push((root_ctx, hook.patch_addr));
-        let mut rejoined = false;
-
-        // Propagate `state` to `(ctx, addr)`, re-queueing on change.
-        macro_rules! flow {
-            ($states:expr, $work:expr, $ctx:expr, $addr:expr, $state:expr) => {{
-                let key = ($ctx, $addr);
-                match $states.get(&key) {
-                    Some(old) => {
-                        let joined = old.join(&$state);
-                        if joined != *old {
-                            $states.insert(key.clone(), joined);
-                            $work.push(key);
-                        }
-                    }
-                    None => {
-                        $states.insert(key.clone(), $state);
-                        $work.push(key);
-                    }
-                }
-            }};
-        }
-
-        while let Some((ctx, addr)) = work.pop() {
-            let st0 = states[&(ctx.clone(), addr)].clone();
-            let op = self.cs.word(addr);
-            self.check_word(addr, op);
-            let (rstart, rend, _) = *ctx.last().expect("non-empty context");
-
-            // Non-control data effects (including the store check).
-            let mut st = st0.clone();
-            self.apply(addr, op, &mut st);
-
-            // Fall-through successor, shared by several arms below.
-            let fall = |v: &mut Self,
-                        states: &mut HashMap<(Vec<Frame>, u32), State>,
-                        work: &mut Vec<(Vec<Frame>, u32)>,
-                        state: State| {
-                let next = addr + 1;
-                if next >= rend || next < rstart {
-                    v.emit(
-                        addr,
-                        Severity::Error,
-                        format!(
-                            "patch falls through the end of {} without rejoining the stock flow",
-                            v.map.name(rstart)
-                        ),
-                    );
-                } else {
-                    flow!(states, work, ctx.clone(), next, state);
-                }
-            };
-
-            match op {
-                MicroOp::Jump(t) => {
-                    self.branch_edge(
-                        hook, t, addr, &ctx, rstart, rend, st, &mut states, &mut work,
-                        &mut rejoined,
-                    );
-                }
-                MicroOp::JumpIf { cond, target } => {
-                    // Refine the headroom proof on carry-test edges.
-                    let (mut taken, mut nottaken) = (st.clone(), st.clone());
-                    if let Some((a, b)) = st.cmp {
-                        if let (
-                            AbsVal::Pr { pr: pa, off: ao },
-                            AbsVal::Pr { pr: pb, off: bo },
-                        ) = (a, b)
-                        {
-                            if pa == PrivReg::Trlim.number() && pb == PrivReg::Trptr.number() {
-                                // carry ⇔ TRLIM+ao < TRPTR+bo; the no-borrow
-                                // side proves TRLIM − TRPTR ≥ bo − ao.
-                                let headroom = bo - ao;
-                                match cond {
-                                    MicroCond::UCarry => {
-                                        nottaken.checked = nottaken.checked.max(headroom)
-                                    }
-                                    MicroCond::UNoCarry => {
-                                        taken.checked = taken.checked.max(headroom)
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                    self.branch_edge(
-                        hook, target, addr, &ctx, rstart, rend, taken, &mut states, &mut work,
-                        &mut rejoined,
-                    );
-                    fall(self, &mut states, &mut work, nottaken);
-                }
-                MicroOp::Call(t) => match t {
-                    Target::Entry(e) => self.emit(
-                        addr,
-                        Severity::Error,
-                        format!("patch calls through patchable entry slot {e:?} (re-enters the patch)"),
-                    ),
-                    Target::Abs(tgt) if tgt < self.stock_len => self.emit(
-                        addr,
-                        Severity::Error,
-                        format!(
-                            "patch calls into stock microcode at {} (transparency unverifiable)",
-                            self.map.name(tgt)
-                        ),
-                    ),
-                    Target::Abs(tgt) if tgt >= len => self.emit(
-                        addr,
-                        Severity::Error,
-                        format!("call target {tgt:#06x} outside the store"),
-                    ),
-                    Target::Abs(tgt) => {
-                        if ctx.len() >= MAX_CALL_DEPTH {
-                            self.emit(
-                                addr,
-                                Severity::Error,
-                                "patch micro-call depth exceeds the verifier bound (runaway recursion?)"
-                                    .into(),
-                            );
-                        } else {
-                            let (cstart, cend) = self.extent_of(tgt);
-                            let mut cctx = ctx.clone();
-                            cctx.push((cstart, cend, Some(addr + 1)));
-                            flow!(&mut states, &mut work, cctx, tgt, st);
-                        }
-                    }
-                },
-                MicroOp::Ret => {
-                    let (.., ret) = *ctx.last().expect("non-empty context");
-                    match ret {
-                        Some(ret_addr) => {
-                            let mut rctx = ctx.clone();
-                            rctx.pop();
-                            let (prstart, prend, _) = *rctx.last().expect("caller frame");
-                            if ret_addr >= prend || ret_addr < prstart {
-                                self.emit(
-                                    addr,
-                                    Severity::Error,
-                                    format!(
-                                        "patch subroutine returns past the end of {}",
-                                        self.map.name(prstart)
-                                    ),
-                                );
-                            } else {
-                                flow!(&mut states, &mut work, rctx, ret_addr, st);
-                            }
-                        }
-                        None => self.emit(
-                            addr,
-                            Severity::Error,
-                            "patch returns to the micro-caller without running the displaced stock routine"
-                                .into(),
-                        ),
-                    }
-                }
-                MicroOp::DecodeNext => self.emit(
-                    addr,
-                    Severity::Error,
-                    "patch ends the architectural instruction (decode.next) instead of rejoining the stock flow"
-                        .into(),
-                ),
-                MicroOp::Fault(k) => self.emit(
-                    addr,
-                    Severity::Error,
-                    format!("patch raises a {k:?} fault, which is architecturally visible"),
-                ),
-                MicroOp::DispatchOpcode | MicroOp::DispatchSpec(_) => self.emit(
-                    addr,
-                    Severity::Error,
-                    "patch re-dispatches through a patchable table".into(),
-                ),
-                _ => fall(self, &mut states, &mut work, st),
-            }
-        }
-
-        if !rejoined {
-            self.emit(
+        hook::walk(cs, &map, hook.patch_addr, &mut v);
+        if !v.rejoined {
+            v.sink.emit(
                 hook.patch_addr,
                 Severity::Error,
                 format!(
@@ -671,89 +68,179 @@ impl Verifier<'_> {
             );
         }
     }
+    let mut findings = sink.findings;
+    findings.sort_by_key(|f| f.addr);
+    findings
+}
 
-    /// Handles a jump edge: rejoin into stock, intra-routine branch, or
-    /// escape.
-    #[allow(clippy::too_many_arguments)]
-    fn branch_edge(
-        &mut self,
-        hook: &Hook,
-        t: Target,
-        addr: u32,
-        ctx: &[Frame],
-        rstart: u32,
-        rend: u32,
-        state: State,
-        states: &mut HashMap<(Vec<Frame>, u32), State>,
-        work: &mut Vec<(Vec<Frame>, u32)>,
-        rejoined: &mut bool,
-    ) {
-        match t {
-            Target::Entry(e) => self.emit(
-                addr,
-                Severity::Error,
-                format!("patch jumps through patchable entry slot {e:?} (re-enters the patch)"),
-            ),
-            Target::Abs(tgt) if tgt < self.stock_len => {
-                // A rejoin into the stock flow.
-                match hook.expected {
-                    Some(e) if tgt == e => {
-                        *rejoined = true;
-                        if hook.restore_datapath
-                            && (state.regs[8] != AbsVal::Init(MicroReg::Mar)
-                                || state.regs[9] != AbsVal::Init(MicroReg::Mdr))
-                        {
-                            self.emit(
-                                addr,
-                                Severity::Error,
-                                format!(
-                                    "rejoins {} with unrestored datapath (mar = {}, mdr = {})",
-                                    hook.expected_name,
-                                    state.regs[8].describe(),
-                                    state.regs[9].describe()
-                                ),
-                            );
-                        }
-                    }
-                    Some(e) => self.emit(
-                        addr,
-                        Severity::Error,
-                        format!(
-                            "rejoins the stock flow at {} instead of the displaced {} ({e:#06x})",
-                            self.map.name(tgt),
-                            hook.expected_name
-                        ),
-                    ),
-                    None => *rejoined = true,
-                }
+/// The transparency pass over one hook, as a client of the hook walker.
+struct Verifier<'a, 'm> {
+    sink: &'a mut Sink<'m>,
+    hook: &'a Hook,
+    /// Whether some path rejoins the stock flow at the displaced routine.
+    rejoined: bool,
+}
+
+impl Client for Verifier<'_, '_> {
+    const HALT_DRAINS: bool = false;
+
+    /// Per-word legality: destinations, condition codes, privileged
+    /// writes, virtual memory traffic, architectural side effects, and
+    /// the exits that end or re-dispatch the micro-flow.
+    fn word(&mut self, addr: u32, op: MicroOp, _: &State) {
+        use Severity::{Error, Warning};
+        if let MicroOp::Mov { dst, .. } | MicroOp::Alu { dst, .. } | MicroOp::ReadPr { dst, .. } =
+            op
+        {
+            if hook::slot(dst).is_none() {
+                self.sink.emit(
+                    addr,
+                    Error,
+                    format!("patch writes {dst}, which is architecturally visible state"),
+                );
             }
-            Target::Abs(tgt) if tgt >= self.cs.len() => {
-                // Out-of-store: the structural pass reports it.
-            }
-            Target::Abs(tgt) if tgt >= rstart && tgt < rend => {
-                let key_ctx: Vec<Frame> = ctx.to_vec();
-                match states.get(&(key_ctx.clone(), tgt)) {
-                    Some(old) => {
-                        let joined = old.join(&state);
-                        if joined != *old {
-                            states.insert((key_ctx.clone(), tgt), joined);
-                            work.push((key_ctx, tgt));
-                        }
-                    }
-                    None => {
-                        states.insert((key_ctx.clone(), tgt), state);
-                        work.push((key_ctx, tgt));
-                    }
-                }
-            }
-            Target::Abs(tgt) => self.emit(
-                addr,
-                Severity::Error,
-                format!(
-                    "patch escapes its routine into {} without rejoining the stock flow",
-                    self.map.name(tgt)
-                ),
-            ),
         }
+        let (severity, message) = match op {
+            MicroOp::Alu { cc, .. } if cc != CcEffect::None => (
+                Error,
+                format!("patch ALU op sets architectural condition codes (cc {cc:?})"),
+            ),
+            MicroOp::WritePr { num, .. } => {
+                let which = match num {
+                    MicroReg::Imm(n) => match PrivReg::from_number(n) {
+                        Some(PrivReg::Trctl | PrivReg::Trbase | PrivReg::Trptr | PrivReg::Trlim) => {
+                            return
+                        }
+                        Some(p) => p.mnemonic().to_string(),
+                        None => format!("pr[{n}]"),
+                    },
+                    other => format!("a dynamically selected register ({other})"),
+                };
+                (
+                    Error,
+                    format!("patch writes privileged register {which}; only the TR* trace registers are invisible to the OS"),
+                )
+            }
+            MicroOp::SetSize(_) | MicroOp::SetSizeDyn(_) => (
+                Error,
+                "patch alters the operand-size latch the interrupted flow depends on".into(),
+            ),
+            MicroOp::Read { .. } => (
+                Error,
+                "virtual load in a patch can fault mid-instruction; use phys.read".into(),
+            ),
+            MicroOp::Write { .. } => (
+                Error,
+                "virtual store in a patch can fault and touches paged memory; use phys.write into the reserved region".into(),
+            ),
+            MicroOp::AdvancePc => (Error, "patch advances the architectural PC".into()),
+            MicroOp::TbFlushAll | MicroOp::TbFlushProc => (
+                Warning,
+                "patch flushes the translation buffer (architecturally invisible but perturbs the machine being traced)".into(),
+            ),
+            MicroOp::DecodeNext => (
+                Error,
+                "patch ends the architectural instruction (decode.next) instead of rejoining the stock flow".into(),
+            ),
+            MicroOp::Fault(k) => (
+                Error,
+                format!("patch raises a {k:?} fault, which is architecturally visible"),
+            ),
+            MicroOp::DispatchOpcode | MicroOp::DispatchSpec(_) => {
+                (Error, "patch re-dispatches through a patchable table".into())
+            }
+            _ => return,
+        };
+        self.sink.emit(addr, severity, message);
+    }
+
+    /// A physical store is accepted only inside the checked record
+    /// window at `TRPTR` or inside the reserved spill line at `TRLIM`.
+    fn store(&mut self, addr: u32, st: &mut State) {
+        let message = match st.eval(MicroReg::Mar) {
+            AbsVal::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
+                if st.checked >= RECORD_BYTES && (0..=st.checked - 4).contains(&off) {
+                    return;
+                }
+                format!(
+                    "physical store at trptr{off:+} is not covered by a trlim bounds check (proven headroom: {} bytes)",
+                    st.checked
+                )
+            }
+            AbsVal::Pr { pr, off }
+                if pr == PrivReg::Trlim.number() && (0..=SPILL_LINE_BYTES - 4).contains(&off) =>
+            {
+                return
+            }
+            mar => format!(
+                "physical store through {} is outside the reserved trace region",
+                mar.describe(true)
+            ),
+        };
+        self.sink.emit(addr, Severity::Error, message);
+    }
+
+    /// A rejoin, checked against the displaced routine and the datapath;
+    /// every other edge the walker does not follow is a finding.
+    fn edge(&mut self, addr: u32, edge: Edge, st: &State) {
+        let (map, hook) = (self.sink.map, self.hook);
+        let message = match edge {
+            Edge::Rejoin(t) => match hook.expected {
+                Some(e) if t == e => {
+                    self.rejoined = true;
+                    let (mar, mdr) = (st.eval(MicroReg::Mar), st.eval(MicroReg::Mdr));
+                    if !hook.restore_datapath
+                        || (mar == AbsVal::Init(MicroReg::Mar)
+                            && mdr == AbsVal::Init(MicroReg::Mdr))
+                    {
+                        return;
+                    }
+                    format!(
+                        "rejoins {} with unrestored datapath (mar = {}, mdr = {})",
+                        hook.expected_name,
+                        mar.describe(true),
+                        mdr.describe(true)
+                    )
+                }
+                Some(e) => format!(
+                    "rejoins the stock flow at {} instead of the displaced {} ({e:#06x})",
+                    map.name(t),
+                    hook.expected_name
+                ),
+                None => {
+                    self.rejoined = true;
+                    return;
+                }
+            },
+            Edge::Slot { entry, call } => format!(
+                "patch {} through patchable entry slot {entry:?} (re-enters the patch)",
+                if call { "calls" } else { "jumps" }
+            ),
+            Edge::Escape(t) => format!(
+                "patch escapes its routine into {} without rejoining the stock flow",
+                map.name(t)
+            ),
+            Edge::FallOff(start) => format!(
+                "patch falls through the end of {} without rejoining the stock flow",
+                map.name(start)
+            ),
+            Edge::CallStock(t) => format!(
+                "patch calls into stock microcode at {} (transparency unverifiable)",
+                map.name(t)
+            ),
+            Edge::CallOutside(t) => format!("call target {t:#06x} outside the store"),
+            Edge::TooDeep => {
+                "patch micro-call depth exceeds the verifier bound (runaway recursion?)".into()
+            }
+            Edge::RetPast(start) => format!(
+                "patch subroutine returns past the end of {}",
+                map.name(start)
+            ),
+            Edge::RetToCaller => {
+                "patch returns to the micro-caller without running the displaced stock routine"
+                    .into()
+            }
+        };
+        self.sink.emit(addr, Severity::Error, message);
     }
 }

@@ -811,6 +811,572 @@ fn headroom_reused_across_drain_window_is_caught() {
     );
 }
 
+// ── the hook walker: one seed per message ────────────────────────────
+
+fn mov(src: MicroReg, dst: MicroReg) -> MicroOp {
+    MicroOp::Mov { src, dst }
+}
+
+fn read_pr(pr: PrivReg, dst: MicroReg) -> MicroOp {
+    MicroOp::ReadPr {
+        num: MicroReg::Imm(pr.number()),
+        dst,
+    }
+}
+
+fn write_pr(pr: PrivReg, src: MicroReg) -> MicroOp {
+    MicroOp::WritePr {
+        num: MicroReg::Imm(pr.number()),
+        src,
+    }
+}
+
+fn jump(addr: u32) -> MicroOp {
+    MicroOp::Jump(Target::Abs(addr))
+}
+
+/// Appends `words` as routine `name` and points `XferRead` at it.
+fn hook_read(cs: &mut ControlStore, name: &str, words: Vec<MicroOp>) -> u32 {
+    let base = cs.append_routine(name, words);
+    cs.set_entry(Entry::XferRead, base);
+    base
+}
+
+/// One expected finding: pass, severity, symbol, the finding's address
+/// as an offset from the seed's first word, message.
+type Pinned<'a> = (Pass, Severity, &'a str, i64, &'a str);
+
+/// A seeded hook and every finding the two hook passes report for it.
+struct Seed {
+    /// Appends the seed to a patched store and hooks it; gets the stock
+    /// `xfer.read` and returns the seed's first word.
+    build: fn(&mut ControlStore, u32) -> u32,
+    transparency: &'static [Pinned<'static>],
+    atomicity: &'static [Pinned<'static>],
+}
+
+/// Renders findings one per line, sorted, in the syntax of [`Pinned`],
+/// so a drifted list can be pasted back into the table.
+fn render<'a>(findings: impl Iterator<Item = Pinned<'a>>) -> Vec<String> {
+    let mut lines: Vec<String> = findings
+        .map(|(pass, severity, symbol, off, message)| {
+            format!("(Pass::{pass:?}, Severity::{severity:?}, {symbol:?}, {off}, {message:?}),")
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Every message of the hook walker's two clients that no other test
+/// pins, each from one seeded hook, with the full finding list of both
+/// passes (the store-after-advance seed shows why that one message
+/// cannot fire).
+#[test]
+fn hook_walker_messages_are_pinned() {
+    use atum_ucode::FaultKind;
+    let seeds: [Seed; 24] = [
+        // transparency: writes
+        Seed {
+            build: |cs, rd| {
+                hook_read(
+                    cs,
+                    "evil.prwrite",
+                    vec![write_pr(PrivReg::Ipl, MicroReg::Imm(31)), jump(rd)],
+                )
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.prwrite", 0, "patch writes privileged register ipl; only the TR* trace registers are invisible to the OS"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                hook_read(
+                    cs,
+                    "evil.setsize",
+                    vec![MicroOp::SetSize(DataSize::Byte), jump(rd)],
+                )
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.setsize", 0, "patch alters the operand-size latch the interrupted flow depends on"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                let read = MicroOp::Read {
+                    class: RefClass::DataRead,
+                    size: SizeSel::Fixed(DataSize::Long),
+                };
+                hook_read(cs, "evil.vload", vec![read, jump(rd)])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.vload", 0, "virtual load in a patch can fault mid-instruction; use phys.read"),
+            ],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.vload", 0, "fault-permissible point inside a hook: a fault here re-enters the trace hooks and clobbers the patch scratch and the saved mar/mdr"),
+            ],
+        },
+        Seed {
+            build: |cs, rd| {
+                let write = MicroOp::Write {
+                    size: SizeSel::Fixed(DataSize::Long),
+                };
+                hook_read(cs, "evil.vstore", vec![write, jump(rd)])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.vstore", 0, "virtual store in a patch can fault and touches paged memory; use phys.write into the reserved region"),
+            ],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.vstore", 0, "fault-permissible point inside a hook: a fault here re-enters the trace hooks and clobbers the patch scratch and the saved mar/mdr"),
+            ],
+        },
+        Seed {
+            build: |cs, rd| hook_read(cs, "evil.advpc", vec![MicroOp::AdvancePc, jump(rd)]),
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.advpc", 0, "patch advances the architectural PC"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| hook_read(cs, "evil.tbflush", vec![MicroOp::TbFlushAll, jump(rd)]),
+            transparency: &[
+                (Pass::Transparency, Severity::Warning, "evil.tbflush", 0, "patch flushes the translation buffer (architecturally invisible but perturbs the machine being traced)"),
+            ],
+            atomicity: &[],
+        },
+        // transparency: falls through, entry slots, calls, returns
+        Seed {
+            build: |cs, _| hook_read(cs, "evil.fallout", vec![mov(MicroReg::Mar, MicroReg::P(0))]),
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.fallout", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.fallout", 0, "patch falls through the end of evil.fallout without rejoining the stock flow"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, _| {
+                hook_read(
+                    cs,
+                    "evil.jumpslot",
+                    vec![MicroOp::Jump(Target::Entry(Entry::XferWrite))],
+                )
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.jumpslot", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.jumpslot", 0, "patch jumps through patchable entry slot XferWrite (re-enters the patch)"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                let call = MicroOp::Call(Target::Entry(Entry::XferWrite));
+                hook_read(cs, "evil.callslot", vec![call, jump(rd)])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.callslot", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.callslot", 0, "patch calls through patchable entry slot XferWrite (re-enters the patch)"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                let call = MicroOp::Call(Target::Abs(rd));
+                hook_read(cs, "evil.callstock", vec![call, jump(rd)])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.callstock", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.callstock", 0, "patch calls into stock microcode at xfer.read (transparency unverifiable)"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                let call = MicroOp::Call(Target::Abs(0xFFFF));
+                hook_read(cs, "evil.callwild", vec![call, jump(rd)])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.callwild", 0, "call target 0xffff outside the store"),
+                (Pass::Transparency, Severity::Error, "evil.callwild", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                let base = cs.len();
+                let call = MicroOp::Call(Target::Abs(base));
+                hook_read(cs, "evil.deep", vec![call, jump(rd)])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.deep", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.deep", 0, "patch micro-call depth exceeds the verifier bound (runaway recursion?)"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, _| {
+                let base = cs.len();
+                let call = MicroOp::Call(Target::Abs(base + 1));
+                hook_read(cs, "evil.retpast", vec![call]);
+                cs.append_routine("evil.retsub", vec![MicroOp::Ret]);
+                base
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.retpast", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.retsub", 1, "patch subroutine returns past the end of evil.retpast"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, _| hook_read(cs, "evil.retroot", vec![MicroOp::Ret]),
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.retroot", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.retroot", 0, "patch returns to the micro-caller without running the displaced stock routine"),
+            ],
+            atomicity: &[],
+        },
+        // transparency: other control
+        Seed {
+            build: |cs, _| {
+                let fault = MicroOp::Fault(FaultKind::ReservedOperand);
+                hook_read(cs, "evil.fault", vec![fault])
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.fault", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.fault", 0, "patch raises a ReservedOperand fault, which is architecturally visible"),
+            ],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.fault", 0, "fault-permissible point inside a hook: a fault here re-enters the trace hooks and clobbers the patch scratch and the saved mar/mdr"),
+            ],
+        },
+        Seed {
+            build: |cs, _| hook_read(cs, "evil.dispatch", vec![MicroOp::DispatchOpcode]),
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.dispatch", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.dispatch", 0, "patch re-dispatches through a patchable table"),
+            ],
+            atomicity: &[],
+        },
+        // transparency: rejoin
+        Seed {
+            build: |cs, rd| {
+                hook_read(
+                    cs,
+                    "evil.dirtymar",
+                    vec![mov(MicroReg::Imm(0x200), MicroReg::Mar), jump(rd)],
+                )
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.dirtymar+1", 1, "rejoins xfer.read with unrestored datapath (mar = constant address 0x200, mdr = the caller's mdr)"),
+            ],
+            atomicity: &[],
+        },
+        Seed {
+            build: |cs, rd| {
+                let base = cs.len();
+                hook_read(
+                    cs,
+                    "evil.escape",
+                    vec![mov(MicroReg::Mar, MicroReg::P(0)), jump(base + 2)],
+                );
+                cs.append_routine(
+                    "evil.landing",
+                    vec![mov(MicroReg::P(0), MicroReg::Mar), jump(rd)],
+                );
+                base
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.escape", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.escape+1", 1, "patch escapes its routine into evil.landing without rejoining the stock flow"),
+            ],
+            atomicity: &[],
+        },
+        // atomicity
+        Seed {
+            build: |cs, _| hook_read(cs, "evil.boundary", vec![MicroOp::DecodeNext]),
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.boundary", 0, "entry XferRead: no path rejoins the stock flow at the displaced xfer.read"),
+                (Pass::Transparency, Severity::Error, "evil.boundary", 0, "patch ends the architectural instruction (decode.next) instead of rejoining the stock flow"),
+            ],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.boundary", 0, "instruction boundary inside a hook opens an interrupt window over live patch scratch"),
+            ],
+        },
+        Seed {
+            // A full record, the advance, then a second store through the
+            // second longword's address. The advance forgets every TRPTR
+            // snapshot, so that store goes through an unknown value:
+            // "record store after the trptr advance" never fires, since a
+            // store through a live snapshot needs a TRPTR read after the
+            // advance, and that read opens a new round.
+            build: |cs, rd| {
+                let base = cs.len();
+                let (p0, p2, p4) = (MicroReg::P(0), MicroReg::P(2), MicroReg::P(4));
+                hook_read(
+                    cs,
+                    "evil.afteradvance",
+                    vec![
+                        mov(MicroReg::Mar, p0),
+                        mov(MicroReg::Mdr, MicroReg::P(6)),
+                        read_pr(PrivReg::Trptr, p2),
+                        read_pr(PrivReg::Trlim, MicroReg::P(3)),
+                        alu(AluOp::Add, p2, MicroReg::Imm(8), p4),
+                        alu(AluOp::Sub, MicroReg::P(3), p4, MicroReg::P(7)),
+                        MicroOp::JumpIf {
+                            cond: MicroCond::UCarry,
+                            target: Target::Abs(base + 14),
+                        },
+                        mov(p2, MicroReg::Mar),
+                        mov(p0, MicroReg::Mdr),
+                        MicroOp::PhysWrite,
+                        alu(AluOp::Add, p2, MicroReg::Imm(4), MicroReg::Mar),
+                        MicroOp::PhysWrite,
+                        write_pr(PrivReg::Trptr, p4),
+                        MicroOp::PhysWrite,
+                        mov(p0, MicroReg::Mar),
+                        mov(MicroReg::P(6), MicroReg::Mdr),
+                        jump(rd),
+                    ],
+                )
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.afteradvance+13", 13, "physical store through an unknown address is outside the reserved trace region"),
+            ],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.afteradvance+13", 13, "hook store through an unknown value is outside the trace-pointer protocol (record window or spill line)"),
+            ],
+        },
+        Seed {
+            build: |cs, rd| {
+                hook_read(
+                    cs,
+                    "evil.noheadroom",
+                    vec![
+                        mov(MicroReg::Mar, MicroReg::P(0)),
+                        read_pr(PrivReg::Trptr, MicroReg::P(2)),
+                        mov(MicroReg::P(2), MicroReg::Mar),
+                        MicroOp::PhysWrite,
+                        mov(MicroReg::P(0), MicroReg::Mar),
+                        jump(rd),
+                    ],
+                )
+            },
+            transparency: &[
+                (Pass::Transparency, Severity::Error, "evil.noheadroom+3", 3, "physical store at trptr+0 is not covered by a trlim bounds check (proven headroom: 0 bytes)"),
+            ],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.noheadroom+3", 3, "record store at trptr+0 is not covered by headroom proven since the last drain window (proven: 0 bytes)"),
+            ],
+        },
+        Seed {
+            build: |cs, rd| {
+                hook_read(
+                    cs,
+                    "evil.stayput",
+                    vec![
+                        read_pr(PrivReg::Trptr, MicroReg::P(2)),
+                        write_pr(PrivReg::Trptr, MicroReg::P(2)),
+                        jump(rd),
+                    ],
+                )
+            },
+            transparency: &[],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.stayput+1", 1, "trptr advance by 0 bytes does not move the pointer past the record"),
+            ],
+        },
+        Seed {
+            build: |cs, rd| {
+                let (p2, p4) = (MicroReg::P(2), MicroReg::P(4));
+                hook_read(
+                    cs,
+                    "evil.unaligned",
+                    vec![
+                        read_pr(PrivReg::Trptr, p2),
+                        alu(AluOp::Add, p2, MicroReg::Imm(6), p4),
+                        write_pr(PrivReg::Trptr, p4),
+                        jump(rd),
+                    ],
+                )
+            },
+            transparency: &[],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.unaligned+2", 2, "trptr advance by 6 bytes is not longword-aligned"),
+            ],
+        },
+        Seed {
+            build: |cs, rd| {
+                let (p2, p4) = (MicroReg::P(2), MicroReg::P(4));
+                hook_read(
+                    cs,
+                    "evil.overrun",
+                    vec![
+                        read_pr(PrivReg::Trptr, p2),
+                        alu(AluOp::Add, p2, MicroReg::Imm(8), p4),
+                        write_pr(PrivReg::Trptr, p4),
+                        jump(rd),
+                    ],
+                )
+            },
+            transparency: &[],
+            atomicity: &[
+                (Pass::Atomicity, Severity::Error, "evil.overrun+2", 2, "trptr advanced by 8 bytes but only 0 bytes of headroom are proven"),
+            ],
+        },
+    ];
+    let mut drift = String::new();
+    for seed in &seeds {
+        let mut cs = stock::build();
+        PatchSet::install(&mut cs).unwrap();
+        let stock_read = cs.symbol("xfer.read").unwrap();
+        let base = (seed.build)(&mut cs, stock_read);
+        let runs = [
+            ("transparency", transparency::check(&cs), seed.transparency),
+            (
+                "atomicity",
+                lint::run_pass(&cs, Pass::Atomicity),
+                seed.atomicity,
+            ),
+        ];
+        for (pass, findings, want) in runs {
+            let got = render(findings.iter().map(|f| {
+                let off = i64::from(f.addr) - i64::from(base);
+                (f.pass, f.severity, &*f.symbol, off, &*f.message)
+            }));
+            if got != render(want.iter().copied()) {
+                drift += &format!(
+                    "{} ({pass}):\n{}\n",
+                    atum_mclint::cfg::SymbolMap::new(&cs).name(base),
+                    got.join("\n")
+                );
+            }
+        }
+    }
+    assert!(drift.is_empty(), "hook-walker findings drifted:\n{drift}");
+}
+
+// ── the hook walker: proofs dropped on a pointer write, edge policy ──
+
+/// A logger-shaped `XferRead` hook: saves `MAR`/`MDR` to `P0`/`P6`,
+/// reads `TRPTR`→`P2` and `TRLIM`→`P3`, proves 8 bytes of headroom
+/// (`Add P2,#8→P4`, `Sub P3,P4→P7`, `JumpIf UCarry`) and stores `P0` at
+/// `P2`. `before_test` sits between the `Sub` and the carry test,
+/// `after_test` right after it. Returns the store's address.
+fn headroom_seed(
+    cs: &mut ControlStore,
+    name: &str,
+    before_test: &[MicroOp],
+    after_test: &[MicroOp],
+) -> u32 {
+    let rd = cs.symbol("xfer.read").unwrap();
+    let (p0, p2, p3, p4) = (
+        MicroReg::P(0),
+        MicroReg::P(2),
+        MicroReg::P(3),
+        MicroReg::P(4),
+    );
+    let mut words = vec![
+        mov(MicroReg::Mar, p0),
+        mov(MicroReg::Mdr, MicroReg::P(6)),
+        read_pr(PrivReg::Trptr, p2),
+        read_pr(PrivReg::Trlim, p3),
+        alu(AluOp::Add, p2, MicroReg::Imm(8), p4),
+        alu(AluOp::Sub, p3, p4, MicroReg::P(7)),
+    ];
+    words.extend_from_slice(before_test);
+    let test = words.len() as u32;
+    let tail = test + 1 + after_test.len() as u32 + 3;
+    let base = cs.len();
+    words.push(MicroOp::JumpIf {
+        cond: MicroCond::UCarry,
+        target: Target::Abs(base + tail),
+    });
+    words.extend_from_slice(after_test);
+    words.extend([mov(p2, MicroReg::Mar), mov(p0, MicroReg::Mdr)]);
+    words.extend([MicroOp::PhysWrite, mov(p0, MicroReg::Mar)]);
+    words.extend([mov(MicroReg::P(6), MicroReg::Mdr), jump(rd)]);
+    hook_read(cs, name, words);
+    base + tail - 1
+}
+
+/// Transparency's one finding for a seed from [`headroom_seed`]: the
+/// store at `store` is not covered by any proven headroom.
+fn assert_store_unproven(cs: &ControlStore, symbol: &str, store: u32) {
+    let findings = transparency::check(cs);
+    let f = expect_finding(
+        &findings,
+        symbol,
+        "physical store at trptr+0 is not covered by a trlim bounds check (proven headroom: 0 bytes)",
+    );
+    assert_eq!(f.addr, store, "{f}");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+}
+
+#[test]
+fn trptr_write_before_the_carry_test_drops_the_pending_compare() {
+    let mut cs = stock::build();
+    PatchSet::install(&mut cs).unwrap();
+    // The pointer moves between the compare and its carry test, and is
+    // read afresh: the compare was against the old pointer, so the test
+    // proves nothing about the new one.
+    let (p2, p4) = (MicroReg::P(2), MicroReg::P(4));
+    let store = headroom_seed(
+        &mut cs,
+        "evil.stalecmp",
+        &[write_pr(PrivReg::Trptr, p4), read_pr(PrivReg::Trptr, p2)],
+        &[],
+    );
+    assert_store_unproven(&cs, "evil.stalecmp", store);
+}
+
+#[test]
+fn trlim_write_after_the_carry_test_drops_the_proof() {
+    let mut cs = stock::build();
+    PatchSet::install(&mut cs).unwrap();
+    // The bound moves after the headroom was proven against it.
+    let store = headroom_seed(
+        &mut cs,
+        "evil.trlim",
+        &[],
+        &[write_pr(PrivReg::Trlim, MicroReg::P(2))],
+    );
+    assert_store_unproven(&cs, "evil.trlim", store);
+}
+
+/// Both hook passes follow only edges inside the hook's routine (and
+/// micro-calls into the patch region): a jump into another patch routine
+/// is transparency's escape, and atomicity does not walk past it.
+#[test]
+fn hook_walk_stops_at_a_jump_out_of_its_routine() {
+    let mut cs = stock::build();
+    PatchSet::install(&mut cs).unwrap();
+    let stock_read = cs.symbol("xfer.read").unwrap();
+    let a = cs.len();
+    hook_read(
+        &mut cs,
+        "evil.a",
+        vec![mov(MicroReg::Mar, MicroReg::P(0)), jump(a + 2)],
+    );
+    let read = MicroOp::Read {
+        class: RefClass::DataRead,
+        size: SizeSel::Fixed(DataSize::Long),
+    };
+    cs.append_routine(
+        "evil.b",
+        vec![read, mov(MicroReg::P(0), MicroReg::Mar), jump(stock_read)],
+    );
+    let findings = transparency::check(&cs);
+    let f = expect_finding(&findings, "evil.a+1", "escapes its routine into evil.b");
+    assert_eq!(f.addr, a + 1);
+    let f = expect_finding(&findings, "evil.a", "no path rejoins");
+    assert_eq!(f.addr, a);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_clean(
+        &lint::run_pass(&cs, Pass::Atomicity),
+        "atomicity past an escaping jump",
+    );
+}
+
 // ── positive: the state partition of the shipped artifacts ───────────
 
 #[test]
