@@ -105,9 +105,9 @@ fn selected(scale: Scale) -> Vec<(String, String)> {
         .collect()
 }
 
-/// The paths the pipeline benchmark and the criterion `regen` bench
-/// take: `run_by_id` with the shared capture for every id, and without
-/// it for the ids that capture on their own.
+/// The path the pipeline benchmark takes: `run_by_id` with the shared
+/// capture for every id, and without it for the ids that capture on
+/// their own.
 #[test]
 fn run_by_id_renders_what_run_selected_renders() {
     let shared = experiments::capture_standard_mix(Scale::Quick).expect("capture");

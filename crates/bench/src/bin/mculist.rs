@@ -9,9 +9,8 @@
 //! mculist all                # the whole store
 //! mculist verify             # static verification; nonzero exit on findings
 //! mculist verify --pass atomicity  # one verifier pass only
-//! mculist cost               # static slowdown-band gate; nonzero exit on findings
+//! mculist cost               # static slowdown-band gate; nonzero exit on a finding or failed gate
 //! mculist trace info F.atrace  # segment headers + compression stats of a trace file
-//! mculist trace info F.atrace --batch  # plus decode-only batched read timing
 //! ```
 //!
 //! `verify`, `cost` and `trace info` accept `--format json` for
@@ -21,7 +20,7 @@
 //! (exit 1, nothing on stdout). A closed stdout (`| head`) ends the
 //! program quietly with success.
 
-use atum_bench::mculist::{cost_report, patches_report, trace_info, trace_info_batch, verify_pass};
+use atum_bench::mculist::{cost_report, patches_report, trace_info, verify_pass};
 use atum_core::PatchSet;
 use atum_mclint::Pass;
 use atum_ucode::stock;
@@ -29,9 +28,9 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: mculist [entries | patches | all | verify | cost | cost-static | <symbol>]
+usage: mculist [entries | patches | all | verify | cost | <symbol>]
                [--format json] [--pass <name>]
-       mculist trace info <file.atrace> [--batch] [--format json]";
+       mculist trace info <file.atrace> [--format json]";
 
 /// Reports a malformed command line (with the usage text) and fails.
 fn usage_error(msg: &str) -> io::Result<ExitCode> {
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
 fn run(out: &mut dyn Write) -> io::Result<ExitCode> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json = false;
-    let mut batch = false;
     let mut pass_name: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
@@ -74,7 +72,6 @@ fn run(out: &mut dyn Write) -> io::Result<ExitCode> {
                 Some(v) => pass_name = Some(v.to_string()),
                 None => return usage_error("--pass needs a pass name"),
             },
-            "--batch" if inline.is_none() => batch = true,
             _ if a.starts_with("--") => return usage_error(&format!("unknown flag '{a}'")),
             _ => positional.push(a.to_string()),
         }
@@ -104,14 +101,11 @@ fn run(out: &mut dyn Write) -> io::Result<ExitCode> {
     if pass.is_some() && arg != "verify" {
         return usage_error("--pass applies to verify only");
     }
-    if batch && arg != "trace" {
-        return usage_error("--batch applies to trace info only");
-    }
-    if json && !matches!(arg.as_str(), "verify" | "cost" | "cost-static" | "trace") {
+    if json && !matches!(arg.as_str(), "verify" | "cost" | "trace") {
         return usage_error(&format!("'{arg}' has no --format json output"));
     }
     if arg == "trace" {
-        return run_trace(out, &positional[1..], json, batch);
+        return run_trace(out, &positional[1..], json);
     }
     if let Some(extra) = positional.get(1) {
         return usage_error(&format!("unexpected argument '{extra}'"));
@@ -144,27 +138,14 @@ fn run(out: &mut dyn Write) -> io::Result<ExitCode> {
                 return Ok(ExitCode::FAILURE);
             }
         }
-        // The deterministic half of `cost` alone (no BENCH_capture.json
-        // comparison): what the golden tests pin, and how to regenerate
-        // `crates/bench/tests/golden/cost.txt` (text) and
-        // `crates/bench/tests/golden/cost.json` (`--format json`).
-        "cost-static" => {
-            let c = cost_report();
-            if json {
-                write!(out, "{}", c.json_static)?;
-            } else {
-                write!(out, "{}", c.static_report)?;
-            }
-            if c.findings > 0 {
-                return Ok(ExitCode::FAILURE);
-            }
-        }
+        // Deterministic: its text and JSON are pinned by
+        // `crates/bench/tests/golden/cost.{txt,json}`.
         "cost" => {
             let c = cost_report();
             if json {
                 write!(out, "{}", c.json)?;
             } else {
-                write!(out, "{}{}", c.static_report, c.bench_report)?;
+                write!(out, "{}", c.render())?;
             }
             if c.findings > 0 || c.errors > 0 {
                 return Ok(ExitCode::FAILURE);
@@ -203,25 +184,14 @@ fn run(out: &mut dyn Write) -> io::Result<ExitCode> {
 }
 
 /// `mculist trace info <file>`: dump the per-segment headers and the
-/// compression statistics of an on-disk segment trace. `--batch` also
-/// times a decode-only pass through the batched pull reader.
-fn run_trace(
-    out: &mut dyn Write,
-    rest: &[String],
-    json: bool,
-    batch: bool,
-) -> io::Result<ExitCode> {
+/// compression statistics of an on-disk segment trace.
+fn run_trace(out: &mut dyn Write, rest: &[String], json: bool) -> io::Result<ExitCode> {
     let path = match rest {
         [a, p] if a == "info" => p.as_str(),
         [a, _] => return usage_error(&format!("unknown trace action '{a}' (expected 'info')")),
         _ => return usage_error("trace info takes one file"),
     };
-    let result = if batch {
-        trace_info_batch(path)
-    } else {
-        trace_info(path)
-    };
-    match result {
+    match trace_info(path) {
         Ok(report) => {
             if json {
                 write!(out, "{}", report.render_json())?;

@@ -1,15 +1,19 @@
-//! # atum-bench — benchmark harness
+//! # atum-bench — the reproduction's command-line tools
 //!
-//! Two entry points:
+//! Three binaries:
 //!
-//! * the `experiments` binary (`cargo run -p atum-bench --release --bin
+//! * `experiments` (`cargo run -p atum-bench --release --bin
 //!   experiments [-- quick|full] [ids…]`) regenerates every table and
 //!   figure of the reconstructed evaluation and prints the reports that
 //!   `EXPERIMENTS.md` records;
-//! * the Criterion benches (`cargo bench -p atum-bench`) time the moving
-//!   parts: machine throughput traced/untraced (the slowdown measurement
-//!   itself), cache-simulation throughput, assembler and control-store
-//!   build times.
+//! * `capture` runs a named workload traced and writes its v2 trace
+//!   file;
+//! * `mculist` lists the control store and runs the static verifier
+//!   and the cost gate ([`mculist`]).
+//!
+//! Timing lives outside the workspace, in the pipeline benchmark
+//! (`benchmark/`), which times the same capture, sweep and
+//! regeneration stage by stage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -211,29 +211,34 @@ fn finding_json(f: &Finding) -> String {
 /// The paper's slowdown band: traced runs are 10–20× slower.
 const BAND: (f64, f64) = (10.0, 20.0);
 
-/// Result of the cost analysis and its gates.
+/// Result of the cost analysis and its gates. Everything in it is a
+/// function of the microcode and the cycle model, so both forms are
+/// golden-pinned.
 pub struct CostReport {
-    /// Deterministic section (golden-pinned): per-hook bounds, aggregate
-    /// dilation vs the band, and the simulated tight check.
-    pub static_report: String,
-    /// Host-dependent section: measured `BENCH_capture.json` rates
-    /// checked against the static envelope.
-    pub bench_report: String,
-    /// Machine-readable form of everything (`--format json`).
+    /// Per-hook bounds, aggregate dilation vs the band, and the
+    /// simulated tight check, per patch style (`golden/cost.txt`).
+    pub report: String,
+    /// Machine-readable form of the same (`--format json`,
+    /// `golden/cost.json`).
     pub json: String,
-    /// Machine-readable form of the deterministic half only
-    /// (`cost-static --format json`) — golden-pinnable, since nothing
-    /// in it depends on host speed.
-    pub json_static: String,
     /// Lint findings from the cost and lowering passes.
     pub findings: usize,
     /// Error findings plus failed gates.
     pub errors: usize,
 }
 
-/// The bench workload (`list_chase`, syscalls stubbed out), identical to
-/// the one `benches/engine.rs` measures — so the static envelope and the
-/// measured rates describe the same run.
+impl CostReport {
+    /// What `mculist cost` prints: the report and its closing count.
+    pub fn render(&self) -> String {
+        format!(
+            "{}cost: {} finding(s), {} error(s)\n",
+            self.report, self.findings, self.errors
+        )
+    }
+}
+
+/// The bench workload (`list_chase`, syscalls stubbed out), which the
+/// tight check runs untraced and traced on both engine tiers.
 fn bench_image() -> atum_asm::Image {
     let w = atum_workloads::list_chase("bench", 256, 4_000);
     let src = w
@@ -268,10 +273,8 @@ fn json_bounds(b: Option<Bounds>) -> String {
 }
 
 /// Runs the cost pass over both patch styles, gates the aggregate
-/// dilation against the paper band, re-runs the bench workload on the
-/// simulator to check the bound *contains the actual added cycles*, and
-/// checks the measured host rates in `BENCH_capture.json` against the
-/// envelope.
+/// dilation against the paper band, and re-runs the bench workload on
+/// the simulator to check the bound *contains the actual added cycles*.
 pub fn cost_report() -> CostReport {
     let mut stat = String::new();
     let mut json = String::from("{\n");
@@ -316,7 +319,6 @@ pub fn cost_report() -> CostReport {
         base_cycles
     );
 
-    let mut max_dilations = Vec::new();
     for (si, (style, name)) in [
         (PatchStyle::Scratch, "scratch"),
         (PatchStyle::Spill, "spill"),
@@ -447,7 +449,6 @@ pub fn cost_report() -> CostReport {
             if transparent { "ok" } else { "FAIL" }
         );
 
-        max_dilations.push((name, rep.max_dilation()));
         let _ = write!(
             json,
             "      \"aggregate_dilation\": {},\n      \"band_ok\": {band_ok},\n      \
@@ -475,105 +476,14 @@ pub fn cost_report() -> CostReport {
         }
         let _ = writeln!(json, "]\n    }}{}", if si == 0 { "," } else { "" });
     }
-    // Everything written so far is simulator-deterministic; snapshot it
-    // as the golden-pinnable `cost-static --format json` document before
-    // the host-dependent bench section is appended.
-    let json_static = format!("{json}  }}\n}}\n");
-    let _ = write!(json, "  }},\n  \"bench\": {{\n");
-
-    // Gate: measured host rates against the static envelope. Whole-run
-    // slowdown cannot exceed the worst per-invocation dilation (every
-    // untraced reference already pays its stock transfer cost, so the
-    // traced/untraced cycle ratio is a mediant of per-class dilations),
-    // and it cannot fall below 1.
-    let mut bench = String::new();
-    let _ = writeln!(
-        bench,
-        "measured rates (BENCH_capture.json) vs the static envelope"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_capture.json");
-    match std::fs::read_to_string(path) {
-        Err(e) => {
-            errors += 1;
-            let _ = writeln!(bench, "  cannot read BENCH_capture.json: {e}  FAIL");
-            let _ = writeln!(json, "    \"error\": \"unreadable\"");
-        }
-        Ok(text) => {
-            for (si, (cfg, name)) in [("atum_scratch", "scratch"), ("atum_spill", "spill")]
-                .into_iter()
-                .enumerate()
-            {
-                let envelope = max_dilations
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .and_then(|(_, d)| *d);
-                let _ = write!(json, "    \"{name}\": {{");
-                for (ei, engine) in ["fast", "reference"].into_iter().enumerate() {
-                    let key = format!("{engine}_insns_per_sec");
-                    let slow = match (
-                        bench_rate(&text, "untraced", &key),
-                        bench_rate(&text, cfg, &key),
-                    ) {
-                        (Some(u), Some(t)) if t > 0.0 => Some(u / t),
-                        _ => None,
-                    };
-                    let ok = match (slow, envelope) {
-                        (Some(s), Some(d)) => s >= 1.0 && s <= d,
-                        _ => false,
-                    };
-                    if !ok {
-                        errors += 1;
-                    }
-                    let _ = writeln!(
-                        bench,
-                        "  {name:<8} {engine:<10} engine: measured {}x, envelope 1.00..{}: {}",
-                        slow.map_or("?".into(), |s| format!("{s:.2}")),
-                        envelope.map_or("?".into(), |d| format!("{d:.2}")),
-                        if ok { "ok" } else { "FAIL" }
-                    );
-                    let _ = write!(
-                        json,
-                        "{}\"{engine}_slowdown\": {}, \"{engine}_ok\": {ok}",
-                        if ei > 0 { ", " } else { "" },
-                        slow.map_or("null".into(), |s| format!("{s:.4}")),
-                    );
-                }
-                let _ = writeln!(json, "}}{}", if si == 0 { "," } else { "" });
-            }
-        }
-    }
-    let _ = writeln!(
-        bench,
-        "\ncost: {findings_total} finding(s), {errors} error(s)"
-    );
-    let _ = write!(
-        json,
-        "  }},\n  \"findings\": {findings_total},\n  \"errors\": {errors}\n}}\n"
-    );
+    json.push_str("  }\n}\n");
 
     CostReport {
-        static_report: stat,
-        bench_report: bench,
+        report: stat,
         json,
-        json_static,
         findings: findings_total,
         errors,
     }
-}
-
-/// Minimal extraction of `"key": <number>` inside the `"config"` object
-/// of `BENCH_capture.json` (fixed, known shape — not a JSON parser).
-fn bench_rate(text: &str, config: &str, key: &str) -> Option<f64> {
-    let start = text.find(&format!("\"{config}\""))?;
-    let body = &text[start..];
-    let body = &body[..body.find('}')?];
-    let ki = body.find(&format!("\"{key}\""))?;
-    let after = &body[ki..];
-    let val = after[after.find(':')? + 1..].trim_start();
-    let end = val
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(val.len());
-    val[..end].parse().ok()
 }
 
 // ── `mculist trace`: segment trace file inspection ───────────────────
@@ -586,32 +496,6 @@ pub struct TraceSegmentInfo {
     pub encoded_bytes: u64,
     /// I/D reference records in the segment.
     pub refs: u64,
-}
-
-/// Decode-only throughput of the batched pull path (`trace info
-/// --batch`): the file read end to end through
-/// [`atum_core::SegmentFileSource`] batches, best time of several
-/// passes.
-pub struct BatchTiming {
-    /// Timed passes over the file (best one reported).
-    pub passes: u32,
-    /// Records decoded per pass.
-    pub records: u64,
-    /// Batches the pass yielded.
-    pub batches: u64,
-    /// Best wall-clock seconds for one full pass.
-    pub best_secs: f64,
-}
-
-impl BatchTiming {
-    /// Decode rate of the best pass.
-    pub fn records_per_sec(&self) -> f64 {
-        if self.best_secs > 0.0 {
-            self.records as f64 / self.best_secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The `mculist trace info` report: per-segment headers plus the
@@ -627,8 +511,6 @@ pub struct TraceInfoReport {
     pub refs: u64,
     /// File size in bytes.
     pub file_bytes: u64,
-    /// Batched decode timing (`--batch` only).
-    pub batch: Option<BatchTiming>,
 }
 
 impl TraceInfoReport {
@@ -680,18 +562,6 @@ impl TraceInfoReport {
             self.file_bytes as f64 / self.records.max(1) as f64,
             self.compression_ratio(),
         );
-        if let Some(b) = &self.batch {
-            let _ = writeln!(
-                out,
-                "batched decode: {} records in {} batches, best of {} passes \
-                 {:.4}s ({:.3e} records/s)",
-                b.records,
-                b.batches,
-                b.passes,
-                b.best_secs,
-                b.records_per_sec(),
-            );
-        }
         out
     }
 
@@ -721,22 +591,9 @@ impl TraceInfoReport {
         let _ = writeln!(out, "  \"raw_bytes\": {},", self.raw_bytes());
         let _ = writeln!(
             out,
-            "  \"compression_ratio\": {:.4}{}",
-            self.compression_ratio(),
-            if self.batch.is_some() { "," } else { "" }
+            "  \"compression_ratio\": {:.4}",
+            self.compression_ratio()
         );
-        if let Some(b) = &self.batch {
-            let _ = writeln!(
-                out,
-                "  \"batch\": {{\"passes\": {}, \"records\": {}, \"batches\": {}, \
-                 \"best_secs\": {:.6}, \"records_per_sec\": {:.1}}}",
-                b.passes,
-                b.records,
-                b.batches,
-                b.best_secs,
-                b.records_per_sec(),
-            );
-        }
         out.push_str("}\n");
         out
     }
@@ -756,18 +613,13 @@ pub fn trace_info(path: &str) -> Result<TraceInfoReport, atum_core::TraceStreamE
     let mut segments = Vec::new();
     let mut records = 0u64;
     let mut refs = 0u64;
-    // File header, then header+payload per segment; per-segment encoded
-    // size is reconstructed from consecutive payload offsets at render
-    // time — simpler: recompute header size from the parsed fields.
     while let Some((h, recs)) = rd.next_segment()? {
         let seg_refs = recs.iter().filter(|r| r.is_ref()).count() as u64;
         records += h.records;
         refs += seg_refs;
-        let header_bytes =
-            1 + varint_len(h.records) + varint_len(h.payload_len) + varint_len(h.cycle) + 2;
         segments.push(TraceSegmentInfo {
             header: h,
-            encoded_bytes: header_bytes + h.payload_len,
+            encoded_bytes: h.encoded_len() + h.payload_len,
             refs: seg_refs,
         });
     }
@@ -777,51 +629,7 @@ pub fn trace_info(path: &str) -> Result<TraceInfoReport, atum_core::TraceStreamE
         records,
         refs,
         file_bytes,
-        batch: None,
     })
-}
-
-/// [`trace_info`] plus a decode-only timing of the batched pull path
-/// (`mculist trace info --batch`): reads the file end to end through
-/// [`atum_core::TraceSource::next_batch`] several times and
-/// reports the best pass — the ceiling any batch-fed analysis can
-/// reach on this file.
-///
-/// # Errors
-///
-/// Any [`atum_core::TraceStreamError`].
-pub fn trace_info_batch(path: &str) -> Result<TraceInfoReport, atum_core::TraceStreamError> {
-    use atum_core::TraceSource;
-    const PASSES: u32 = 3;
-    let mut report = trace_info(path)?;
-    let mut src = atum_core::SegmentFileSource::new(path);
-    let mut best = f64::MAX;
-    let mut records = 0u64;
-    let mut batches = 0u64;
-    for _ in 0..PASSES {
-        src.rewind()?;
-        let t0 = std::time::Instant::now();
-        let mut recs = 0u64;
-        let mut bats = 0u64;
-        while let Some(b) = src.next_batch()? {
-            recs += b.len() as u64;
-            bats += 1;
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-        records = recs;
-        batches = bats;
-    }
-    report.batch = Some(BatchTiming {
-        passes: PASSES,
-        records,
-        batches,
-        best_secs: best,
-    });
-    Ok(report)
-}
-
-fn varint_len(v: u64) -> u64 {
-    (64 - v.max(1).leading_zeros() as u64).div_ceil(7)
 }
 
 #[cfg(test)]
@@ -851,34 +659,14 @@ mod tests {
     #[test]
     fn cost_gates_pass_on_shipped_patches() {
         let c = cost_report();
-        assert_eq!(
-            c.errors, 0,
-            "{}{}\n{}",
-            c.static_report, c.bench_report, c.json
-        );
-        assert_eq!(c.findings, 0, "{}", c.static_report);
+        assert_eq!(c.errors, 0, "{}\n{}", c.render(), c.json);
+        assert_eq!(c.findings, 0, "{}", c.render());
         assert_eq!(
             c.json.matches('{').count(),
             c.json.matches('}').count(),
             "unbalanced braces:\n{}",
             c.json
         );
-    }
-
-    #[test]
-    fn bench_rate_extracts_known_shape() {
-        let text = "{\n  \"configs\": {\n    \"untraced\": {\n      \
-                    \"insns\": 15223,\n      \"fast_insns_per_sec\": 2585469.3,\n      \
-                    \"reference_insns_per_sec\": 1272682.0\n    }\n  }\n}\n";
-        assert_eq!(
-            bench_rate(text, "untraced", "fast_insns_per_sec"),
-            Some(2585469.3)
-        );
-        assert_eq!(
-            bench_rate(text, "untraced", "reference_insns_per_sec"),
-            Some(1272682.0)
-        );
-        assert_eq!(bench_rate(text, "missing", "fast_insns_per_sec"), None);
     }
 
     #[test]
@@ -915,8 +703,8 @@ mod tests {
         assert_eq!(r.segments.len(), t.segments());
         assert_eq!(r.records, t.len() as u64);
         assert_eq!(r.refs, t.iter().filter(|rec| rec.is_ref()).count() as u64);
-        // Header bytes reconstructed from parsed fields must tile the
-        // file exactly: 5-byte file header + per-segment encoded sizes.
+        // Header plus payload per segment must tile the file exactly:
+        // 5-byte file header + per-segment encoded sizes.
         let sum: u64 = r.segments.iter().map(|s| s.encoded_bytes).sum();
         assert_eq!(5 + sum, r.file_bytes, "{}", r.render());
         assert!(r.compression_ratio() > 3.0, "{}", r.render());
@@ -928,21 +716,6 @@ mod tests {
             "unbalanced braces:\n{j}"
         );
         assert!(j.contains("\"compression_ratio\""));
-
-        // The --batch form decodes every record through the batched
-        // pull reader and reports a rate, in both output formats.
-        let rb = trace_info_batch(path.to_str().unwrap()).unwrap();
-        let b = rb.batch.as_ref().expect("batch timing present");
-        assert_eq!(b.records, t.len() as u64);
-        assert!(b.batches >= t.segments() as u64 - 1);
-        assert!(rb.render().contains("batched decode"));
-        let jb = rb.render_json();
-        assert!(jb.contains("\"batch\""), "{jb}");
-        assert_eq!(
-            jb.matches('{').count(),
-            jb.matches('}').count(),
-            "unbalanced braces:\n{jb}"
-        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -45,40 +45,41 @@ fn mculist_verify_json_matches_golden_file() {
     );
 }
 
-/// Pins the deterministic half of `mculist cost`: the per-hook cycle
-/// bounds, the aggregate dilation against the paper's 10–20× band, and
-/// the simulated tight check. These are pure functions of the microcode
-/// and the cycle model — any drift means the patches or the model
-/// changed, and the paper-band argument needs re-checking. Regenerate
-/// deliberately with
-/// `cargo run -p atum-bench --bin mculist -- cost-static > crates/bench/tests/golden/cost.txt`.
+/// Pins the `mculist cost` report: the per-hook cycle bounds, the
+/// aggregate dilation against the paper's 10–20× band, and the
+/// simulated tight check. These are pure functions of the microcode and
+/// the cycle model — any drift means the patches or the model changed,
+/// and the paper-band argument needs re-checking. The command prints
+/// this report and then its `cost: … finding(s), … error(s)` line
+/// (`tests/mculist_cli.rs` checks both). Regenerate deliberately with
+/// `cargo run -p atum-bench --bin mculist -- cost | head -n -1 > crates/bench/tests/golden/cost.txt`.
 #[test]
-fn mculist_cost_static_output_matches_golden_file() {
+fn mculist_cost_output_matches_golden_file() {
     let expected = include_str!("golden/cost.txt");
-    let actual = cost_report().static_report;
+    let actual = cost_report().report;
     assert!(
         actual == expected,
-        "`mculist cost-static` output drifted from tests/golden/cost.txt.\n\
+        "`mculist cost` output drifted from tests/golden/cost.txt.\n\
          If the change is intentional, regenerate the golden file:\n\
-         cargo run -p atum-bench --bin mculist -- cost-static > crates/bench/tests/golden/cost.txt\n\
+         cargo run -p atum-bench --bin mculist -- cost | head -n -1 > crates/bench/tests/golden/cost.txt\n\
          \n--- expected ---\n{expected}\n--- actual ---\n{actual}"
     );
 }
 
-/// Pins the machine-readable form of the same deterministic half
-/// (`cost-static --format json`) — what downstream tooling parses, with
-/// the per-tier added-cycle agreement included.
+/// Pins the machine-readable form of the same report (`cost --format
+/// json`) — what downstream tooling parses, with the per-tier
+/// added-cycle agreement included.
 /// Regenerate deliberately with
-/// `cargo run -p atum-bench --bin mculist -- cost-static --format json > crates/bench/tests/golden/cost.json`.
+/// `cargo run -p atum-bench --bin mculist -- cost --format json > crates/bench/tests/golden/cost.json`.
 #[test]
-fn mculist_cost_static_json_matches_golden_file() {
+fn mculist_cost_json_matches_golden_file() {
     let expected = include_str!("golden/cost.json");
-    let actual = cost_report().json_static;
+    let actual = cost_report().json;
     assert!(
         actual == expected,
-        "`mculist cost-static --format json` output drifted from tests/golden/cost.json.\n\
+        "`mculist cost --format json` output drifted from tests/golden/cost.json.\n\
          If the change is intentional, regenerate the golden file:\n\
-         cargo run -p atum-bench --bin mculist -- cost-static --format json > crates/bench/tests/golden/cost.json\n\
+         cargo run -p atum-bench --bin mculist -- cost --format json > crates/bench/tests/golden/cost.json\n\
          \n--- expected ---\n{expected}\n--- actual ---\n{actual}"
     );
 }

@@ -1,7 +1,8 @@
 //! The `mculist` command line: a mistyped flag, a flag the command does
 //! not take, an unknown `--format` value or a stray argument is a usage
 //! error (exit 1, nothing on stdout) rather than a report run with the
-//! mistake ignored.
+//! mistake ignored. `mculist cost`, a CI gate, prints exactly its
+//! golden files.
 
 use std::process::{Command, Output};
 
@@ -22,11 +23,12 @@ fn malformed_command_lines_are_usage_errors() {
     for args in [
         &["verify", "--fromat", "json"][..],
         &["verify", "--format", "xml"],
-        &["cost-static", "--format=yaml"],
+        &["cost", "--format=yaml"],
         &["trace", "info", GOLDEN_TRACE, "--bacth"],
+        &["trace", "info", GOLDEN_TRACE, "--batch"],
         &["verify", "extra"],
         &["verify", "--pass"],
-        &["cost-static", "--pass", "atomicity"],
+        &["cost", "--pass", "atomicity"],
         &["verify", "--batch"],
         &["entries", "--format", "json"],
         &["trace", "info"],
@@ -46,11 +48,36 @@ fn well_formed_flags_still_run() {
     for args in [
         &["trace", "info", GOLDEN_TRACE, "--format", "json"][..],
         &["trace", "info", "--format=json", GOLDEN_TRACE],
-        &["trace", "info", GOLDEN_TRACE, "--batch"],
     ] {
         let out = mculist(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{args:?}: {stderr}");
         assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
     }
+}
+
+/// What CI runs, pinned by the goldens: the text report is
+/// `golden/cost.txt` followed by the count line, the JSON report is
+/// `golden/cost.json`, and both exit 0.
+#[test]
+fn cost_prints_its_golden_files() {
+    let text = mculist(&["cost"]);
+    let stdout = String::from_utf8_lossy(&text.stdout);
+    assert_eq!(text.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.starts_with(include_str!("golden/cost.txt")),
+        "{stdout}"
+    );
+    assert!(
+        stdout.ends_with("cost: 0 finding(s), 0 error(s)\n"),
+        "{stdout}"
+    );
+
+    let json = mculist(&["cost", "--format", "json"]);
+    assert_eq!(json.status.code(), Some(0));
+    assert!(
+        json.stdout == include_bytes!("golden/cost.json"),
+        "{}",
+        String::from_utf8_lossy(&json.stdout)
+    );
 }

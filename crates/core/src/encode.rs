@@ -34,7 +34,7 @@
 //! its own header — the property the out-of-core analysis path relies on.
 //!
 //! Typical compaction is 4–6× over the raw form (measured in experiment
-//! E2 and `BENCH_trace.json`).
+//! E2).
 
 use crate::record::{meta, RecordKind, TraceRecord};
 use crate::stream::{SegmentReader, TraceStreamError};

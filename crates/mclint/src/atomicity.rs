@@ -730,13 +730,7 @@ impl hook::Client for Analysis<'_> {
     fn store(&mut self, addr: u32, st: &mut State) {
         match st.eval(MicroReg::Mar) {
             AbsVal::Pr { pr, off } if pr == PrivReg::Trptr.number() => {
-                if st.advanced {
-                    self.sink.emit(
-                        addr,
-                        Severity::Error,
-                        "record store after the trptr advance: the advance must be the hook's last record effect (single linearization point)".into(),
-                    );
-                } else if st.checked >= RECORD_BYTES
+                if st.checked >= RECORD_BYTES
                     && off >= 0
                     && off % 4 == 0
                     && off <= st.checked - 4

@@ -14,10 +14,9 @@
 //!   was derived (a `TRPTR`- or `TRLIM`-relative snapshot, a constant,
 //!   the caller's value, unknown), the operands of the last longword
 //!   `Sub`, the headroom `TRLIM − TRPTR` a carry test on that compare
-//!   proves, the record longwords stored since the round's `TRPTR`
-//!   read, and whether the round's `TRPTR` advance has happened. A write
-//!   to `TRPTR` or `TRLIM` forgets that register's snapshots, the pending
-//!   compare and the headroom proof;
+//!   proves, and the record longwords stored since the round's `TRPTR`
+//!   read. A write to `TRPTR` or `TRLIM` forgets that register's
+//!   snapshots, the pending compare and the headroom proof;
 //! * **one edge policy** — the walk follows jumps and fall-throughs
 //!   inside the current routine, micro-calls into the patch region below
 //!   a fixed depth, and returns into the caller's routine. Every other
@@ -237,8 +236,6 @@ pub(crate) struct State {
     /// Record longwords (relative to the round's pointer read) written
     /// on every path reaching this point.
     pub(crate) stored: u32,
-    /// Whether this round's `TRPTR` advance has already happened.
-    pub(crate) advanced: bool,
 }
 
 impl State {
@@ -251,7 +248,6 @@ impl State {
             cmp: None,
             checked: 0,
             stored: 0,
-            advanced: false,
         }
     }
 
@@ -268,7 +264,6 @@ impl State {
             },
             checked: self.checked.min(other.checked),
             stored: self.stored & other.stored,
-            advanced: self.advanced || other.advanced,
         }
     }
 
@@ -476,15 +471,7 @@ impl<C: Client> Walk<'_, C> {
             }
             MicroOp::ReadPr { num, dst } => {
                 let v = match st.eval(num) {
-                    AbsVal::Const(n) => {
-                        if n == PrivReg::Trptr.number() {
-                            // A fresh pointer read starts a new protocol
-                            // round: a later advance is that round's own
-                            // linearization point.
-                            st.advanced = false;
-                        }
-                        AbsVal::Pr { pr: n, off: 0 }
-                    }
+                    AbsVal::Const(n) => AbsVal::Pr { pr: n, off: 0 },
                     _ => AbsVal::Top,
                 };
                 st.set(dst, v);
@@ -494,11 +481,11 @@ impl<C: Client> Walk<'_, C> {
             MicroOp::WritePr { num, src } => match st.eval(num) {
                 AbsVal::Const(n) if n == PrivReg::Trptr.number() => {
                     self.client.advance(addr, st, src);
-                    // The pointer moved: no further record store may
-                    // follow this round.
+                    // The pointer moved: every snapshot of it is stale,
+                    // so a later record store goes through an unknown
+                    // value unless a fresh read starts a new round.
                     st.forget(PrivReg::Trptr);
                     st.stored = 0;
-                    st.advanced = true;
                 }
                 AbsVal::Const(n) if n == PrivReg::Trlim.number() => st.forget(PrivReg::Trlim),
                 _ => {}

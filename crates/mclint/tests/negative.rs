@@ -869,8 +869,8 @@ fn render<'a>(findings: impl Iterator<Item = Pinned<'a>>) -> Vec<String> {
 
 /// Every message of the hook walker's two clients that no other test
 /// pins, each from one seeded hook, with the full finding list of both
-/// passes (the store-after-advance seed shows why that one message
-/// cannot fire).
+/// passes (the store-after-advance seed pins what a record store after
+/// the linearization point gets).
 #[test]
 fn hook_walker_messages_are_pinned() {
     use atum_ucode::FaultKind;
@@ -1105,8 +1105,7 @@ fn hook_walker_messages_are_pinned() {
         Seed {
             // A full record, the advance, then a second store through the
             // second longword's address. The advance forgets every TRPTR
-            // snapshot, so that store goes through an unknown value:
-            // "record store after the trptr advance" never fires, since a
+            // snapshot, so that store goes through an unknown value; a
             // store through a live snapshot needs a TRPTR read after the
             // advance, and that read opens a new round.
             build: |cs, rd| {

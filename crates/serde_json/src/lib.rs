@@ -1,10 +1,10 @@
 //! Offline `serde_json` shim.
 //!
 //! The build container has no crates.io access, so — like the
-//! `proptest` and `criterion` shims — this crate lives in-workspace and
-//! exposes exactly the API subset the workspace uses: [`from_str`] into
-//! a dynamically typed [`Value`], indexing with `value["key"]` /
-//! `value[idx]`, and the `as_*` accessors. There is no serde data model
+//! `proptest` shim — this crate lives in-workspace and exposes exactly
+//! the API subset the workspace uses: [`from_str`] into a dynamically
+//! typed [`Value`], indexing with `value["key"]` / `value[idx]`, and the
+//! `as_*` accessors. There is no serde data model
 //! and no serializer; the workspace's JSON *producers* hand-roll their
 //! output, this shim is the consuming side that validates it.
 //!
